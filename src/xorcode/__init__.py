@@ -29,28 +29,15 @@ from .errors import (
     TopologyError,
     WireFormatError,
 )
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    determinant,
-    in_rowspan,
-    invert,
-    mat_mul,
-    mat_vec_mul,
-    rank,
-    transpose,
-)
+from .gf2 import Basis, BitMatrix, determinant, invert, rank
 from .latin import (
-    DesignMatrices,
     LatinRectangle,
     auto_rows,
     block_incidence,
-    design_matrices,
     find_nonsingular_rectangle,
     is_balanced,
     jm_generate,
     split_upper,
-    symbol_incidence,
     validate,
 )
 from .network import (

@@ -22,6 +22,16 @@ def _seeds(seed: int, count: int) -> list[int]:
     return [rng.getrandbits(63) for _ in range(count)]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_rectangle(path: str) -> latin.LatinRectangle:
     return latin.LatinRectangle.from_text(Path(path).read_text())
 
@@ -141,12 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="search for a nonsingular Latin-rectangle design")
-    p.add_argument("-n", "--packets", type=int, required=True, help="design order / packet count")
+    p.add_argument(
+        "-n", "--packets", type=_positive_int, required=True, help="design order / packet count"
+    )
     p.add_argument("-k", "--rows", type=int, help="rectangle rows (odd); default auto")
     p.add_argument("--auto", action="store_true", help="pick rows automatically (n-1 or n-2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--moves", type=int, help="mixing steps per sampled square (default n^3)")
-    p.add_argument("--max-retries", type=int, default=64)
+    p.add_argument(
+        "--moves", type=_positive_int, help="mixing steps per sampled square (default n^3)"
+    )
+    p.add_argument("--max-retries", type=_positive_int, default=64)
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -165,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="build a phase schedule and replay delivery")
     p.add_argument("--network", required=True, help="network file")
-    p.add_argument("-n", "--packets", type=int, required=True)
+    p.add_argument("-n", "--packets", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=codec.MODES, default=codec.MODE_DIRECT)
     p.add_argument("--rectangle", help="reuse an existing design instead of sampling one")
-    p.add_argument("--packet-len", type=int, default=8)
+    p.add_argument("--packet-len", type=_positive_int, default=8)
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
     WireFormatError,
 )
-from .gf2 import BitMatrix, invert
+from .gf2 import Basis, BitMatrix, invert
 from .latin import LatinRectangle, block_incidence
 
 MODE_DIRECT = "direct"
@@ -166,27 +166,17 @@ def _header_bits(packet: CodedPacket, n: int) -> int:
     return bits
 
 
-def _reduce(vec: int, basis: dict[int, tuple[int, int]], pay: int = 0) -> tuple[int, int]:
-    """Reduce (vec, pay) against a lowest-set-bit pivot basis."""
-    while vec:
-        piv = (vec & -vec).bit_length() - 1
-        row = basis.get(piv)
-        if row is None:
-            break
-        vec ^= row[0]
-        pay ^= row[1]
-    return vec, pay
+def _header_basis(packets: Sequence[CodedPacket], n: int, payloads: bool) -> Basis:
+    """Basis of the received coding vectors, each carrying its payload if asked.
 
-
-def _build_basis(packets: Sequence[CodedPacket], n: int, payloads: bool) -> dict[int, tuple[int, int]]:
-    basis: dict[int, tuple[int, int]] = {}
+    A packet whose header is dependent on earlier ones must reduce to a zero
+    payload too; anything else means some packet was corrupted.
+    """
+    basis = Basis()
     for p in packets:
-        vec = _header_bits(p, n)
         pay = int.from_bytes(p.payload, "little") if payloads else 0
-        vec, pay = _reduce(vec, basis, pay)
-        if vec:
-            basis[(vec & -vec).bit_length() - 1] = (vec, pay)
-        elif payloads and pay:
+        vec, pay = basis.add(_header_bits(p, n), pay)
+        if not vec and pay:
             raise PacketIntegrityError(
                 f"packet {p.index} is linearly dependent on earlier packets "
                 "but its payload disagrees"
@@ -196,13 +186,8 @@ def _build_basis(packets: Sequence[CodedPacket], n: int, payloads: bool) -> dict
 
 def decodable_indexes(packets: Sequence[CodedPacket], n: int) -> frozenset[int]:
     """source indexes l whose unit vector lies in the span of the received headers."""
-    basis = _build_basis(packets, n, payloads=False)
-    out = set()
-    for l in range(n):
-        vec, _ = _reduce(1 << l, basis)
-        if vec == 0:
-            out.add(l + 1)
-    return frozenset(out)
+    basis = _header_basis(packets, n, payloads=False)
+    return frozenset(l + 1 for l in basis.spanned_units(n))
 
 
 def decode(
@@ -210,8 +195,11 @@ def decode(
 ) -> SourceBlock:
     """Recover the source block from headers and payloads alone.
 
-    Gaussian elimination over the received coding vectors, so overheard or
-    redundant packet sets work the same as the exact n-packet case.
+    Each packet's header and payload enter one GF(2) basis together, so
+    overheard or redundant packet sets work the same as the exact n-packet
+    case. At full rank, back-substitution leaves source l as the payload of
+    unit row e_l; below it, the sources whose unit vectors are already
+    spanned are reported as recoverable.
     """
     if n < 1:
         raise ValueError("packet count must be >= 1")
@@ -220,24 +208,11 @@ def decode(
     plen = len(packets[0].payload)
     if any(len(p.payload) != plen for p in packets):
         raise ValueError("received packets have unequal payload lengths")
-    basis = _build_basis(packets, n, payloads=True)
+    basis = _header_basis(packets, n, payloads=True)
     if len(basis) < n:
-        recoverable = set()
-        for l in range(n):
-            vec, _ = _reduce(1 << l, basis)
-            if vec == 0:
-                recoverable.add(l + 1)
-        raise PartialDecodeError(frozenset(recoverable), n)
-    # Full rank: back-substitute to unit rows, highest pivot first.
-    for piv in sorted(basis, reverse=True):
-        vec, pay = basis[piv]
-        rest = vec ^ (1 << piv)
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            pay ^= basis[q][1]
-            rest &= rest - 1
-        basis[piv] = (1 << piv, pay)
-    sources = tuple(basis[l][1].to_bytes(plen, "little") for l in range(n))
+        raise PartialDecodeError(frozenset(l + 1 for l in basis.spanned_units(n)), n)
+    solved = basis.solve()
+    sources = tuple(solved[l].to_bytes(plen, "little") for l in range(n))
     if original_len is None:
         original_len = plen * n
     return SourceBlock(sources, plen, original_len)
@@ -266,6 +241,8 @@ def deserialize_packet(buf: bytes) -> CodedPacket:
         raise WireFormatError("truncated packet prefix", offset=len(buf))
     index, count = _HEAD.unpack_from(buf, 0)
     offset = _HEAD.size
+    if index == 0:
+        raise WireFormatError("packet index must be >= 1", offset=0)
     if count == 0:
         raise WireFormatError("empty header", offset=2)
     end = offset + 2 * count
@@ -301,6 +278,8 @@ def parse_manifest(text: str) -> tuple[int, int, str, int, LatinRectangle]:
         n, k, original_len = int(toks[0]), int(toks[1]), int(toks[3])
     except ValueError as exc:
         raise ParseError(f"non-integer field in manifest header {lines[0]!r}") from exc
+    if original_len < 0:
+        raise ParseError(f"negative original length in manifest header {lines[0]!r}")
     mode = toks[2]
     if mode not in MODES:
         raise ParseError(f"unknown manifest mode {mode!r}")

@@ -3,82 +3,76 @@
 Vectors and matrix rows are stored as Python ints with little-endian bit
 order: bit j holds element j, so adding two rows is a single integer XOR and
 serialization via ``int.to_bytes(..., "little")`` is byte-stable.
+
+``Basis`` is the one elimination kernel: rank, determinant, inversion,
+decoding and the eavesdropping audit all reduce rows against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParseError, SingularMatrixError
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
+class Basis:
+    """Incremental row basis over GF(2) with lowest-set-bit pivots.
 
+    ``rows[p]`` is a stored row ``(vec, pay)`` whose lowest set bit is p.
+    ``pay`` is an int carried through every XOR applied to ``vec``, such as a
+    packet payload or the set of input rows combined so far.
+    """
 
-@dataclass(frozen=True)
-class BitVector:
-    """Fixed-length GF(2) vector; bit j of ``bits`` is element j."""
+    __slots__ = ("rows",)
 
-    length: int
-    bits: int = 0
+    def __init__(self):
+        self.rows: dict[int, tuple[int, int]] = {}
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("vector length must be non-negative")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("set bits beyond declared length")
+    def __len__(self) -> int:
+        return len(self.rows)
 
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> BitVector:
-        acc = 0
-        count = 0
-        for v in values:
-            if v not in (0, 1):
-                raise ValueError(f"non-binary entry {v!r}")
-            acc |= v << count
-            count += 1
-        return cls(count, acc)
+    def reduce(self, vec: int, pay: int = 0) -> tuple[int, int]:
+        """Clear pivots from the low end of vec; stops at its first non-pivot bit."""
+        rows = self.rows
+        while vec:
+            row = rows.get((vec & -vec).bit_length() - 1)
+            if row is None:
+                break
+            vec ^= row[0]
+            pay ^= row[1]
+        return vec, pay
 
-    @classmethod
-    def zeros(cls, length: int) -> BitVector:
-        return cls(length, 0)
+    def add(self, vec: int, pay: int = 0) -> tuple[int, int]:
+        """Reduce (vec, pay) and keep it if it is independent.
 
-    @classmethod
-    def unit(cls, length: int, index: int) -> BitVector:
-        if not 0 <= index < length:
-            raise ValueError("unit index out of range")
-        return cls(length, 1 << index)
+        Returns the reduced pair; vec is 0 iff the row was already in the span.
+        """
+        vec, pay = self.reduce(vec, pay)
+        if vec:
+            self.rows[(vec & -vec).bit_length() - 1] = (vec, pay)
+        return vec, pay
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> BitVector:
-        acc = 0
-        for j in support:
-            if not 0 <= j < length:
-                raise ValueError("support index out of range")
-            acc |= 1 << j
-        return cls(length, acc)
+    def spanned_units(self, n: int) -> tuple[int, ...]:
+        """Positions l < n whose unit vector lies in the span, ascending."""
+        return tuple(l for l in range(n) if not self.reduce(1 << l)[0])
 
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError("bit index out of range")
-        return (self.bits >> j) & 1
+    def solve(self) -> dict[int, int]:
+        """Back-substitute to unit rows: the payload of e_p for every pivot p.
 
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def support(self) -> tuple[int, ...]:
-        """Positions of the set bits, ascending, 0-based."""
-        return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
+        Requires every set bit of every stored row to be a pivot, which holds
+        once the basis has full rank over the columns in use.
+        """
+        out: dict[int, int] = {}
+        for piv in sorted(self.rows, reverse=True):
+            vec, pay = self.rows[piv]
+            rest = vec ^ (1 << piv)
+            while rest:
+                low = rest & -rest
+                pay ^= out[low.bit_length() - 1]
+                rest ^= low
+            out[piv] = pay
+        return out
 
 
 @dataclass(frozen=True)
@@ -100,13 +94,17 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> BitMatrix:
-        vecs = [BitVector.from_bits(r) for r in rows]
-        if not vecs:
+        if not rows:
             raise ValueError("matrix must have at least one row")
-        cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
+        cols = len(rows[0])
+        if any(len(r) != cols for r in rows):
             raise ValueError("rows have unequal lengths")
-        return cls(len(vecs), cols, tuple(v.bits for v in vecs))
+        bits = []
+        for r in rows:
+            if any(v not in (0, 1) for v in r):
+                raise ValueError(f"non-binary entry in row {list(r)!r}")
+            bits.append(sum(v << j for j, v in enumerate(r)))
+        return cls(len(rows), cols, tuple(bits))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> BitMatrix:
@@ -116,18 +114,17 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
     def row_support(self, i: int) -> tuple[int, ...]:
-        return self.row(i).support()
+        """Positions of the set bits of row i, ascending, 0-based."""
+        bits = self.row_bits[i]
+        return tuple(j for j in range(self.cols) if (bits >> j) & 1)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols}"]
-        lines.extend(self.row(i).to01() for i in range(self.rows))
+        lines.extend(format(bits, f"0{self.cols}b")[::-1] for bits in self.row_bits)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -136,9 +133,11 @@ class BitMatrix:
         if not lines:
             raise ParseError("empty matrix text")
         head = lines[0].split()
-        if len(head) != 2 or not all(t.isdigit() for t in head):
+        if len(head) != 2 or not all(t.isdecimal() for t in head):
             raise ParseError(f"bad matrix header {lines[0]!r}, expected 'rows cols'")
         rows, cols = int(head[0]), int(head[1])
+        if rows < 1 or cols < 1:
+            raise ParseError(f"matrix must have at least one row and one column, got {rows}x{cols}")
         if len(lines) != rows + 1:
             raise ParseError(f"expected {rows} matrix rows, found {len(lines) - 1}")
         bits = []
@@ -149,72 +148,12 @@ class BitMatrix:
         return cls(rows, cols, tuple(bits))
 
 
-def mat_vec_mul(m: BitMatrix, x: BitVector) -> BitVector:
-    """y = M.x over GF(2); y[i] is the parity of row i AND x."""
-    if m.cols != x.length:
-        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} matrix, length-{x.length} vector")
-    acc = 0
-    for i, row in enumerate(m.row_bits):
-        acc |= _parity(row & x.bits) << i
-    return BitVector(m.rows, acc)
-
-
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2); row i of A.B is the XOR of B's rows picked by row i of A."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for row in a.row_bits:
-        acc = 0
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            acc ^= b.row_bits[j]
-            rest &= rest - 1
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    out = []
-    for j in range(m.cols):
-        acc = 0
-        for i, row in enumerate(m.row_bits):
-            acc |= ((row >> j) & 1) << i
-        out.append(acc)
-    return BitMatrix(m.cols, m.rows, tuple(out))
-
-
-def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place forward+backward elimination; returns (rows, pivot columns).
-
-    Pivot rule: first remaining row with a 1 in the scan column.
-    """
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank."""
-    _, pivots = _eliminate(list(m.row_bits), m.cols)
-    return len(pivots)
+    basis = Basis()
+    for row in m.row_bits:
+        basis.add(row)
+    return len(basis)
 
 
 def determinant(m: BitMatrix) -> int:
@@ -225,24 +164,19 @@ def determinant(m: BitMatrix) -> int:
 
 
 def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2) by Gauss-Jordan on [M | I]; raises if singular."""
+    """Inverse over GF(2); raises if singular.
+
+    Row i enters the basis carrying payload e_i, so after back-substitution
+    the payload of unit row e_j names the rows of M that sum to e_j, which is
+    row j of the inverse.
+    """
     if not m.is_square():
         raise ValueError("inverse requires a square matrix")
     n = m.rows
-    aug = [bits | (1 << (n + i)) for i, bits in enumerate(m.row_bits)]
-    reduced, pivots = _eliminate(aug, n)
-    if len(pivots) != n:
+    basis = Basis()
+    for i, row in enumerate(m.row_bits):
+        basis.add(row, 1 << i)
+    if len(basis) != n:
         raise SingularMatrixError(f"{n}x{n} matrix is singular over GF(2)")
-    # After full reduction of a nonsingular matrix, row i is e_i | inverse row i.
-    mask = (1 << n) - 1
-    return BitMatrix(n, n, tuple((row >> n) & mask for row in reduced))
-
-
-def in_rowspan(rows: BitMatrix, target: BitVector) -> bool:
-    """True iff target is a GF(2) linear combination of the matrix rows."""
-    if rows.cols != target.length:
-        raise ValueError("dimension mismatch between rows and target")
-    work = list(rows.row_bits)
-    base = len(_eliminate(work, rows.cols)[1])
-    work.append(target.bits)
-    return len(_eliminate(work, rows.cols)[1]) == base
+    solved = basis.solve()
+    return BitMatrix(n, n, tuple(solved[j] for j in range(n)))

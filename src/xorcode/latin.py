@@ -1,10 +1,9 @@
-"""Latin squares and rectangles: validation, random sampling, incidence matrices.
+"""Latin squares and rectangles: validation, random sampling, block incidence.
 
 Symbols are 1..n. The block-incidence matrix of a k x n rectangle is the
-n x n 0-1 matrix whose row j marks the symbols appearing in column j; its
-transpose (symbols on rows) is exposed as the symbol-incidence matrix.
-Both are balanced with k ones per row and column, and a nonsingular one
-requires odd k.
+n x n 0-1 matrix whose row j marks the symbols appearing in column j. It is
+balanced with k ones per row and column, and a nonsingular one requires
+odd k.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DesignSearchError, ParseError
-from .gf2 import BitMatrix, determinant, transpose
+from .gf2 import BitMatrix, determinant
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,11 @@ class LatinRectangle:
         if not lines:
             raise ParseError("empty rectangle text")
         head = lines[0].split()
-        if len(head) != 2 or not all(t.isdigit() for t in head):
+        if len(head) != 2 or not all(t.isdecimal() for t in head):
             raise ParseError(f"bad rectangle header {lines[0]!r}, expected 'k n'")
         k, n = int(head[0]), int(head[1])
+        if not 1 <= k <= n:
+            raise ParseError(f"rectangle shape {k}x{n} needs 1 <= k <= n")
         if len(lines) != k + 1:
             raise ParseError(f"expected {k} rectangle rows, found {len(lines) - 1}")
         rows = []
@@ -107,24 +108,6 @@ def block_incidence(rect: LatinRectangle) -> BitMatrix:
             acc |= 1 << (row[j] - 1)
         bits.append(acc)
     return BitMatrix(n, n, tuple(bits))
-
-
-def symbol_incidence(rect: LatinRectangle) -> BitMatrix:
-    """Transpose of block_incidence: row i marks the columns containing symbol i."""
-    return transpose(block_incidence(rect))
-
-
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Both incidence conventions for one rectangle."""
-
-    block_incidence: BitMatrix
-    symbol_incidence: BitMatrix
-
-
-def design_matrices(rect: LatinRectangle) -> DesignMatrices:
-    b = block_incidence(rect)
-    return DesignMatrices(block_incidence=b, symbol_incidence=transpose(b))
 
 
 def is_balanced(m: BitMatrix, k: int) -> bool:

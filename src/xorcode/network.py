@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codec import CodingScheme, SourceBlock, decodable_indexes, decode, encode
+from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import CodingError, ParseError, ScheduleError, TopologyError
+from .gf2 import Basis
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,10 @@ def parse_network(text: str) -> Network:
         raise ParseError("missing source directive")
     if not sinks:
         raise ParseError("missing sink directive")
-    return Network(tuple(nodes), tuple(edges), source, tuple(sinks))
+    try:
+        return Network(tuple(nodes), tuple(edges), source, tuple(sinks))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_network(net: Network) -> str:
@@ -443,7 +447,7 @@ def parse_schedule(net: Network, text: str) -> Schedule:
             continue
         toks = line.split()
         if toks[0] in ("n", "requested_n", "phases", "maxflow"):
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError(f"line {lineno}: bad header {line!r}")
             header[toks[0]] = int(toks[1])
         elif toks[0] == "sink":
@@ -552,10 +556,14 @@ def simulate(
             for phase in range(sched.phases)
         )
         buffer = []
+        headers = Basis()
         phases_to_decode = None
         for phase, idxs in enumerate(per_phase, start=1):
             buffer.extend(coded[i - 1] for i in idxs)
-            if phases_to_decode is None and len(decodable_indexes(buffer, scheme.n)) == scheme.n:
+            # Packet i's header is the support of encoding row i.
+            for i in idxs:
+                headers.add(scheme.encode_matrix.row_bits[i - 1])
+            if phases_to_decode is None and len(headers) == scheme.n:
                 phases_to_decode = phase
         try:
             recovered = decode(buffer, scheme.n, original_len=block.original_len)

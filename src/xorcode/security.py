@@ -5,7 +5,8 @@ taps whole edge-disjoint paths, reads every header on them, and may XOR any
 subset of the captured packets. A source packet leaks as soon as its unit
 vector enters the span of the captured coding vectors, so the brute-force
 minimum below is an honest bound rather than an argument about one
-particular decoding rule.
+particular decoding rule. "No single source exposed" is the weak-security
+criterion of Bhattad & Narayanan (NetCod 2005).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import CodingScheme
-from .gf2 import BitMatrix, BitVector, in_rowspan
+from .gf2 import Basis
 from .latin import LatinRectangle
 
 
@@ -94,23 +95,20 @@ def check_condition(rect: LatinRectangle, part: PathPartition) -> bool:
 
 
 def _exposed(scheme: CodingScheme, indexes: set[int]) -> tuple[int, ...]:
-    rows = BitMatrix(
-        len(indexes),
-        scheme.n,
-        tuple(scheme.encode_matrix.row_bits[i - 1] for i in sorted(indexes)),
-    )
-    return tuple(
-        l + 1
-        for l in range(scheme.n)
-        if in_rowspan(rows, BitVector.unit(scheme.n, l))
-    )
+    """Sources whose unit vector lies in the span of the captured coding vectors."""
+    basis = Basis()
+    for i in indexes:
+        basis.add(scheme.encode_matrix.row_bits[i - 1])
+    return tuple(l + 1 for l in basis.spanned_units(scheme.n))
 
 
 def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
     """Smallest number of tapped paths that exposes at least one source packet.
 
     Path subsets are tried by increasing size, lexicographically within a
-    size, stopping at the first leak, so the witness is deterministic.
+    size, stopping at the first leak, so the witness is deterministic. Each
+    subset's captured coding vectors go into one GF(2) basis, and every
+    source is then tested against that basis.
     """
     part.check(scheme.n)
     f = part.maxflow

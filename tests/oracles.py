@@ -34,6 +34,31 @@ def exhaustive_in_rowspan(rows: list[int], target: int) -> bool:
     return False
 
 
+def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Matrix product over GF(2); row i of A.B is the XOR of B's rows picked by row i of A."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = []
+    for row in a.row_bits:
+        acc = 0
+        for j in range(a.cols):
+            if (row >> j) & 1:
+                acc ^= b.row_bits[j]
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, tuple(out))
+
+
+def transpose(m: BitMatrix) -> BitMatrix:
+    return BitMatrix(
+        m.cols,
+        m.rows,
+        tuple(
+            sum(((row >> j) & 1) << i for i, row in enumerate(m.row_bits))
+            for j in range(m.cols)
+        ),
+    )
+
+
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows, inner, cols = len(a), len(b), len(b[0])
     out = [[0] * cols for _ in range(rows)]

@@ -241,6 +241,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "-r", "rect.txt"])  # neither schedule nor partition
     assert exc.value.code == 2
+    for args in (
+        ["gen", "-n", "0"],
+        ["gen", "-n", "6", "--max-retries", "0"],
+        ["gen", "-n", "6", "--moves", "0"],
+        ["simulate", "--network", "net.txt", "-n", "4", "--packet-len", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["-o", str(tmp_path)])
+        assert exc.value.code == 2, args
+
+
+def test_empty_rectangle_file_is_parse_error(tmp_path, capsys):
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text("0 0\n")
+    data = tmp_path / "msg.bin"
+    data.write_bytes(b"hello")
+    code, _, err = run(
+        capsys, "encode", "-r", str(rect_file), "-i", str(data), "-o", str(tmp_path)
+    )
+    assert code == 2 and "rectangle" in err
 
 
 def test_bad_network_file_is_parse_error(tmp_path, capsys):

@@ -1,22 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_M_ROWS, INVERSE_SUPPORTS, L5X12
-from oracles import exhaustive_in_rowspan, leibniz_determinant, naive_mat_mul
+from oracles import (
+    exhaustive_in_rowspan,
+    leibniz_determinant,
+    mat_mul,
+    naive_mat_mul,
+    transpose,
+)
 from xorcode import (
+    Basis,
     BitMatrix,
-    BitVector,
     SingularMatrixError,
     block_incidence,
     determinant,
-    in_rowspan,
     invert,
-    mat_mul,
-    mat_vec_mul,
     rank,
     split_upper,
-    transpose,
 )
 
 
@@ -24,38 +28,12 @@ def random_matrix(rng, rows, cols):
     return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
 
 
-def test_bitvector_basics():
-    v = BitVector.from_bits([1, 0, 1, 1])
-    assert v.length == 4 and v.bits == 0b1101
-    assert v.support() == (0, 2, 3)
-    assert v.weight() == 3
-    assert v.to01() == "1011"
-    assert (v ^ BitVector.unit(4, 0)).support() == (2, 3)
-    with pytest.raises(ValueError):
-        BitVector(2, 0b100)
-
-
-def test_mat_vec_identity():
-    m = BitMatrix.identity(4)
-    x = BitVector.from_bits([1, 0, 1, 1])
-    assert mat_vec_mul(m, x) == x
-
-
-def test_mat_vec_example_row():
-    m = BitMatrix.from_strings(EXAMPLE_M_ROWS)
-    # first output bit XORs sources 1, 2, 3
-    x = BitVector.from_bits([1, 0, 0, 0])
-    assert mat_vec_mul(m, x)[0] == 1
-    x = BitVector.from_bits([1, 1, 0, 0])
-    assert mat_vec_mul(m, x)[0] == 0
-    assert m.row_support(0) == (0, 1, 2)
-
-
-def test_mat_vec_zero_and_mismatch():
-    m = BitMatrix.from_strings(EXAMPLE_M_ROWS)
-    assert mat_vec_mul(m, BitVector.zeros(4)).bits == 0
-    with pytest.raises(ValueError):
-        mat_vec_mul(m, BitVector.zeros(5))
+@st.composite
+def matrices(draw, square=False):
+    cols = draw(st.integers(1, 6))
+    rows = cols if square else draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, tuple(bits))
 
 
 def test_mat_mul_identity_and_scalar():
@@ -78,8 +56,8 @@ def test_mat_mul_against_naive():
         a = random_matrix(rng, r, k)
         b = random_matrix(rng, k, c)
         want = naive_mat_mul(
-            [[a.row(i)[j] for j in range(k)] for i in range(r)],
-            [[b.row(i)[j] for j in range(c)] for i in range(k)],
+            [[(a.row_bits[i] >> j) & 1 for j in range(k)] for i in range(r)],
+            [[(b.row_bits[i] >> j) & 1 for j in range(c)] for i in range(k)],
         )
         assert mat_mul(a, b) == BitMatrix.from_rows(want)
 
@@ -99,12 +77,12 @@ def test_determinant_examples():
         determinant(BitMatrix.from_strings(["10", "01", "11"]))
 
 
-def test_determinant_matches_leibniz():
-    rng = random.Random(5)
-    for _ in range(120):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        assert determinant(m) == leibniz_determinant(m)
+@settings(deadline=None)
+@given(matrices(square=True))
+def test_determinant_matches_leibniz(m):
+    det = leibniz_determinant(m)
+    assert determinant(m) == det
+    assert (rank(m) == m.rows) == bool(det)
 
 
 def test_invert_identity_and_errors():
@@ -124,18 +102,16 @@ def test_invert_block_incidence_of_l5x12():
     assert mat_mul(b, b_inv) == BitMatrix.identity(12)
 
 
-def test_invert_det_consistency():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        m = random_matrix(rng, n, n)
-        if determinant(m):
-            inv = invert(m)
-            assert mat_mul(m, inv) == BitMatrix.identity(n)
-            assert mat_mul(inv, m) == BitMatrix.identity(n)
-        else:
-            with pytest.raises(SingularMatrixError):
-                invert(m)
+@settings(deadline=None)
+@given(matrices(square=True))
+def test_invert_det_consistency(m):
+    if determinant(m):
+        inv = invert(m)
+        assert mat_mul(m, inv) == BitMatrix.identity(m.rows)
+        assert mat_mul(inv, m) == BitMatrix.identity(m.rows)
+    else:
+        with pytest.raises(SingularMatrixError):
+            invert(m)
 
 
 def test_rank_examples():
@@ -144,11 +120,10 @@ def test_rank_examples():
     assert rank(block_incidence(L5X12)) == 12
 
 
-def test_rank_transpose_invariant():
-    rng = random.Random(23)
-    for _ in range(50):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert rank(m) == rank(transpose(m))
+@settings(deadline=None)
+@given(matrices())
+def test_rank_transpose_invariant(m):
+    assert rank(m) == rank(transpose(m))
 
 
 def test_mul_associativity():
@@ -157,37 +132,45 @@ def test_mul_associativity():
         r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, r, k)
         b = random_matrix(rng, k, c)
-        x = BitVector(c, rng.getrandbits(c))
-        assert mat_vec_mul(mat_mul(a, b), x) == mat_vec_mul(a, mat_vec_mul(b, x))
+        x = random_matrix(rng, c, 1)
+        assert mat_mul(mat_mul(a, b), x) == mat_mul(a, mat_mul(b, x))
+
+
+def basis_of(rows):
+    basis = Basis()
+    for row in rows:
+        basis.add(row)
+    return basis
 
 
 def test_in_rowspan_examples():
-    rows = BitMatrix.from_rows([[1, 1, 0], [0, 1, 0]])
-    assert in_rowspan(rows, BitVector.zeros(3))
-    assert in_rowspan(rows, BitVector.unit(3, 0))  # sum of the two rows
-    assert not in_rowspan(rows, BitVector.unit(3, 2))
-    with pytest.raises(ValueError):
-        in_rowspan(rows, BitVector.zeros(4))
+    basis = basis_of([0b011, 0b010])
+    assert basis.reduce(0)[0] == 0
+    assert basis.reduce(0b001)[0] == 0  # sum of the two rows
+    assert basis.reduce(0b100)[0] != 0
+    assert basis.spanned_units(3) == (0, 1)
+    assert len(basis) == 2
+    assert basis.add(0b001) == (0, 0)  # dependent: nothing added
+    assert len(basis) == 2
 
 
 def test_in_rowspan_two_routing_paths_expose_nothing():
     b_inv = invert(block_incidence(L5X12))
     captured = (3, 10, 7, 2, 8, 4, 11, 9)  # packets on two of the three paths
-    rows = BitMatrix(8, 12, tuple(b_inv.row_bits[i - 1] for i in captured))
-    for l in range(12):
-        assert not in_rowspan(rows, BitVector.unit(12, l))
+    basis = basis_of(b_inv.row_bits[i - 1] for i in captured)
+    assert basis.spanned_units(12) == ()
 
 
-def test_in_rowspan_matches_exhaustive():
-    rng = random.Random(41)
-    for _ in range(60):
-        cols = rng.randint(1, 8)
-        height = rng.randint(1, 6)
-        m = random_matrix(rng, height, cols)
-        t = rng.getrandbits(cols)
-        assert in_rowspan(m, BitVector(cols, t)) == exhaustive_in_rowspan(
-            list(m.row_bits), t
-        )
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_in_rowspan_matches_exhaustive(m, data):
+    rows = list(m.row_bits)
+    target = data.draw(st.integers(0, (1 << m.cols) - 1))
+    basis = basis_of(rows)
+    assert (basis.reduce(target)[0] == 0) == exhaustive_in_rowspan(rows, target)
+    assert basis.spanned_units(m.cols) == tuple(
+        l for l in range(m.cols) if exhaustive_in_rowspan(rows, 1 << l)
+    )
 
 
 def test_matrix_text_roundtrip():

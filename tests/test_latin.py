@@ -9,14 +9,11 @@ from xorcode import (
     LatinRectangle,
     auto_rows,
     block_incidence,
-    design_matrices,
     determinant,
     find_nonsingular_rectangle,
     is_balanced,
     jm_generate,
     split_upper,
-    symbol_incidence,
-    transpose,
     validate,
 )
 
@@ -50,7 +47,7 @@ def test_split_upper():
 
 def test_block_incidence_reproduces_known_matrix():
     m = block_incidence(split_upper(EXAMPLE_SQUARE, 3))
-    assert tuple(m.row(i).to01() for i in range(4)) == EXAMPLE_M_ROWS
+    assert tuple(m.to_text().splitlines()[1:]) == EXAMPLE_M_ROWS
 
 
 def test_block_incidence_of_permutation_row():
@@ -69,14 +66,6 @@ def test_block_incidence_l5x12_supports():
 def test_block_incidence_rejects_invalid():
     with pytest.raises(ValueError):
         block_incidence(LatinRectangle(((1, 2), (1, 2))))
-
-
-def test_symbol_incidence_is_transpose():
-    r = split_upper(EXAMPLE_SQUARE, 3)
-    assert symbol_incidence(r) == transpose(block_incidence(r))
-    dm = design_matrices(r)
-    assert dm.block_incidence == block_incidence(r)
-    assert dm.symbol_incidence == symbol_incidence(r)
 
 
 def test_is_balanced():

@@ -1,0 +1,169 @@
+"""Every text and wire parser either round-trips its input or raises ParseError."""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import EXAMPLE_SQUARE, FIG3_TEXT, L5X12
+from xorcode import (
+    BitMatrix,
+    CodedPacket,
+    LatinRectangle,
+    ParseError,
+    TopologyError,
+    WireFormatError,
+    build_schedule,
+    deserialize_packet,
+    format_manifest,
+    format_network,
+    format_schedule,
+    parse_manifest,
+    parse_network,
+    parse_schedule,
+    serialize_packet,
+    split_upper,
+)
+
+FIG3 = parse_network(FIG3_TEXT)
+FIG3_SCHEDULE = format_schedule(FIG3, build_schedule(FIG3, 6))
+RECT_TEXT = split_upper(EXAMPLE_SQUARE, 3).to_text()
+MANIFEST = "4 3 direct 10\n" + RECT_TEXT
+
+
+def manifest_text(n, k, mode, original_len, rect):
+    return format_manifest(SimpleNamespace(n=n, k=k, mode=mode), rect, original_len)
+
+
+@pytest.mark.parametrize(
+    ("parse", "text"),
+    [
+        pytest.param(LatinRectangle.from_text, "0 0\n", id="rectangle-0x0"),
+        pytest.param(LatinRectangle.from_text, "2 1\n1\n1\n", id="rectangle-k-above-n"),
+        pytest.param(LatinRectangle.from_text, "¹ 1\n1\n", id="rectangle-superscript-digit"),
+        pytest.param(BitMatrix.from_text, "0 0\n", id="matrix-0x0"),
+        pytest.param(parse_manifest, "0 0 direct 0\n0 0\n", id="manifest-0x0-rectangle"),
+        pytest.param(parse_manifest, "4 3 direct -1\n" + RECT_TEXT, id="manifest-negative-length"),
+        pytest.param(parse_network, "source s\nsink s\n", id="network-source-is-sink"),
+        pytest.param(
+            parse_network, "source s\nsink t\nsink t\nedge s t\n", id="network-duplicate-sink"
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text), "n ²\n", id="schedule-superscript-digit"
+        ),
+    ],
+)
+def test_malformed_text_raises_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_packet_index_zero_is_wire_format_error():
+    buf = serialize_packet(CodedPacket(index=1, header=(1, 2), payload=b"ab"))
+    with pytest.raises(WireFormatError):
+        deserialize_packet(b"\x00\x00" + buf[2:])
+
+
+@st.composite
+def mutated(draw, text, alphabet):
+    """text with a few short spans replaced by up to two alphabet tokens each."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + "".join(draw(st.lists(st.sampled_from(alphabet), max_size=2))) + text[j:]
+    return text
+
+
+def fuzzed(valid, alphabet):
+    tokens = st.lists(st.sampled_from(alphabet)).map("".join)
+    return st.one_of(st.text(max_size=40), tokens, mutated(valid, alphabet))
+
+
+RECT_ALPHABET = ["0", "1", "2", "3", "4", "-1", "x", "²", "٣", " ", "\n"]
+FUZZ = settings(deadline=None, max_examples=300)
+
+
+@FUZZ
+@given(fuzzed(L5X12.to_text(), RECT_ALPHABET))
+def test_fuzz_rectangle_text(text):
+    try:
+        rect = LatinRectangle.from_text(text)
+    except ParseError:
+        return
+    assert LatinRectangle.from_text(rect.to_text()) == rect
+
+
+@FUZZ
+@given(fuzzed("3 4\n1110\n0111\n1101\n", ["0", "1", "2", "x", "²", " ", "\n"]))
+def test_fuzz_matrix_text(text):
+    try:
+        m = BitMatrix.from_text(text)
+    except ParseError:
+        return
+    assert BitMatrix.from_text(m.to_text()) == m
+
+
+@FUZZ
+@given(fuzzed(MANIFEST, RECT_ALPHABET + ["direct", "balanced_decode", "sideways"]))
+def test_fuzz_manifest(text):
+    try:
+        fields = parse_manifest(text)
+    except ParseError:
+        return
+    assert fields[3] >= 0
+    assert parse_manifest(manifest_text(*fields)) == fields
+
+
+NETWORK_ALPHABET = ["node ", "edge ", "source ", "sink ", "s", "a", "b", "t", " ", "\n", "#"]
+
+
+@FUZZ
+@given(fuzzed(FIG3_TEXT, NETWORK_ALPHABET))
+def test_fuzz_network_text(text):
+    # A cycle or self-loop is well-formed text for an unsupported topology:
+    # a domain error (CLI exit 1), not a parse error.
+    try:
+        net = parse_network(text)
+    except (ParseError, TopologyError):
+        return
+    assert parse_network(format_network(net)) == net
+
+
+SCHEDULE_ALPHABET = ["n ", "phases ", "sink ", "path ", "s", "u1", "t1", ":", "1", "0",
+                     "²", "x", " ", "\n", "#"]
+
+
+@FUZZ
+@given(fuzzed(FIG3_SCHEDULE, SCHEDULE_ALPHABET))
+def test_fuzz_schedule_text(text):
+    try:
+        sched = parse_schedule(FIG3, text)
+    except ParseError:
+        return
+    assert parse_schedule(FIG3, format_schedule(FIG3, sched)) == sched
+
+
+VALID_PACKET = serialize_packet(CodedPacket(index=3, header=(1, 4, 9), payload=b"payload"))
+
+
+@st.composite
+def packet_bytes(draw):
+    """Raw bytes, or a valid packet with a few bytes overwritten and a random cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    buf = bytearray(VALID_PACKET)
+    for _ in range(draw(st.integers(0, 3))):
+        buf[draw(st.integers(0, len(buf) - 1))] = draw(st.integers(0, 255))
+    return bytes(buf[: draw(st.integers(0, len(buf)))])
+
+
+@FUZZ
+@given(packet_bytes())
+def test_fuzz_packet_bytes(buf):
+    try:
+        packet = deserialize_packet(buf)
+    except WireFormatError:
+        return
+    assert serialize_packet(packet) == buf
+
