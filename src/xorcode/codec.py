@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     PacketIntegrityError,
@@ -64,6 +64,11 @@ class SourceBlock:
             raise ValueError("all packets must have identical length")
         if self.original_len < 0:
             raise ValueError("original length cannot be negative")
+        if self.original_len > self.packet_len * len(self.packets):
+            raise ValueError(
+                f"original length {self.original_len} exceeds the block's "
+                f"{self.packet_len * len(self.packets)} bytes"
+            )
 
     @property
     def n(self) -> int:
@@ -137,24 +142,41 @@ def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:
     return CodingScheme(n=rect.n, k=rect.k, encode_matrix=enc, decode_matrix=dec, mode=mode)
 
 
-def _xor_bytes(parts: Iterable[bytes], length: int) -> bytes:
-    acc = 0
-    for p in parts:
-        acc ^= int.from_bytes(p, "little")
-    return acc.to_bytes(length, "little")
-
-
 def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:
-    """XOR the sources per encoding row; header = the row's support, 1-based."""
-    if block.n != scheme.n:
-        raise ValueError(f"block has {block.n} packets, scheme expects {scheme.n}")
+    """XOR the sources per encoding row; header = the row's support, 1-based.
+
+    Each source is converted to an int once per block. A row of weight w with
+    2w > n + 1 costs fewer XORs as its complement, ``B = J xor R``: start from
+    the block total T (the XOR of all n sources, built on first use) and XOR
+    in the n - w sources outside the row.
+    """
+    n = scheme.n
+    if block.n != n:
+        raise ValueError(f"block has {block.n} packets, scheme expects {n}")
+    sources = [int.from_bytes(p, "little") for p in block.packets]
+    full = (1 << n) - 1
+    total = None
     out = []
-    for i in range(scheme.n):
-        support = scheme.encode_matrix.row_support(i)
-        header = tuple(j + 1 for j in support)
-        payload = _xor_bytes((block.packets[j] for j in support), block.packet_len)
+    for i, row in enumerate(scheme.encode_matrix.row_bits):
+        header = tuple(j + 1 for j in scheme.encode_matrix.row_support(i))
+        if 2 * len(header) > n + 1:
+            if total is None:
+                total = _xor_sources(sources, full, 0)
+            acc = _xor_sources(sources, full ^ row, total)
+        else:
+            acc = _xor_sources(sources, row, 0)
+        payload = acc.to_bytes(block.packet_len, "little")
         out.append(CodedPacket(index=i + 1, header=header, payload=payload))
     return out
+
+
+def _xor_sources(sources: list[int], bits: int, acc: int) -> int:
+    """acc XOR every source j whose bit j is set in bits."""
+    while bits:
+        low = bits & -bits
+        acc ^= sources[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 def _header_bits(packet: CodedPacket, n: int) -> int:

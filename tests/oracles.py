@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Sequence
 
 from xorcode.gf2 import BitMatrix
 
@@ -57,6 +58,18 @@ def transpose(m: BitMatrix) -> BitMatrix:
             for j in range(m.cols)
         ),
     )
+
+
+def xor_encode(rows: Sequence[int], packets: Sequence[bytes]) -> list[bytes]:
+    """Per bit-packed row, the byte-wise XOR of the packets its set bits pick."""
+    out = []
+    for row in rows:
+        acc = bytes(len(packets[0]))
+        for j, packet in enumerate(packets):
+            if (row >> j) & 1:
+                acc = bytes(a ^ b for a, b in zip(acc, packet))
+        out.append(acc)
+    return out
 
 
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import EXAMPLE_SQUARE, FIG2_TEXT, FIG3_TEXT, L5X12
@@ -119,6 +121,57 @@ def test_decode_corrupted_packet_is_parse_error(tmp_path, capsys):
         *(str(p) for p in packets),
     )
     assert code == 2 and "truncated" in err
+
+
+def test_decode_inflated_manifest_length_fails(tmp_path, capsys):
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"0123456789")
+    coded = tmp_path / "coded"
+    run(capsys, "encode", "-r", str(rect_file), "-i", str(src), "-o", str(coded))
+    manifest = coded / "manifest.txt"
+    head, rest = manifest.read_text().split("\n", 1)
+    manifest.write_text(head.rsplit(" ", 1)[0] + " 1000000\n" + rest)
+    out = tmp_path / "out.bin"
+    packets = sorted(str(p) for p in coded.glob("packet_*.bin"))
+    code, stdout, err = run(capsys, "decode", "-m", str(manifest), "-o", str(out), *packets)
+    assert code == 1 and "exceeds" in err and "recovered" not in stdout
+    assert not out.exists()
+
+
+# SHA-256 of the concatenated packet files and of the manifest, computed
+# before the encoder converted each source once and used the complement form.
+GOLDEN_ENCODE = {
+    "direct": (
+        "b4ebda6f0bb72072e834c771558bee5deebd3403ad1f5eea89dd047a9a073b3b",
+        "ec08a8bcb9934776e66ae42dbc112517283068fd6485e446652401b31872cf6b",
+    ),
+    "balanced_decode": (
+        "69805eb6b5478b40493c4b21c21668b2217b3cba1cb895cd7ae6a8df3f398e36",
+        "82ef42c5420e0829d9a66355e44a864bc63450ed9031575ff764fd2ec6682b1c",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_ENCODE))
+def test_gen_encode_golden_output(tmp_path, capsys, mode):
+    design = tmp_path / "design"
+    assert run(capsys, "gen", "-n", "12", "-k", "5", "--seed", "3", "-o", str(design))[0] == 0
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes((i * 37 + 11) % 256 for i in range(1000)))
+    coded = tmp_path / "coded"
+    code, _, _ = run(
+        capsys, "encode", "-r", str(design / "rectangle.txt"), "--mode", mode,
+        "-i", str(src), "-o", str(coded),
+    )
+    assert code == 0
+    blob = b"".join(p.read_bytes() for p in sorted(coded.glob("packet_*.bin")))
+    digests = (
+        hashlib.sha256(blob).hexdigest(),
+        hashlib.sha256((coded / "manifest.txt").read_bytes()).hexdigest(),
+    )
+    assert digests == GOLDEN_ENCODE[mode]
 
 
 def test_simulate_fig2(tmp_path, capsys):

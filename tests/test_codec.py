@@ -1,13 +1,19 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, INVERSE_SUPPORTS, L5X12, ROUTING_PATHS
+from oracles import xor_encode
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
     MODES,
+    BitMatrix,
     CodedPacket,
+    CodingScheme,
     LatinRectangle,
     PacketIntegrityError,
     ParseError,
@@ -21,6 +27,7 @@ from xorcode import (
     encode,
     find_nonsingular_rectangle,
     format_manifest,
+    invert,
     join_payload,
     make_scheme,
     parse_manifest,
@@ -117,6 +124,89 @@ def test_encode_size_mismatch():
         encode(s, SourceBlock.from_packets([b"a"] * 5))
     with pytest.raises(ValueError):
         SourceBlock.from_packets([b"aa", b"b", b"cc", b"dd"])
+
+
+@lru_cache(maxsize=None)
+def design(n, seed):
+    return find_nonsingular_rectangle(n, seed=seed, moves=4 * n * n)[0]
+
+
+@st.composite
+def design_schemes(draw):
+    n = draw(st.integers(1, 17))
+    return make_scheme(design(n, draw(st.integers(0, 2))), draw(st.sampled_from(MODES)))
+
+
+@st.composite
+def invertible_schemes(draw):
+    """P1 . U . P2 with U unit upper-triangular, so the product is invertible.
+
+    Row i of U has weight 1..n-i, drawn with a bias toward 1, the (n+1)/2
+    boundary on either side, and the row's maximum (n for the first row).
+    """
+    n = draw(st.integers(1, 17))
+    rows = []
+    for i in range(n):
+        top = n - i
+        marked = sorted({w for w in (1, (n + 1) // 2, (n + 2) // 2, top) if w <= top})
+        w = draw(st.sampled_from(marked) | st.integers(1, top))
+        above = draw(st.permutations(range(i + 1, n)))[: w - 1]
+        rows.append((1 << i) | sum(1 << j for j in above))
+    cols = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(n)))
+    bits = tuple(sum(((rows[r] >> j) & 1) << cols[j] for j in range(n)) for r in order)
+    enc = BitMatrix(n, n, bits)
+    return CodingScheme(n=n, k=1, encode_matrix=enc, decode_matrix=invert(enc), mode=MODE_DIRECT)
+
+
+@st.composite
+def blocks(draw, n):
+    """n sources of a common length >= 1, some ending in zero bytes."""
+    plen = draw(st.integers(1, 9))
+    packets = []
+    for _ in range(n):
+        body = draw(st.binary(min_size=plen, max_size=plen))
+        zeros = draw(st.integers(0, plen))
+        packets.append(body[: plen - zeros] + bytes(zeros))
+    return SourceBlock.from_packets(packets)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(design_schemes(), invertible_schemes()), st.data())
+def test_encode_matches_xor_oracle(scheme, data):
+    block = data.draw(blocks(scheme.n))
+    packets = encode(scheme, block)
+    assert [p.index for p in packets] == list(range(1, scheme.n + 1))
+    assert [p.header for p in packets] == [
+        tuple(j + 1 for j in scheme.encode_matrix.row_support(i)) for i in range(scheme.n)
+    ]
+    assert [p.payload for p in packets] == xor_encode(scheme.encode_matrix.row_bits, block.packets)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_encode_every_row_weight(n):
+    # row i = columns i..n-1: weights n, n-1, ..., 1, both sides of 2w = n + 1
+    enc = BitMatrix(n, n, tuple(((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)))
+    scheme = CodingScheme(n=n, k=1, encode_matrix=enc, decode_matrix=invert(enc), mode=MODE_DIRECT)
+    block = SourceBlock.from_packets([bytes([j + 1, 0]) for j in range(n)])
+    packets = encode(scheme, block)
+    assert [p.payload for p in packets] == xor_encode(enc.row_bits, block.packets)
+    assert decode(packets, n).packets == block.packets
+
+
+def test_source_block_rejects_oversized_original_len():
+    SourceBlock((b"abc", b"def"), 3, 6)
+    with pytest.raises(ValueError, match="exceeds"):
+        SourceBlock((b"abc", b"def"), 3, 7)
+    with pytest.raises(ValueError, match="exceeds"):
+        SourceBlock.from_packets([b"ab"] * 4, original_len=9)
+
+
+def test_decode_rejects_oversized_original_len():
+    packets = encode(make_scheme(EXAMPLE_RECT, MODE_DIRECT), SourceBlock.from_packets([b"abc"] * 4))
+    assert join_payload(decode(packets, 4, original_len=12)) == b"abc" * 4
+    with pytest.raises(ValueError, match="exceeds"):
+        decode(packets, 4, original_len=10**6)
 
 
 def test_decode_roundtrip_fuzz():

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_M_ROWS, EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, L5X12
+from oracles import mat_mul, transpose
 from xorcode import (
     BitMatrix,
     DesignSearchError,
@@ -11,6 +14,7 @@ from xorcode import (
     block_incidence,
     determinant,
     find_nonsingular_rectangle,
+    invert,
     is_balanced,
     jm_generate,
     split_upper,
@@ -144,6 +148,21 @@ def test_column_supports_match_square_columns():
         for j in range(n):
             head = set(sq.cells[i][j] for i in range(k))
             assert set(x + 1 for x in m.row_support(j)) == head
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(range(4, 17, 2)), st.integers(0, 2**63 - 1))
+def test_even_order_top_rows_invert_in_closed_form(n, seed):
+    # B = J xor P, P the permutation to each column's missing symbol; for even
+    # n, (J xor P)(J xor I) = J.J xor J xor J xor P = P, so B^-1 = (J xor I) P^T.
+    square = jm_generate(n, seed=seed)
+    full = (1 << n) - 1
+    perm = BitMatrix(n, n, tuple(1 << (sym - 1) for sym in square.cells[n - 1]))
+    b = block_incidence(split_upper(square, n - 1))
+    assert b.row_bits == tuple(full ^ row for row in perm.row_bits)
+    assert determinant(b) == 1
+    j_plus_i = BitMatrix(n, n, tuple(full ^ (1 << i) for i in range(n)))
+    assert invert(b) == mat_mul(j_plus_i, transpose(perm))
 
 
 def test_auto_rows():
