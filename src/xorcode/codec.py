@@ -158,7 +158,7 @@ def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:
     total = None
     out = []
     for i, row in enumerate(scheme.encode_matrix.row_bits):
-        header = tuple(j + 1 for j in scheme.encode_matrix.row_support(i))
+        header = tuple([j + 1 for j in scheme.encode_matrix.row_support(i)])
         if 2 * len(header) > n + 1:
             if total is None:
                 total = _xor_sources(sources, full, 0)
@@ -234,7 +234,7 @@ def decode(
     if len(basis) < n:
         raise PartialDecodeError(frozenset(l + 1 for l in basis.spanned_units(n)), n)
     solved = basis.solve()
-    sources = tuple(solved[l].to_bytes(plen, "little") for l in range(n))
+    sources = tuple([solved[l].to_bytes(plen, "little") for l in range(n)])
     if original_len is None:
         original_len = plen * n
     return SourceBlock(sources, plen, original_len)

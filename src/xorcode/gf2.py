@@ -55,7 +55,7 @@ class Basis:
 
     def spanned_units(self, n: int) -> tuple[int, ...]:
         """Positions l < n whose unit vector lies in the span, ascending."""
-        return tuple(l for l in range(n) if not self.reduce(1 << l)[0])
+        return tuple([l for l in range(n) if not self.reduce(1 << l)[0]])
 
     def solve(self) -> dict[int, int]:
         """Back-substitute to unit rows: the payload of e_p for every pivot p.
@@ -117,7 +117,11 @@ class BitMatrix:
     def row_support(self, i: int) -> tuple[int, ...]:
         """Positions of the set bits of row i, ascending, 0-based."""
         bits = self.row_bits[i]
-        return tuple(j for j in range(self.cols) if (bits >> j) & 1)
+        # A list, not a generator: CPython 3.11 builds tuple(generator) at a
+        # guessed length, resizes it, and on release parks it in the free list
+        # of its final size, so per-packet calls pin up to ~4 MB of free tuples
+        # between full collections. The library builds per-packet tuples this way.
+        return tuple([j for j in range(self.cols) if (bits >> j) & 1])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

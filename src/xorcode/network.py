@@ -22,8 +22,9 @@ Schedule text format:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import CodingError, ParseError, ScheduleError, TopologyError
@@ -151,9 +152,9 @@ def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
     value = 0
     while True:
         prev: dict[str, tuple[int, int] | None] = {net.source: None}
-        queue = [net.source]
+        queue = deque([net.source])
         while queue and sink not in prev:
-            u = queue.pop(0)
+            u = queue.popleft()
             for eid in out_[u]:
                 v = net.edges[eid][1]
                 if not flow[eid] and v not in prev:
@@ -246,20 +247,67 @@ class Schedule:
         return tuple(frozenset(seq) for seq in self.assignment[si])
 
 
+def _canonical_subsets(
+    avail: Sequence[int], fresh: set[int], p: int
+) -> Iterator[tuple[int, ...]]:
+    """Ascending p-subsets of avail in lexicographic order that use only the lowest fresh packets.
+
+    Fresh packets are interchangeable, so a subset that skips a fresh packet
+    takes no higher fresh one. A position is picked only if the subset can
+    still be completed, so each next subset costs O(p * len(avail)) at most.
+    """
+    size = len(avail)
+    fresh_before = [0] * (size + 1)  # fresh packets in avail[:i]
+    for i, x in enumerate(avail):
+        fresh_before[i + 1] = fresh_before[i] + (x in fresh)
+    plain_from = [size - i - (fresh_before[size] - fresh_before[i]) for i in range(size + 1)]
+
+    picked: list[int] = []  # indexes into avail
+    fresh_picked = 0
+    i = 0
+    while True:
+        need = p - len(picked)
+        for j in range(i, size - need + 1):
+            no_skip = fresh_before[j] == fresh_picked
+            if avail[j] in fresh:
+                if no_skip:
+                    break
+            elif no_skip or plain_from[j + 1] >= need - 1:
+                break
+        else:
+            if not picked:
+                return
+            j = picked.pop()
+            fresh_picked -= avail[j] in fresh
+            i = j + 1
+            continue
+        picked.append(j)
+        fresh_picked += avail[j] in fresh
+        i = j + 1
+        if len(picked) == p:
+            yield tuple([avail[t] for t in picked])
+            picked.pop()
+            fresh_picked -= avail[j] in fresh
+
+
 def build_schedule(net: Network, n: int) -> Schedule:
     """Search for a forwarding-only schedule delivering n packets to every sink.
 
-    Sinks are processed in input order. For each, the packets forced onto its
-    paths by edges already claimed are fixed first, then the remaining (path,
-    phase) slots are filled with the smallest unused packet index, undoing
-    choices on conflict. Paths of later sinks that share an edge with earlier
-    ones inherit its per-phase packets, which is what makes shared relays
-    deliver identical sets. Raises if sinks disagree on max flow or no
-    consistent assignment exists.
+    A path carries one packet per phase along its whole length, so paths of
+    different sinks that share an edge carry the same sequence. Union-find
+    groups the (sink, path) pairs into such classes; a sink with two paths in
+    one class is rejected at once. Classes are then given ascending p-packet
+    sequences in order of first appearance (sinks in input order, paths in
+    order), disjoint from every assigned class that shares a sink with them,
+    by depth-first search in lexicographic order. Unused packets are
+    interchangeable, so only the lowest of them are tried. The result is the
+    lexicographically first valid labelling of the sinks' (path, phase) slots.
+    Raises if sinks disagree on max flow or no consistent assignment exists.
     """
     if n < 1:
         raise ValueError("packet count must be >= 1")
-    flows = [max_flow(net, t) for t in net.sinks]
+    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
+    flows = [len(paths) for paths in sink_paths]
     f = flows[0]
     if any(x != f for x in flows):
         detail = ", ".join(f"{t}={x}" for t, x in zip(net.sinks, flows))
@@ -268,75 +316,76 @@ def build_schedule(net: Network, n: int) -> Schedule:
         raise TopologyError("sinks are unreachable from the source")
     p = num_phases(n, f)
     padded = p * f
-    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
-    edge_phase: dict[tuple[int, int], int] = {}
-    chosen: list[tuple[tuple[int, ...], ...]] = []
 
-    def assign_sink(si: int) -> bool:
-        if si == len(net.sinks):
-            return True
-        paths = sink_paths[si]
-        forced: dict[tuple[int, int], int] = {}
+    # Union-find over (sink, path) pairs, numbered si * f + j, joined by shared edges.
+    parent = list(range(len(net.sinks) * f))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: dict[int, int] = {}
+    for si, paths in enumerate(sink_paths):
         for j, path in enumerate(paths):
-            for phase in range(p):
-                vals = {edge_phase[(e, phase)] for e in path if (e, phase) in edge_phase}
-                if len(vals) > 1:
-                    return False
-                if vals:
-                    forced[(j, phase)] = vals.pop()
-        if len(set(forced.values())) != len(forced):
-            return False
-        cells = [(j, phase) for j in range(f) for phase in range(p)]
-        free = [cell for cell in cells if cell not in forced]
-        grid = dict(forced)
-        used = set(forced.values())
+            for e in path:
+                if e in owner:
+                    parent[find(si * f + j)] = find(owner[e])
+                else:
+                    owner[e] = si * f + j
+    sink_classes = [[find(si * f + j) for j in range(f)] for si in range(len(net.sinks))]
+    order: list[int] = []  # classes by first appearance
+    neighbours: dict[int, set[int]] = {}  # classes that share a sink, so must not share a packet
+    for sink, classes in zip(net.sinks, sink_classes):
+        if len(set(classes)) < f:
+            raise ScheduleError(
+                f"no forwarding-only schedule: two paths of sink {sink} are joined "
+                "by shared edges and would carry the same packets"
+            )
+        for c in classes:
+            if c not in neighbours:
+                order.append(c)
+                neighbours[c] = set()
+            neighbours[c].update(x for x in classes if x != c)
 
-        def commit_and_recurse() -> bool:
-            added = []
-            for (j, phase), pkt in grid.items():
-                for e in paths[j]:
-                    key = (e, phase)
-                    if key not in edge_phase:
-                        edge_phase[key] = pkt
-                        added.append(key)
-            chosen.append(tuple(tuple(grid[(j, phase)] for phase in range(p)) for j in range(f)))
-            if assign_sink(si + 1):
-                return True
-            chosen.pop()
-            for key in added:
-                del edge_phase[key]
-            return False
-
-        def fill(i: int) -> bool:
-            if i == len(free):
-                return commit_and_recurse()
-            cell = free[i]
-            for pkt in range(1, padded + 1):
-                if pkt in used:
-                    continue
-                grid[cell] = pkt
-                used.add(pkt)
-                if fill(i + 1):
-                    return True
-                used.remove(pkt)
-                del grid[cell]
-            return False
-
-        return fill(0)
-
-    if not assign_sink(0):
-        raise ScheduleError(
-            f"no forwarding-only schedule for {padded} packets on {f} paths: "
-            "shared edges impose conflicting packet sets"
-        )
+    # Depth-first search with one lazy candidate generator per class on the branch;
+    # holders[x] counts the assigned classes that carry packet x.
+    seqs: dict[int, tuple[int, ...]] = {}
+    holders = [0] * (padded + 1)
+    pending: list[Iterator[tuple[int, ...]]] = []
+    k = 0
+    while k < len(order):
+        c = order[k]
+        if k == len(pending):
+            taken = {x for nb in neighbours[c] if nb in seqs for x in seqs[nb]}
+            avail = [x for x in range(1, padded + 1) if x not in taken]
+            pending.append(_canonical_subsets(avail, {x for x in avail if not holders[x]}, p))
+        else:
+            for x in seqs.pop(c):
+                holders[x] -= 1
+        seq = next(pending[k], None)
+        if seq is None:
+            pending.pop()
+            k -= 1
+            if k < 0:
+                raise ScheduleError(
+                    f"no forwarding-only schedule for {padded} packets on {f} paths: "
+                    "shared edges impose conflicting packet sets"
+                )
+            continue
+        seqs[c] = seq
+        for x in seq:
+            holders[x] += 1
+        k += 1
     return Schedule(
         n=padded,
         requested_n=n,
         phases=p,
         maxflow=f,
         sinks=net.sinks,
-        paths=tuple(tuple(paths) for paths in sink_paths),
-        assignment=tuple(chosen),
+        paths=tuple([tuple(paths) for paths in sink_paths]),
+        assignment=tuple([tuple([seqs[c] for c in classes]) for classes in sink_classes]),
     )
 
 
@@ -434,84 +483,73 @@ def _resolve_path(net: Network, names: list[str], taken: set[int]) -> tuple[int,
     return tuple(path)
 
 
-def parse_schedule(net: Network, text: str) -> Schedule:
+_SCHEDULE_HEADERS = ("n", "requested_n", "phases", "maxflow")
+
+
+def _parse_schedule_lines(
+    text: str,
+) -> tuple[dict[str, int], dict[str, list[tuple[list[str], tuple[int, ...]]]]]:
+    """Headers and, per sink section in order, each path's node names and packets."""
     header: dict[str, int] = {}
-    sink_order: list[str] = []
-    paths_by_sink: dict[str, list[tuple[int, ...]]] = {}
-    assign_by_sink: dict[str, list[tuple[int, ...]]] = {}
-    taken_by_sink: dict[str, set[int]] = {}
-    current: str | None = None
+    sections: dict[str, list[tuple[list[str], tuple[int, ...]]]] = {}
+    rows: list[tuple[list[str], tuple[int, ...]]] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        if toks[0] in ("n", "requested_n", "phases", "maxflow"):
+        if toks[0] in _SCHEDULE_HEADERS:
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError(f"line {lineno}: bad header {line!r}")
             header[toks[0]] = int(toks[1])
         elif toks[0] == "sink":
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: bad sink directive")
-            current = toks[1]
-            sink_order.append(current)
-            paths_by_sink[current] = []
-            assign_by_sink[current] = []
-            taken_by_sink[current] = set()
+            if toks[1] in sections:
+                raise ParseError(f"line {lineno}: second section for sink {toks[1]!r}")
+            rows = sections[toks[1]] = []
         elif toks[0] == "path":
-            if current is None:
+            if rows is None:
                 raise ParseError(f"line {lineno}: path before any sink")
             if ":" not in toks:
                 raise ParseError(f"line {lineno}: path line missing ':'")
             sep = toks.index(":")
-            names = toks[1:sep]
             try:
                 packets = tuple(int(t) for t in toks[sep + 1:])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: non-integer packet index") from exc
-            paths_by_sink[current].append(_resolve_path(net, names, taken_by_sink[current]))
-            assign_by_sink[current].append(packets)
+            rows.append((toks[1:sep], packets))
         else:
             raise ParseError(f"line {lineno}: bad directive {line!r}")
-    for key in ("n", "requested_n", "phases", "maxflow"):
+    for key in _SCHEDULE_HEADERS:
         if key not in header:
             raise ParseError(f"schedule missing '{key}' header")
-    if not sink_order:
+    if not sections:
         raise ParseError("schedule lists no sinks")
+    return header, sections
+
+
+def parse_schedule(net: Network, text: str) -> Schedule:
+    header, sections = _parse_schedule_lines(text)
+    paths = []
+    for rows in sections.values():
+        taken: set[int] = set()
+        paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
     return Schedule(
         n=header["n"],
         requested_n=header["requested_n"],
         phases=header["phases"],
         maxflow=header["maxflow"],
-        sinks=tuple(sink_order),
-        paths=tuple(tuple(paths_by_sink[t]) for t in sink_order),
-        assignment=tuple(tuple(assign_by_sink[t]) for t in sink_order),
+        sinks=tuple(sections),
+        paths=tuple(paths),
+        assignment=tuple(tuple(packets for _, packets in rows) for rows in sections.values()),
     )
 
 
 def parse_schedule_partitions(text: str) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Per-sink packet sequences from a schedule file, no network needed."""
-    out: dict[str, list[tuple[int, ...]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "sink" and len(toks) == 2:
-            current = toks[1]
-            out[current] = []
-        elif toks[0] == "path" and ":" in toks:
-            if current is None:
-                raise ParseError(f"line {lineno}: path before any sink")
-            sep = toks.index(":")
-            try:
-                out[current].append(tuple(int(t) for t in toks[sep + 1:]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer packet index") from exc
-    if not out:
-        raise ParseError("no sink sections found in schedule text")
-    return {t: tuple(seqs) for t, seqs in out.items()}
+    _, sections = _parse_schedule_lines(text)
+    return {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
 
 
 @dataclass(frozen=True)
@@ -551,10 +589,10 @@ def simulate(
     coded = encode(scheme, block)
     reports = []
     for si, sink in enumerate(sched.sinks):
-        per_phase = tuple(
-            tuple(sched.assignment[si][j][phase] for j in range(sched.maxflow))
+        per_phase = tuple([
+            tuple([sched.assignment[si][j][phase] for j in range(sched.maxflow)])
             for phase in range(sched.phases)
-        )
+        ])
         buffer = []
         headers = Basis()
         phases_to_decode = None

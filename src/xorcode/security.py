@@ -42,7 +42,7 @@ class PathPartition:
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
-        return cls(tuple(frozenset(seq) for seq in seqs))
+        return cls(tuple([frozenset(seq) for seq in seqs]))
 
     def check(self, n: int):
         """Raise unless the sets partition 1..n into equal-size parts."""
@@ -99,7 +99,7 @@ def _exposed(scheme: CodingScheme, indexes: set[int]) -> tuple[int, ...]:
     basis = Basis()
     for i in indexes:
         basis.add(scheme.encode_matrix.row_bits[i - 1])
-    return tuple(l + 1 for l in basis.spanned_units(scheme.n))
+    return tuple([l + 1 for l in basis.spanned_units(scheme.n)])
 
 
 def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
@@ -121,7 +121,7 @@ def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropR
             if exposed:
                 return EavesdropReport(
                     min_paths_to_decode=size,
-                    witness_paths=tuple(i + 1 for i in combo),
+                    witness_paths=tuple([i + 1 for i in combo]),
                     exposed_sources=exposed,
                 )
     raise AssertionError("unreachable: tapping all paths exposes every packet")

@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Sequence
 
+from xorcode.errors import ScheduleError, TopologyError
 from xorcode.gf2 import BitMatrix
+from xorcode.network import Network, Schedule, edge_disjoint_paths, max_flow, num_phases
 
 
 def leibniz_determinant(m: BitMatrix) -> int:
@@ -106,3 +108,97 @@ def enumerate_latin_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     fill(0, 0)
     return squares
+
+
+def exhaustive_schedule(net: Network, n: int) -> Schedule:
+    """Cell-by-cell packet labelling search: the lexicographically first valid schedule.
+
+    Sinks are processed in input order. For each, the packets forced onto its
+    paths by edges already claimed are fixed first, then the remaining (path,
+    phase) slots are filled with the smallest unused packet index, undoing
+    choices on conflict. Paths of later sinks that share an edge with earlier
+    ones inherit its per-phase packets, which is what makes shared relays
+    deliver identical sets. Raises if sinks disagree on max flow or no
+    consistent assignment exists.
+    """
+    if n < 1:
+        raise ValueError("packet count must be >= 1")
+    flows = [max_flow(net, t) for t in net.sinks]
+    f = flows[0]
+    if any(x != f for x in flows):
+        detail = ", ".join(f"{t}={x}" for t, x in zip(net.sinks, flows))
+        raise TopologyError(f"sinks have unequal max-flow: {detail}")
+    if f == 0:
+        raise TopologyError("sinks are unreachable from the source")
+    p = num_phases(n, f)
+    padded = p * f
+    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
+    edge_phase: dict[tuple[int, int], int] = {}
+    chosen: list[tuple[tuple[int, ...], ...]] = []
+
+    def assign_sink(si: int) -> bool:
+        if si == len(net.sinks):
+            return True
+        paths = sink_paths[si]
+        forced: dict[tuple[int, int], int] = {}
+        for j, path in enumerate(paths):
+            for phase in range(p):
+                vals = {edge_phase[(e, phase)] for e in path if (e, phase) in edge_phase}
+                if len(vals) > 1:
+                    return False
+                if vals:
+                    forced[(j, phase)] = vals.pop()
+        if len(set(forced.values())) != len(forced):
+            return False
+        cells = [(j, phase) for j in range(f) for phase in range(p)]
+        free = [cell for cell in cells if cell not in forced]
+        grid = dict(forced)
+        used = set(forced.values())
+
+        def commit_and_recurse() -> bool:
+            added = []
+            for (j, phase), pkt in grid.items():
+                for e in paths[j]:
+                    key = (e, phase)
+                    if key not in edge_phase:
+                        edge_phase[key] = pkt
+                        added.append(key)
+            chosen.append(tuple(tuple(grid[(j, phase)] for phase in range(p)) for j in range(f)))
+            if assign_sink(si + 1):
+                return True
+            chosen.pop()
+            for key in added:
+                del edge_phase[key]
+            return False
+
+        def fill(i: int) -> bool:
+            if i == len(free):
+                return commit_and_recurse()
+            cell = free[i]
+            for pkt in range(1, padded + 1):
+                if pkt in used:
+                    continue
+                grid[cell] = pkt
+                used.add(pkt)
+                if fill(i + 1):
+                    return True
+                used.remove(pkt)
+                del grid[cell]
+            return False
+
+        return fill(0)
+
+    if not assign_sink(0):
+        raise ScheduleError(
+            f"no forwarding-only schedule for {padded} packets on {f} paths: "
+            "shared edges impose conflicting packet sets"
+        )
+    return Schedule(
+        n=padded,
+        requested_n=n,
+        phases=p,
+        maxflow=f,
+        sinks=net.sinks,
+        paths=tuple(tuple(paths) for paths in sink_paths),
+        assignment=tuple(chosen),
+    )

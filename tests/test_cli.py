@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from conftest import EXAMPLE_SQUARE, FIG2_TEXT, FIG3_TEXT, L5X12
-from xorcode import LatinRectangle, split_upper
+from xorcode import LatinRectangle, build_schedule, format_schedule, parse_network, split_upper
 from xorcode.cli import main
 
 EXAMPLE_RECT = split_upper(EXAMPLE_SQUARE, 3)
@@ -172,6 +172,57 @@ def test_gen_encode_golden_output(tmp_path, capsys, mode):
         hashlib.sha256((coded / "manifest.txt").read_bytes()).hexdigest(),
     )
     assert digests == GOLDEN_ENCODE[mode]
+
+
+# SHA-256 of schedule.txt and report.txt from the README's simulate example
+# (its network is FIG3_TEXT).
+GOLDEN_SIMULATE = (
+    "006b6a04d7247761df88f12e44228cac645fc9ab80e274137b764a9e9176aaf8",
+    "857b05d6dcf3553c194af52197aa6df1b87e6b4cea8a3f3a03809e4bf0a733e7",
+)
+
+
+def test_simulate_readme_golden_output(tmp_path, capsys):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text(FIG3_TEXT)
+    out = tmp_path / "sim"
+    code, stdout, _ = run(
+        capsys, "simulate", "--network", str(net_file), "-n", "12", "--seed", "5",
+        "--mode", "balanced_decode", "-o", str(out),
+    )
+    assert code == 0
+    report = (out / "report.txt").read_text()
+    assert report in stdout
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("schedule.txt", "report.txt")
+    )
+    assert digests == GOLDEN_SIMULATE
+
+
+GOLDEN_SCHEDULES = {
+    "fig2": (FIG2_TEXT, 4, (
+        "n 4\nrequested_n 4\nphases 2\nmaxflow 2\n"
+        "sink t1\npath s u1 t1 : 1 2\npath s u2 t1 : 3 4\n"
+        "sink t2\npath s u1 t2 : 1 2\npath s u3 t2 : 3 4\n"
+        "sink t3\npath s u1 t3 : 1 2\npath s u3 t3 : 3 4\n"
+        "sink t4\npath s u2 t4 : 3 4\npath s u4 t4 : 1 2\n"
+        "sink t5\npath s u2 t5 : 3 4\npath s u4 t5 : 1 2\n"
+        "sink t6\npath s u3 t6 : 3 4\npath s u4 t6 : 1 2\n"
+    )),
+    "fig3": (FIG3_TEXT, 12, (
+        "n 12\nrequested_n 12\nphases 4\nmaxflow 3\n"
+        "sink t1\npath s u1 t1 : 1 2 3 4\npath s u2 t1 : 5 6 7 8\npath s u3 t1 : 9 10 11 12\n"
+        "sink t2\npath s u1 t2 : 1 2 3 4\npath s u2 t2 : 5 6 7 8\npath s u3 t2 : 9 10 11 12\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_format_schedule_golden(name):
+    text, n, expected = GOLDEN_SCHEDULES[name]
+    net = parse_network(text)
+    assert format_schedule(net, build_schedule(net, n)) == expected
 
 
 def test_simulate_fig2(tmp_path, capsys):

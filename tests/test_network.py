@@ -1,8 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import EXAMPLE_SQUARE, TABLE1_SCHEDULE, L5X12
+from conftest import EXAMPLE_SQUARE, FIG1_TEXT, FIG2_TEXT, FIG3_TEXT, TABLE1_SCHEDULE, L5X12
+from oracles import exhaustive_schedule
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -29,6 +33,28 @@ from xorcode import (
 )
 
 CHAIN = "source s\nsink t\nedge s a\nedge a t\n"
+
+
+def relay_ring(size: int) -> str:
+    """size single-feed relays in a ring; sink i reads relays i and i+1."""
+    relays = [f"r{i}" for i in range(size)]
+    lines = ["source s"] + [f"sink t{i}" for i in range(size)]
+    lines += [f"edge s {r}" for r in relays]
+    for i in range(size):
+        lines += [f"edge {relays[i]} t{i}", f"edge {relays[(i + 1) % size]} t{i}"]
+    return "\n".join(lines) + "\n"
+
+
+TRIANGLE = relay_ring(3)
+
+# t2's first path s->a->t2 shares its s->a edge with t1's path s->a->t1 and
+# its a->t2 edge with t1's path s->a->t2->t1, so those two t1 paths would have
+# to carry the same packets.
+JOINED_BY_OTHER_SINK = (
+    "source s\nsink t1\nsink t2\n"
+    "edge a t1\nedge a t2\nedge t2 t1\nedge a t1\nedge s a\nedge s a\n"
+    "edge a t2\nedge s a\nedge s a\nedge a t2\n"
+)
 
 
 def test_parse_and_format_roundtrip(fig1):
@@ -251,3 +277,87 @@ def test_report_format(fig1):
     assert "sink=t1 phase=1 packets=" in text
     assert "decode=ok" in text
     assert text.endswith("summary sinks=2 decoded=2\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "n"),
+    [
+        pytest.param(TRIANGLE, 8, id="triangle-8"),
+        pytest.param(TRIANGLE, 10, id="triangle-10"),
+        pytest.param(TRIANGLE, 40, id="triangle-40"),
+        pytest.param(relay_ring(5), 6, id="5-cycle-6"),
+        pytest.param(relay_ring(5), 40, id="5-cycle-40"),
+    ],
+)
+def test_build_schedule_rejects_odd_relay_cycles(text, n):
+    # two packet sets must alternate round the ring, which an odd ring cannot do
+    with pytest.raises(ScheduleError):
+        build_schedule(parse_network(text), n)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_build_schedule_even_relay_cycle(n):
+    net = parse_network(relay_ring(4))
+    sched = build_schedule(net, n)
+    assert sched.phases == n // 2
+    assert validate_schedule(net, sched) == []
+
+
+def test_build_schedule_rejects_paths_joined_through_other_sink():
+    net = parse_network(JOINED_BY_OTHER_SINK)
+    with pytest.raises(ScheduleError, match="two paths of sink t1"):
+        build_schedule(net, 4)
+
+
+@st.composite
+def small_dags(draw):
+    """A DAG whose edges run up the node numbering, with sink max-flows of at most 3.
+
+    Either three or four relays fed once from s, with two to four sinks each
+    reading f of them (f < relays, so odd rings of shared relays make some
+    schedules infeasible), or up to three source edges plus arbitrary edges
+    with parallels on s, v1..vk, where sink max-flows often differ.
+    """
+    if draw(st.booleans()):
+        relays = [f"r{i}" for i in range(draw(st.integers(3, 4)))]
+        sinks = [f"t{i}" for i in range(draw(st.integers(2, 4)))]
+        f = draw(st.integers(2, min(3, len(relays) - 1)))
+        rng = draw(st.randoms(use_true_random=False))
+        edges = [("s", r) for r in relays]
+        for t in sinks:
+            edges += [(r, t) for r in rng.sample(relays, f)]
+        return Network(tuple(["s"] + relays + sinks), tuple(edges), "s", tuple(sinks))
+    k = draw(st.integers(2, 6))
+    names = ["s"] + [f"v{i}" for i in range(1, k + 1)]
+    edges = [("s", draw(st.sampled_from(names[1:]))) for _ in range(draw(st.integers(1, 3)))]
+    pairs = st.integers(1, k - 1).flatmap(lambda u: st.tuples(st.just(u), st.integers(u + 1, k)))
+    edges += [(names[u], names[v]) for u, v in draw(st.lists(pairs, min_size=1, max_size=10))]
+    sinks = draw(st.lists(st.sampled_from(names[1:]), min_size=1, max_size=3, unique=True))
+    return Network(tuple(names), tuple(edges), "s", tuple(sinks))
+
+
+def outcome(build, net, n):
+    try:
+        return build(net, n)
+    except (ScheduleError, TopologyError) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_dags(), st.integers(1, 6))
+@example(parse_network(FIG1_TEXT), 4)
+@example(parse_network(FIG2_TEXT), 4)
+@example(parse_network(FIG3_TEXT), 6)
+@example(parse_network(CHAIN), 3)
+@example(parse_network(TRIANGLE), 6)
+@example(parse_network(JOINED_BY_OTHER_SINK), 4)
+def test_build_schedule_matches_exhaustive_oracle(net, n):
+    # The class search returns the labelling search's schedule, or the same error.
+    assert outcome(build_schedule, net, n) == outcome(exhaustive_schedule, net, n)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.nodes)
+    for u, v in net.edges:
+        cap = graph.edges[u, v]["capacity"] + 1 if graph.has_edge(u, v) else 1
+        graph.add_edge(u, v, capacity=cap)
+    for t in net.sinks:
+        assert max_flow(net, t) == nx.maximum_flow_value(graph, net.source, t)

@@ -22,6 +22,7 @@ from xorcode import (
     parse_manifest,
     parse_network,
     parse_schedule,
+    parse_schedule_partitions,
     serialize_packet,
     split_upper,
 )
@@ -51,6 +52,36 @@ def manifest_text(n, k, mode, original_len, rect):
         ),
         pytest.param(
             lambda text: parse_schedule(FIG3, text), "n ²\n", id="schedule-superscript-digit"
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            FIG3_SCHEDULE + "sink t1\n",
+            id="schedule-second-section-for-sink",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE + "route s u1 t1\n",
+            id="partitions-bad-directive",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 :", "path s u1 t1"),
+            id="partitions-path-missing-colon",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("phases 2", "phases two"),
+            id="partitions-bad-header",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("maxflow 3\n", ""),
+            id="partitions-missing-header",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE + "sink t2\n",
+            id="partitions-second-section-for-sink",
         ),
     ],
 )
