@@ -125,9 +125,12 @@ def cmd_audit(args) -> int:
         seqs = []
         for chunk in args.partition.split(";"):
             try:
-                seqs.append(tuple(int(t) for t in chunk.replace(",", " ").split()))
+                seq = tuple(int(t) for t in chunk.replace(",", " ").split())
             except ValueError:
                 raise ParseError(f"bad partition chunk {chunk!r}") from None
+            if not seq:
+                raise ParseError(f"empty partition chunk in {args.partition!r}")
+            seqs.append(seq)
         part = security.PathPartition.from_sequences(seqs)
     else:
         partitions = network.parse_schedule_partitions(Path(args.schedule).read_text())

@@ -183,4 +183,4 @@ def invert(m: BitMatrix) -> BitMatrix:
     if len(basis) != n:
         raise SingularMatrixError(f"{n}x{n} matrix is singular over GF(2)")
     solved = basis.solve()
-    return BitMatrix(n, n, tuple(solved[j] for j in range(n)))
+    return BitMatrix(n, n, tuple([solved[j] for j in range(n)]))

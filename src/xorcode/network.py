@@ -79,12 +79,6 @@ class Network:
         if seen != len(self.nodes):
             raise TopologyError("network contains a cycle")
 
-    def out_edges(self, node: str) -> list[int]:
-        return [i for i, (u, _) in enumerate(self.edges) if u == node]
-
-    def in_edges(self, node: str) -> list[int]:
-        return [i for i, (_, v) in enumerate(self.edges) if v == node]
-
 
 def parse_network(text: str) -> Network:
     nodes: list[str] = []
@@ -526,6 +520,9 @@ def _parse_schedule_lines(
             raise ParseError(f"schedule missing '{key}' header")
     if not sections:
         raise ParseError("schedule lists no sinks")
+    for sink, rows in sections.items():
+        if not rows:
+            raise ParseError(f"sink {sink!r} section has no path lines")
     return header, sections
 
 

@@ -1,22 +1,24 @@
 """Eavesdropping analysis for path-partitioned XOR coding.
 
-The adversary model is a passive, computationally unbounded linear one: she
+The adversary model is a passive, computationally unbounded linear one: it
 taps whole edge-disjoint paths, reads every header on them, and may XOR any
-subset of the captured packets. A source packet leaks as soon as its unit
-vector enters the span of the captured coding vectors, so the brute-force
-minimum below is an honest bound rather than an argument about one
-particular decoding rule. "No single source exposed" is the weak-security
-criterion of Bhattad & Narayanan (NetCod 2005).
+subset of the captured packets. "No single source exposed" is the
+weak-security criterion of Bhattad & Narayanan (NetCod 2005).
+
+The audit needs no search over tapped subsets. The encoding matrix E is
+invertible, so its rows are independent and the only XOR of coded packets
+that equals source l is row l of E^-1. Source l therefore leaks exactly when
+every coded packet in the support of that row has been captured, and the
+paths an adversary must tap to read it are the paths carrying those packets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import CodingScheme
-from .gf2 import Basis
+from .gf2 import invert
 from .latin import LatinRectangle
 
 
@@ -60,7 +62,12 @@ class PathPartition:
 
 @dataclass(frozen=True)
 class EavesdropReport:
-    """Outcome of the tapping search, optionally paired with the column test."""
+    """Fewest paths that expose a source, optionally paired with the column test.
+
+    ``witness_paths`` is the lexicographically first smallest path set whose
+    packets cover the support of some row of E^-1; ``exposed_sources`` are the
+    sources whose row needs exactly those paths.
+    """
 
     min_paths_to_decode: int
     witness_paths: tuple[int, ...]
@@ -94,41 +101,32 @@ def check_condition(rect: LatinRectangle, part: PathPartition) -> bool:
     return True
 
 
-def _exposed(scheme: CodingScheme, indexes: set[int]) -> tuple[int, ...]:
-    """Sources whose unit vector lies in the span of the captured coding vectors."""
-    basis = Basis()
-    for i in indexes:
-        basis.add(scheme.encode_matrix.row_bits[i - 1])
-    return tuple([l + 1 for l in basis.spanned_units(scheme.n)])
-
-
 def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
     """Smallest number of tapped paths that exposes at least one source packet.
 
-    Path subsets are tried by increasing size, lexicographically within a
-    size, stopping at the first leak, so the witness is deterministic. Each
-    subset's captured coding vectors go into one GF(2) basis, and every
-    source is then tested against that basis.
+    A tapped path set exposes source l iff it contains need[l], the paths whose
+    packets meet row l of E^-1 (see the module docstring). So the smallest
+    exposing sets are the shortest need[l]: the witness is the lexicographically
+    first of them, and the exposed sources are those whose need equals it.
+    E^-1 is recomputed rather than read from ``scheme.decode_matrix``, so a
+    singular E raises ``SingularMatrixError``.
     """
     part.check(scheme.n)
-    f = part.maxflow
-    for size in range(1, f + 1):
-        for combo in itertools.combinations(range(f), size):
-            captured: set[int] = set()
-            for i in combo:
-                captured |= part.sets[i]
-            exposed = _exposed(scheme, captured)
-            if exposed:
-                return EavesdropReport(
-                    min_paths_to_decode=size,
-                    witness_paths=tuple([i + 1 for i in combo]),
-                    exposed_sources=exposed,
-                )
-    raise AssertionError("unreachable: tapping all paths exposes every packet")
+    masks = [sum(1 << (i - 1) for i in s) for s in part.sets]
+    need = [
+        tuple([j + 1 for j, mask in enumerate(masks) if mask & row])
+        for row in invert(scheme.encode_matrix).row_bits
+    ]
+    witness = min(need, key=lambda paths: (len(paths), paths))
+    return EavesdropReport(
+        min_paths_to_decode=len(witness),
+        witness_paths=witness,
+        exposed_sources=tuple([l + 1 for l, paths in enumerate(need) if paths == witness]),
+    )
 
 
 def audit(rect: LatinRectangle, scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
-    """Column test plus brute-force minimum; flags any disagreement between them."""
+    """Column test plus the exact minimum of ``min_eavesdrop_paths``; flags any disagreement."""
     condition = check_condition(rect, part)
     bare = min_eavesdrop_paths(scheme, part)
     discrepancy = condition != (bare.min_paths_to_decode == part.maxflow)

@@ -5,9 +5,11 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Sequence
 
+from xorcode.codec import CodingScheme
 from xorcode.errors import ScheduleError, TopologyError
-from xorcode.gf2 import BitMatrix
+from xorcode.gf2 import Basis, BitMatrix
 from xorcode.network import Network, Schedule, edge_disjoint_paths, max_flow, num_phases
+from xorcode.security import EavesdropReport, PathPartition
 
 
 def leibniz_determinant(m: BitMatrix) -> int:
@@ -35,6 +37,41 @@ def exhaustive_in_rowspan(rows: list[int], target: int) -> bool:
             if acc == target:
                 return True
     return False
+
+
+def span_exposed(rows: Sequence[int], captured: set[int]) -> tuple[int, ...]:
+    """1-based sources whose unit vector lies in the span of the captured rows.
+
+    ``captured`` holds 1-based indexes into ``rows``; the captured rows go
+    into one GF(2) basis and every unit vector is reduced against it.
+    """
+    basis = Basis()
+    for i in captured:
+        basis.add(rows[i - 1])
+    return tuple([l + 1 for l in basis.spanned_units(len(rows))])
+
+
+def subset_min_eavesdrop(scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
+    """Try path subsets by increasing size, lexicographically within a size.
+
+    The first subset whose captured coding vectors span some unit vector is
+    the witness; costs up to 2^f eliminations.
+    """
+    part.check(scheme.n)
+    f = part.maxflow
+    for size in range(1, f + 1):
+        for combo in combinations(range(f), size):
+            captured: set[int] = set()
+            for i in combo:
+                captured |= part.sets[i]
+            exposed = span_exposed(scheme.encode_matrix.row_bits, captured)
+            if exposed:
+                return EavesdropReport(
+                    min_paths_to_decode=size,
+                    witness_paths=tuple([i + 1 for i in combo]),
+                    exposed_sources=exposed,
+                )
+    raise AssertionError("unreachable: tapping all paths exposes every packet")
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

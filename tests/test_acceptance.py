@@ -18,7 +18,7 @@ from conftest import (
     ROUTING_PATHS,
     TABLE1_SCHEDULE,
 )
-from oracles import enumerate_latin_squares
+from oracles import enumerate_latin_squares, span_exposed
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -91,12 +91,10 @@ def test_criterion_3_security_bound():
     report = min_eavesdrop_paths(scheme, part)
     assert report.min_paths_to_decode == 3
 
-    from xorcode.security import _exposed
-
     for a in range(3):
         for b in range(a + 1, 3):
             captured = set(part.sets[a]) | set(part.sets[b])
-            assert _exposed(scheme, captured) == ()
+            assert span_exposed(scheme.encode_matrix.row_bits, captured) == ()
     ok(3, "routing partition needs all 3 paths tapped; any 2 expose zero sources")
 
 
@@ -183,7 +181,7 @@ def test_criterion_7_condition_equivalence():
         assert not report.discrepancy
         holds += 1 if report.condition_holds else 0
         tested += 1
-    ok(7, f"column condition matched the brute-force minimum on all {tested} instances "
+    ok(7, f"column condition matched the exact eavesdropping minimum on all {tested} instances "
           f"({holds} satisfied it, {tested - holds} violated it)")
 
 

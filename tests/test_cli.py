@@ -336,6 +336,20 @@ def test_audit_all_on_one_path_leaks(tmp_path, capsys):
     assert code == 0 and "min_paths=1" in stdout
 
 
+def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    for partition in ("1,2;3,4;", "1,2;;3,4", "1,2; ;3,4"):
+        code, _, err = run(
+            capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
+        )
+        assert code == 2 and "empty partition chunk" in err, partition
+    sched_file = tmp_path / "schedule.txt"
+    sched_file.write_text("n 4\nrequested_n 4\nphases 2\nmaxflow 2\nsink t1\n")
+    code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
+    assert code == 2 and "no path lines" in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing -n

@@ -83,6 +83,16 @@ def manifest_text(n, k, mode, original_len, rect):
             FIG3_SCHEDULE + "sink t2\n",
             id="partitions-second-section-for-sink",
         ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("sink t2\n", "sink t0\nsink t2\n"),
+            id="partitions-sink-without-paths",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            FIG3_SCHEDULE + "sink t3\n",
+            id="schedule-trailing-sink-without-paths",
+        ),
     ],
 )
 def test_malformed_text_raises_parse_error(parse, text):

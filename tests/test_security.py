@@ -1,16 +1,25 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, L5X12, ROUTING_PATHS
+from oracles import span_exposed, subset_min_eavesdrop
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
+    MODES,
+    BitMatrix,
+    CodingScheme,
+    DesignSearchError,
     LatinRectangle,
     PathPartition,
+    SingularMatrixError,
     audit,
     check_condition,
     find_nonsingular_rectangle,
+    invert,
     make_scheme,
     min_eavesdrop_paths,
 )
@@ -78,12 +87,11 @@ def test_min_eavesdrop_routing_example():
 
 def test_two_tapped_paths_expose_nothing():
     scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
-    from xorcode.security import _exposed
-
+    rows = scheme.encode_matrix.row_bits
     for a in range(3):
         for b in range(a + 1, 3):
             captured = set(FIG3_PARTITION.sets[a]) | set(FIG3_PARTITION.sets[b])
-            assert _exposed(scheme, captured) == ()
+            assert span_exposed(rows, captured) == ()
 
 
 def test_plain_packet_leaks_immediately():
@@ -115,6 +123,17 @@ def test_audit_degenerate_single_path():
     assert not report.discrepancy
 
 
+def test_singular_encoding_matrix_is_typed_error():
+    # a caller-built scheme whose encoding matrix has no inverse
+    e = BitMatrix.from_rows([[1, 1], [1, 1]])
+    scheme = CodingScheme(2, 1, e, e, MODE_DIRECT)
+    part = PathPartition.from_sequences([(1,), (2,)])
+    with pytest.raises(SingularMatrixError):
+        min_eavesdrop_paths(scheme, part)
+    with pytest.raises(SingularMatrixError):
+        audit(LatinRectangle(((1, 2),)), scheme, part)
+
+
 def test_audit_violated_condition_consistent():
     scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
     rng = random.Random(6)
@@ -130,15 +149,14 @@ def test_audit_violated_condition_consistent():
 
 
 def test_monotone_in_tapped_paths():
-    from xorcode.security import _exposed
-
     scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
+    rows = scheme.encode_matrix.row_bits
     rng = random.Random(7)
     part = random_partition(rng, 12, 3)
     sets = [set(s) for s in part.sets]
-    single = set(_exposed(scheme, sets[0]))
-    double = set(_exposed(scheme, sets[0] | sets[1]))
-    triple = set(_exposed(scheme, sets[0] | sets[1] | sets[2]))
+    single = set(span_exposed(rows, sets[0]))
+    double = set(span_exposed(rows, sets[0] | sets[1]))
+    triple = set(span_exposed(rows, sets[0] | sets[1] | sets[2]))
     assert single <= double <= triple
 
 
@@ -170,12 +188,17 @@ def test_high_row_designs_force_all_paths():
                 part = random_partition(rng, n, f)
                 report = min_eavesdrop_paths(scheme, part)
                 assert report.min_paths_to_decode == f, (n, f, part)
+    # Wide audits: a search over tapped subsets would try up to 2^f of them.
+    for n, f in ((40, 20), (64, 16)):
+        rect, _ = find_nonsingular_rectangle(n, seed=rng.getrandbits(32), moves=n * n)
+        scheme = make_scheme(rect, MODE_BALANCED_DECODE)
+        report = min_eavesdrop_paths(scheme, random_partition(rng, n, f))
+        assert report.min_paths_to_decode == f
+        assert report.witness_paths == tuple(range(1, f + 1))
 
 
 def test_brute_force_matches_exhaustive_combinations():
     from itertools import combinations
-
-    from xorcode.security import _exposed
 
     rng = random.Random(10)
     rect, _ = find_nonsingular_rectangle(6, k=3, seed=4, moves=100)
@@ -192,4 +215,45 @@ def test_brute_force_matches_exhaustive_combinations():
                     acc ^= v
                 if acc and acc & (acc - 1) == 0:
                     want.add(acc.bit_length())
-        assert set(_exposed(scheme, captured)) == want
+        assert set(span_exposed(rows, captured)) == want
+
+
+@st.composite
+def schemes(draw):
+    """A real design's scheme in either mode, or a random invertible scheme.
+
+    The random encoding matrix is a row permutation of I with random row
+    additions applied, so it is invertible and may keep weight-1 rows.
+    """
+    n = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(range(1, n, 2)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        try:
+            rect, _ = find_nonsingular_rectangle(n, k=k, seed=seed, moves=4 * n * n)
+        except DesignSearchError:
+            assume(False)  # some small (n, k) are rarely nonsingular
+        return make_scheme(rect, draw(st.sampled_from(MODES)))
+    rows = [1 << j for j in draw(st.permutations(range(n)))]
+    additions = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    for i, d in draw(st.lists(additions, max_size=3 * n)):
+        rows[i] ^= rows[(i + d) % n]  # row i += another row
+    e = BitMatrix(n, n, tuple(rows))
+    return CodingScheme(n, 1, e, invert(e), MODE_DIRECT)
+
+
+@st.composite
+def scheme_and_partition(draw):
+    scheme = draw(schemes())
+    n = scheme.n
+    f = draw(st.sampled_from([f for f in range(1, 9) if n % f == 0]))
+    idxs = draw(st.permutations(range(1, n + 1)))
+    p = n // f
+    return scheme, PathPartition.from_sequences([idxs[i * p:(i + 1) * p] for i in range(f)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(scheme_and_partition())
+def test_min_eavesdrop_matches_subset_oracle(case):
+    scheme, part = case
+    assert min_eavesdrop_paths(scheme, part) == subset_min_eavesdrop(scheme, part)
