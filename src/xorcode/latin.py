@@ -158,63 +158,65 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
         cn = c * n
         for s in range(n):
             row_at[cn + s] = (s - c) % n
-    proper = True
-    nr = nc = ns = 0          # defect triple when improper
-    x_sym = x_col = x_row = 0  # second entries of the defect's three lines
-    accepted = 0
-    while accepted < moves:
-        if proper:
-            while True:
-                r = int(rnd() * n)
-                c = int(rnd() * n)
-                s = int(rnd() * n)
-                if sym_at[r * n + c] != s:
-                    break
+    # One accepted move per outer iteration. It starts from a proper pivot, a
+    # random empty (cell, symbol) triple, and steps until the far corner
+    # (r2, c2, s2) closes. A corner that does not close becomes the defect:
+    # the next pivot, whose cell, row line and column line each hold a
+    # second entry (far, the column of s2 in row r2, the row of s2 in column
+    # c2) besides the old (s, c, r); a coin flip per line picks which entry
+    # the step moves. random() >= 0.5 is exactly int(random() * 2) == 1.
+    for _ in range(moves):
+        while True:
+            r = int(rnd() * n)
+            c = int(rnd() * n)
+            s = int(rnd() * n)
             rn = r * n
-            cn = c * n
             s2 = sym_at[rn + c]
-            c2 = col_at[rn + s]
-            r2 = row_at[cn + s]
-            fill_sym, fill_col, fill_row = s, c, r
-        else:
-            r, c, s = nr, nc, ns
-            rn = r * n
-            cn = c * n
-            if int(rnd() * 2):
-                s2, fill_sym = sym_at[rn + c], x_sym
+            if s2 != s:
+                break
+        cn = c * n
+        c2 = col_at[rn + s]
+        r2 = row_at[cn + s]
+        fill_sym, fill_col, fill_row = s, c, r
+        while True:
+            r2n = r2 * n
+            c2n = c2 * n
+            sym_at[rn + c] = fill_sym
+            sym_at[rn + c2] = s2
+            sym_at[r2n + c] = s2
+            col_at[rn + s] = fill_col
+            col_at[rn + s2] = c2
+            col_at[r2n + s] = c2
+            row_at[cn + s] = fill_row
+            row_at[cn + s2] = r2
+            row_at[c2n + s] = r2
+            far = sym_at[r2n + c2]
+            if far == s2:
+                sym_at[r2n + c2] = s
+                col_at[r2n + s2] = c
+                row_at[c2n + s2] = r
+                break
+            rn, cn = r2n, c2n
+            if rnd() >= 0.5:
+                fill_sym = s
+                s, s2 = s2, far
             else:
-                s2, fill_sym = x_sym, sym_at[rn + c]
-            if int(rnd() * 2):
-                c2, fill_col = col_at[rn + s], x_col
+                fill_sym = far
+                s, s2 = s2, s
+            t = col_at[rn + s]
+            if rnd() >= 0.5:
+                fill_col = c
+                c, c2 = c2, t
             else:
-                c2, fill_col = x_col, col_at[rn + s]
-            if int(rnd() * 2):
-                r2, fill_row = row_at[cn + s], x_row
+                fill_col = t
+                c, c2 = c2, c
+            t = row_at[cn + s]
+            if rnd() >= 0.5:
+                fill_row = r
+                r, r2 = r2, t
             else:
-                r2, fill_row = x_row, row_at[cn + s]
-        r2n = r2 * n
-        c2n = c2 * n
-        sym_at[rn + c] = fill_sym
-        sym_at[rn + c2] = s2
-        sym_at[r2n + c] = s2
-        col_at[rn + s] = fill_col
-        col_at[rn + s2] = c2
-        col_at[r2n + s] = c2
-        row_at[cn + s] = fill_row
-        row_at[cn + s2] = r2
-        row_at[c2n + s] = r2
-        if sym_at[r2n + c2] == s2:
-            sym_at[r2n + c2] = s
-            col_at[r2n + s2] = c
-            row_at[c2n + s2] = r
-            proper = True
-            accepted += 1
-        else:
-            # The far corner turns negative: cell (r2,c2), row line (r2,.,s2)
-            # and column line (.,c2,s2) each gain a second entry.
-            nr, nc, ns = r2, c2, s2
-            x_sym, x_col, x_row = s, c, r
-            proper = False
+                fill_row = t
+                r, r2 = r2, r
     cells = tuple(
         tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
     )

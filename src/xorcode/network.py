@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import CodingError, ParseError, ScheduleError, TopologyError
-from .gf2 import Basis
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,29 @@ class Network:
                 raise TopologyError(f"self-loop on {u!r}")
         self._check_acyclic()
 
+    @cached_property
+    def adjacency(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+        """Ids of the edges leaving and entering each node, in edge order."""
+        out_: dict[str, list[int]] = {v: [] for v in self.nodes}
+        in_: dict[str, list[int]] = {v: [] for v in self.nodes}
+        for i, (u, v) in enumerate(self.edges):
+            out_[u].append(i)
+            in_[v].append(i)
+        return out_, in_
+
     def _check_acyclic(self):
-        indeg = {v: 0 for v in self.nodes}
-        for _, v in self.edges:
-            indeg[v] += 1
+        out_, in_ = self.adjacency
+        indeg = {v: len(in_[v]) for v in self.nodes}
         ready = [v for v in self.nodes if indeg[v] == 0]
         seen = 0
         while ready:
             u = ready.pop()
             seen += 1
-            for eu, ev in self.edges:
-                if eu == u:
-                    indeg[ev] -= 1
-                    if indeg[ev] == 0:
-                        ready.append(ev)
+            for eid in out_[u]:
+                ev = self.edges[eid][1]
+                indeg[ev] -= 1
+                if indeg[ev] == 0:
+                    ready.append(ev)
         if seen != len(self.nodes):
             raise TopologyError("network contains a cycle")
 
@@ -135,14 +144,21 @@ def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
     """Unit-capacity max flow by BFS augmenting paths; returns (value, per-edge flow)."""
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
-    out_, in_ = {}, {}
-    for v in net.nodes:
-        out_[v] = []
-        in_[v] = []
-    for i, (u, v) in enumerate(net.edges):
-        out_[u].append(i)
-        in_[v].append(i)
-    flow = [0] * len(net.edges)
+    edges = net.edges
+    out_, in_ = net.adjacency
+    # Only nodes that reach the sink can lie on an augmenting path. In a DAG
+    # every edge carrying flow lies on a source-sink path, so residual edges
+    # from the other nodes lead only to each other: leaving them out of the
+    # BFS keeps its order, its prev links and so the flow unchanged.
+    reaches = {sink}
+    stack = [sink]
+    while stack:
+        for eid in in_[stack.pop()]:
+            u = edges[eid][0]
+            if u not in reaches:
+                reaches.add(u)
+                stack.append(u)
+    flow = [0] * len(edges)
     value = 0
     while True:
         prev: dict[str, tuple[int, int] | None] = {net.source: None}
@@ -150,12 +166,12 @@ def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
         while queue and sink not in prev:
             u = queue.popleft()
             for eid in out_[u]:
-                v = net.edges[eid][1]
-                if not flow[eid] and v not in prev:
+                v = edges[eid][1]
+                if not flow[eid] and v not in prev and v in reaches:
                     prev[v] = (eid, 1)
                     queue.append(v)
             for eid in in_[u]:
-                v = net.edges[eid][0]
+                v = edges[eid][0]
                 if flow[eid] and v not in prev:
                     prev[v] = (eid, -1)
                     queue.append(v)
@@ -165,7 +181,7 @@ def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
         while node != net.source:
             eid, direction = prev[node]  # type: ignore[misc]
             flow[eid] = 1 if direction == 1 else 0
-            node = net.edges[eid][0] if direction == 1 else net.edges[eid][1]
+            node = edges[eid][0] if direction == 1 else edges[eid][1]
         value += 1
 
 
@@ -177,16 +193,17 @@ def max_flow(net: Network, sink: str) -> int:
 def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Decompose an integral max flow into edge-id paths, deterministic order."""
     value, flow = _augmenting_flow(net, sink)
+    # Each node's flow-carrying out-edges in descending id order, so pop() takes the lowest.
     available: dict[str, list[int]] = {v: [] for v in net.nodes}
-    for eid, used in enumerate(flow):
-        if used:
+    for eid in range(len(flow) - 1, -1, -1):
+        if flow[eid]:
             available[net.edges[eid][0]].append(eid)
     paths = []
     for _ in range(value):
         node = net.source
         path = []
         while node != sink:
-            eid = available[node].pop(0)
+            eid = available[node].pop()
             path.append(eid)
             node = net.edges[eid][1]
         paths.append(tuple(path))
@@ -464,10 +481,11 @@ def format_schedule(net: Network, sched: Schedule) -> str:
 def _resolve_path(net: Network, names: list[str], taken: set[int]) -> tuple[int, ...]:
     if len(names) < 2:
         raise ParseError(f"path needs at least two nodes: {names!r}")
+    out_ = net.adjacency[0]
     path = []
     for a, b in zip(names, names[1:]):
         eid = next(
-            (i for i, (u, v) in enumerate(net.edges) if u == a and v == b and i not in taken),
+            (i for i in out_.get(a, ()) if net.edges[i][1] == b and i not in taken),
             None,
         )
         if eid is None:
@@ -575,7 +593,13 @@ class SimulationReport:
 def simulate(
     net: Network, sched: Schedule, scheme: CodingScheme, block: SourceBlock
 ) -> SimulationReport:
-    """Replay the phase schedule and decode at every sink from headers alone."""
+    """Replay the phase schedule and decode at every sink from headers alone.
+
+    A valid schedule brings each sink the n distinct coded packets, fewer
+    than n of them before the last phase. Distinct rows of an invertible
+    encoding matrix are independent, so a sink that decodes needs exactly
+    ``sched.phases`` phases, and one that does not never reaches full rank.
+    """
     problems = validate_schedule(net, sched)
     if problems:
         raise ScheduleError("invalid schedule: " + "; ".join(problems))
@@ -590,16 +614,7 @@ def simulate(
             tuple([sched.assignment[si][j][phase] for j in range(sched.maxflow)])
             for phase in range(sched.phases)
         ])
-        buffer = []
-        headers = Basis()
-        phases_to_decode = None
-        for phase, idxs in enumerate(per_phase, start=1):
-            buffer.extend(coded[i - 1] for i in idxs)
-            # Packet i's header is the support of encoding row i.
-            for i in idxs:
-                headers.add(scheme.encode_matrix.row_bits[i - 1])
-            if phases_to_decode is None and len(headers) == scheme.n:
-                phases_to_decode = phase
+        buffer = [coded[i - 1] for idxs in per_phase for i in idxs]
         try:
             recovered = decode(buffer, scheme.n, original_len=block.original_len)
             decoded = True
@@ -615,7 +630,7 @@ def simulate(
                 received=per_phase,
                 decoded=decoded,
                 correct=correct,
-                phases_to_decode=phases_to_decode,
+                phases_to_decode=sched.phases if decoded else None,
                 error=error,
             )
         )

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 from typing import Sequence
 
 from xorcode.codec import CodingScheme
 from xorcode.errors import ScheduleError, TopologyError
 from xorcode.gf2 import Basis, BitMatrix
+from xorcode.latin import LatinRectangle
 from xorcode.network import Network, Schedule, edge_disjoint_paths, max_flow, num_phases
 from xorcode.security import EavesdropReport, PathPartition
 
@@ -145,6 +147,110 @@ def enumerate_latin_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     fill(0, 0)
     return squares
+
+
+def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectangle:
+    """The Jacobson-Matthews walk as one flat loop with a proper/improper flag.
+
+    Same random draws in the same order as ``latin.jm_generate``, so the same
+    square for every (n, seed, moves); that walk splits each accepted move
+    into a proper pivot and its improper excursion.
+    """
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if n == 1:
+        return LatinRectangle(((1,),))
+    if moves is None:
+        moves = n ** 3
+    rnd = random.Random(seed).random
+    # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
+    # row_at[c*n+s]: row of s in column c. Start from the cyclic square.
+    sym_at = [0] * (n * n)
+    col_at = [0] * (n * n)
+    row_at = [0] * (n * n)
+    for r in range(n):
+        rn = r * n
+        for c in range(n):
+            s = (r + c) % n
+            sym_at[rn + c] = s
+            col_at[rn + s] = c
+    for c in range(n):
+        cn = c * n
+        for s in range(n):
+            row_at[cn + s] = (s - c) % n
+    proper = True
+    nr = nc = ns = 0          # defect triple when improper
+    x_sym = x_col = x_row = 0  # second entries of the defect's three lines
+    accepted = 0
+    while accepted < moves:
+        if proper:
+            while True:
+                r = int(rnd() * n)
+                c = int(rnd() * n)
+                s = int(rnd() * n)
+                if sym_at[r * n + c] != s:
+                    break
+            rn = r * n
+            cn = c * n
+            s2 = sym_at[rn + c]
+            c2 = col_at[rn + s]
+            r2 = row_at[cn + s]
+            fill_sym, fill_col, fill_row = s, c, r
+        else:
+            r, c, s = nr, nc, ns
+            rn = r * n
+            cn = c * n
+            if int(rnd() * 2):
+                s2, fill_sym = sym_at[rn + c], x_sym
+            else:
+                s2, fill_sym = x_sym, sym_at[rn + c]
+            if int(rnd() * 2):
+                c2, fill_col = col_at[rn + s], x_col
+            else:
+                c2, fill_col = x_col, col_at[rn + s]
+            if int(rnd() * 2):
+                r2, fill_row = row_at[cn + s], x_row
+            else:
+                r2, fill_row = x_row, row_at[cn + s]
+        r2n = r2 * n
+        c2n = c2 * n
+        sym_at[rn + c] = fill_sym
+        sym_at[rn + c2] = s2
+        sym_at[r2n + c] = s2
+        col_at[rn + s] = fill_col
+        col_at[rn + s2] = c2
+        col_at[r2n + s] = c2
+        row_at[cn + s] = fill_row
+        row_at[cn + s2] = r2
+        row_at[c2n + s] = r2
+        if sym_at[r2n + c2] == s2:
+            sym_at[r2n + c2] = s
+            col_at[r2n + s2] = c
+            row_at[c2n + s2] = r
+            proper = True
+            accepted += 1
+        else:
+            # The far corner turns negative: cell (r2,c2), row line (r2,.,s2)
+            # and column line (.,c2,s2) each gain a second entry.
+            nr, nc, ns = r2, c2, s2
+            x_sym, x_col, x_row = s, c, r
+            proper = False
+    cells = tuple(
+        tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
+    )
+    return LatinRectangle(cells)
+
+
+def header_phases_to_decode(scheme: CodingScheme, per_phase: Sequence[Sequence[int]]) -> int | None:
+    """First phase after which the received packets' headers reach full rank, by elimination."""
+    headers = Basis()
+    for phase, idxs in enumerate(per_phase, start=1):
+        # Packet i's header is the support of encoding row i.
+        for i in idxs:
+            headers.add(scheme.encode_matrix.row_bits[i - 1])
+        if len(headers) == scheme.n:
+            return phase
+    return None
 
 
 def exhaustive_schedule(net: Network, n: int) -> Schedule:

@@ -6,10 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, FIG1_TEXT, FIG2_TEXT, FIG3_TEXT, TABLE1_SCHEDULE, L5X12
-from oracles import exhaustive_schedule
+from oracles import exhaustive_schedule, header_phases_to_decode
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
+    MODES,
+    BitMatrix,
+    CodingScheme,
     Network,
     ParseError,
     ScheduleError,
@@ -19,6 +22,7 @@ from xorcode import (
     edge_disjoint_paths,
     format_network,
     format_schedule,
+    find_nonsingular_rectangle,
     format_simulation_report,
     make_scheme,
     max_flow,
@@ -361,3 +365,33 @@ def test_build_schedule_matches_exhaustive_oracle(net, n):
         graph.add_edge(u, v, capacity=cap)
     for t in net.sinks:
         assert max_flow(net, t) == nx.maximum_flow_value(graph, net.source, t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_dags(), st.integers(1, 6), st.data())
+def test_simulate_phases_match_header_rank(net, n, data):
+    # A sink that decodes needed every phase; one that does not never reached
+    # full header rank. Checked on a designed or random E and a singular one.
+    try:
+        sched = build_schedule(net, n)
+    except (ScheduleError, TopologyError):
+        return
+    m = sched.n
+    if data.draw(st.booleans(), label="designed"):
+        rect, _ = find_nonsingular_rectangle(m, seed=data.draw(st.integers(0, 2**32), label="seed"))
+        scheme = make_scheme(rect, data.draw(st.sampled_from(MODES), label="mode"))
+    else:
+        rows = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=m, max_size=m), label="rows")
+        e = BitMatrix(m, m, tuple(rows))
+        scheme = CodingScheme(m, 1, e, e, MODE_DIRECT)
+    schemes = [scheme]
+    if m > 1:
+        rows = scheme.encode_matrix.row_bits
+        singular = BitMatrix(m, m, rows[:-1] + rows[:1])
+        schemes.append(CodingScheme(m, 1, singular, singular, MODE_DIRECT))
+    rng = random.Random(m)
+    block = SourceBlock.from_packets([rng.randbytes(3) for _ in range(m)])
+    for sc in schemes:
+        for r in simulate(net, sched, sc, block).sinks:
+            assert r.phases_to_decode == header_phases_to_decode(sc, r.received)
+            assert r.decoded == (r.phases_to_decode is not None)
