@@ -296,12 +296,9 @@ def parse_manifest(text: str) -> tuple[int, int, str, int, LatinRectangle]:
     toks = lines[0].split()
     if len(toks) != 4:
         raise ParseError(f"bad manifest header {lines[0]!r}, expected 'n k mode original_len'")
-    try:
-        n, k, original_len = int(toks[0]), int(toks[1]), int(toks[3])
-    except ValueError as exc:
-        raise ParseError(f"non-integer field in manifest header {lines[0]!r}") from exc
-    if original_len < 0:
-        raise ParseError(f"negative original length in manifest header {lines[0]!r}")
+    if not all(toks[i].isdecimal() for i in (0, 1, 3)):
+        raise ParseError(f"non-integer field in manifest header {lines[0]!r}")
+    n, k, original_len = int(toks[0]), int(toks[1]), int(toks[3])
     mode = toks[2]
     if mode not in MODES:
         raise ParseError(f"unknown manifest mode {mode!r}")

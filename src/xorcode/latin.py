@@ -41,10 +41,6 @@ class LatinRectangle:
     def is_square(self) -> bool:
         return self.k == self.n
 
-    def column_symbols(self, j: int) -> frozenset[int]:
-        """Symbol set of column j (0-based)."""
-        return frozenset(row[j] for row in self.cells)
-
     def to_text(self) -> str:
         lines = [f"{self.k} {self.n}"]
         lines.extend(" ".join(str(v) for v in row) for row in self.cells)
@@ -68,10 +64,9 @@ class LatinRectangle:
             toks = line.split()
             if len(toks) != n:
                 raise ParseError(f"row {i + 1} has {len(toks)} entries, expected {n}")
-            try:
-                rows.append(tuple(int(t) for t in toks))
-            except ValueError as exc:
-                raise ParseError(f"non-integer entry in row {i + 1}: {line!r}") from exc
+            if not all(t.isdecimal() for t in toks):
+                raise ParseError(f"non-integer entry in row {i + 1}: {line!r}")
+            rows.append(tuple(int(t) for t in toks))
         return cls(tuple(rows))
 
 

@@ -526,11 +526,9 @@ def _parse_schedule_lines(
             if ":" not in toks:
                 raise ParseError(f"line {lineno}: path line missing ':'")
             sep = toks.index(":")
-            try:
-                packets = tuple(int(t) for t in toks[sep + 1:])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer packet index") from exc
-            rows.append((toks[1:sep], packets))
+            if not all(t.isdecimal() and int(t) > 0 for t in toks[sep + 1:]):
+                raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
+            rows.append((toks[1:sep], tuple(int(t) for t in toks[sep + 1:])))
         else:
             raise ParseError(f"line {lineno}: bad directive {line!r}")
     for key in _SCHEDULE_HEADERS:

@@ -10,6 +10,10 @@ invertible, so its rows are independent and the only XOR of coded packets
 that equals source l is row l of E^-1. Source l therefore leaks exactly when
 every coded packet in the support of that row has been captured, and the
 paths an adversary must tap to read it are the paths carrying those packets.
+The design is secure against f - 1 tapped paths exactly when every row of
+E^-1 needs all f paths. The paper's column test on the rectangle is this
+rule applied to the block-incidence matrix B, which is E^-1 only in
+``balanced_decode`` mode.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .codec import CodingScheme
 from .gf2 import invert
-from .latin import LatinRectangle
+from .latin import LatinRectangle, block_incidence
 
 
 @dataclass(frozen=True)
@@ -37,10 +41,6 @@ class PathPartition:
     @property
     def maxflow(self) -> int:
         return len(self.sets)
-
-    @property
-    def total(self) -> int:
-        return sum(len(s) for s in self.sets)
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
@@ -62,43 +62,48 @@ class PathPartition:
 
 @dataclass(frozen=True)
 class EavesdropReport:
-    """Fewest paths that expose a source, optionally paired with the column test.
+    """Fewest paths that expose a source, and whether that is all f paths.
 
     ``witness_paths`` is the lexicographically first smallest path set whose
     packets cover the support of some row of E^-1; ``exposed_sources`` are the
-    sources whose row needs exactly those paths.
+    sources whose row needs exactly those paths. ``discrepancy`` is never set:
+    it stays, always False, because the benchmark harness still reads it.
     """
 
     min_paths_to_decode: int
     witness_paths: tuple[int, ...]
     exposed_sources: tuple[int, ...]
-    condition_holds: bool | None = None
+    condition_holds: bool
     discrepancy: bool = False
 
     def summary_line(self) -> str:
-        cond = "unknown" if self.condition_holds is None else str(self.condition_holds).lower()
         witness = ",".join(str(i) for i in self.witness_paths)
         exposed = ",".join(str(i) for i in self.exposed_sources)
         return (
-            f"condition={cond} min_paths={self.min_paths_to_decode} "
+            f"condition={str(self.condition_holds).lower()} "
+            f"min_paths={self.min_paths_to_decode} "
             f"witness_paths={witness} exposed={exposed}"
         )
+
+
+def _paths_needed(rows: Sequence[int], part: PathPartition) -> list[tuple[int, ...]]:
+    """Per row, the 1-based paths whose packet sets meet the row's support."""
+    masks = [sum(1 << (i - 1) for i in s) for s in part.sets]
+    return [tuple([j + 1 for j, mask in enumerate(masks) if mask & row]) for row in rows]
 
 
 def check_condition(rect: LatinRectangle, part: PathPartition) -> bool:
     """True iff every column's symbol set meets every path's packet set.
 
-    When decoding multiplies by the block-incidence matrix, source j is the
-    XOR of the coded packets named by column j, so a column that avoids some
-    path is decodable without tapping that path.
+    Row j of the block-incidence matrix B marks column j's symbols, so this is
+    the support rule of ``min_eavesdrop_paths`` applied to B: every row must
+    need all f paths. In ``balanced_decode`` mode B = E^-1 and the result
+    equals ``condition_holds``; in ``direct`` mode E^-1 = B^-1 and this test
+    does not apply.
     """
     part.check(rect.n)
-    for j in range(rect.n):
-        col = rect.column_symbols(j)
-        for s in part.sets:
-            if not col & s:
-                return False
-    return True
+    needs = _paths_needed(block_incidence(rect).row_bits, part)
+    return all(len(paths) == part.maxflow for paths in needs)
 
 
 def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
@@ -107,33 +112,26 @@ def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropR
     A tapped path set exposes source l iff it contains need[l], the paths whose
     packets meet row l of E^-1 (see the module docstring). So the smallest
     exposing sets are the shortest need[l]: the witness is the lexicographically
-    first of them, and the exposed sources are those whose need equals it.
+    first of them, and the exposed sources are those whose need equals it. The
+    condition holds when the witness is all f paths.
     E^-1 is recomputed rather than read from ``scheme.decode_matrix``, so a
     singular E raises ``SingularMatrixError``.
     """
     part.check(scheme.n)
-    masks = [sum(1 << (i - 1) for i in s) for s in part.sets]
-    need = [
-        tuple([j + 1 for j, mask in enumerate(masks) if mask & row])
-        for row in invert(scheme.encode_matrix).row_bits
-    ]
+    need = _paths_needed(invert(scheme.encode_matrix).row_bits, part)
     witness = min(need, key=lambda paths: (len(paths), paths))
     return EavesdropReport(
         min_paths_to_decode=len(witness),
         witness_paths=witness,
         exposed_sources=tuple([l + 1 for l, paths in enumerate(need) if paths == witness]),
+        condition_holds=len(witness) == part.maxflow,
     )
 
 
 def audit(rect: LatinRectangle, scheme: CodingScheme, part: PathPartition) -> EavesdropReport:
-    """Column test plus the exact minimum of ``min_eavesdrop_paths``; flags any disagreement."""
-    condition = check_condition(rect, part)
-    bare = min_eavesdrop_paths(scheme, part)
-    discrepancy = condition != (bare.min_paths_to_decode == part.maxflow)
-    return EavesdropReport(
-        min_paths_to_decode=bare.min_paths_to_decode,
-        witness_paths=bare.witness_paths,
-        exposed_sources=bare.exposed_sources,
-        condition_holds=condition,
-        discrepancy=discrepancy,
-    )
+    """The report of ``min_eavesdrop_paths(scheme, part)``; ``rect`` is unused.
+
+    Kept with this signature, and with ``discrepancy`` always False, because
+    the benchmark harness calls ``audit(rect, scheme, part).discrepancy``.
+    """
+    return min_eavesdrop_paths(scheme, part)

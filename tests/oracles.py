@@ -72,6 +72,7 @@ def subset_min_eavesdrop(scheme: CodingScheme, part: PathPartition) -> Eavesdrop
                     min_paths_to_decode=size,
                     witness_paths=tuple([i + 1 for i in combo]),
                     exposed_sources=exposed,
+                    condition_holds=size == f,
                 )
     raise AssertionError("unreachable: tapping all paths exposes every packet")
 

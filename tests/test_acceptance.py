@@ -24,7 +24,6 @@ from xorcode import (
     MODE_DIRECT,
     PathPartition,
     SourceBlock,
-    audit,
     block_incidence,
     build_schedule,
     check_condition,
@@ -174,12 +173,13 @@ def test_criterion_7_condition_equivalence():
         part = PathPartition.from_sequences(
             [tuple(idxs[i * p:(i + 1) * p]) for i in range(f)]
         )
-        report = audit(rect, scheme, part)
-        if report.discrepancy:
-            print(f"\nDISCREPANCY: rect={rect.cells} partition={part.sets} "
-                  f"condition={report.condition_holds} min={report.min_paths_to_decode} f={f}")
-        assert not report.discrepancy
-        holds += 1 if report.condition_holds else 0
+        condition = check_condition(rect, part)
+        report = min_eavesdrop_paths(scheme, part)
+        assert condition == (report.min_paths_to_decode == f), (
+            f"rect={rect.cells} partition={part.sets} "
+            f"condition={condition} min={report.min_paths_to_decode} f={f}"
+        )
+        holds += 1 if condition else 0
         tested += 1
     ok(7, f"column condition matched the exact eavesdropping minimum on all {tested} instances "
           f"({holds} satisfied it, {tested - holds} violated it)")

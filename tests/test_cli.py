@@ -3,7 +3,15 @@ import hashlib
 import pytest
 
 from conftest import EXAMPLE_SQUARE, FIG2_TEXT, FIG3_TEXT, L5X12
-from xorcode import LatinRectangle, build_schedule, format_schedule, parse_network, split_upper
+from xorcode import (
+    LatinRectangle,
+    PathPartition,
+    build_schedule,
+    check_condition,
+    format_schedule,
+    parse_network,
+    split_upper,
+)
 from xorcode.cli import main
 
 EXAMPLE_RECT = split_upper(EXAMPLE_SQUARE, 3)
@@ -336,6 +344,22 @@ def test_audit_all_on_one_path_leaks(tmp_path, capsys):
     assert code == 0 and "min_paths=1" in stdout
 
 
+def test_direct_mode_audit_uses_the_inverse(tmp_path, capsys):
+    # The paper's column test holds for this design and partition, but in
+    # direct mode E^-1 is B^-1, and one tapped path exposes sources 8 and 10.
+    code, _, _ = run(capsys, "gen", "-n", "12", "-k", "5", "--seed", "3", "-o", str(tmp_path))
+    assert code == 0
+    rect_file = tmp_path / "rectangle.txt"
+    partition = "1,2,3,4,5,6;7,8,9,10,11,12"
+    code, stdout, _ = run(
+        capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
+    )
+    assert code == 0
+    assert stdout == "condition=false min_paths=1 witness_paths=1 exposed=8,10\n"
+    rect = LatinRectangle.from_text(rect_file.read_text())
+    assert check_condition(rect, PathPartition.from_sequences([range(1, 7), range(7, 13)]))
+
+
 def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
     rect_file = tmp_path / "rect.txt"
     rect_file.write_text(EXAMPLE_RECT.to_text())
@@ -344,6 +368,11 @@ def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
             capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
         )
         assert code == 2 and "empty partition chunk" in err, partition
+    for partition in ("1,+2;3,4", "1,2;3,-4", "1,2;3,1_0", "0,1;2,3", "1,2;3,x"):
+        code, _, err = run(
+            capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
+        )
+        assert code == 2 and "bad partition chunk" in err, partition
     sched_file = tmp_path / "schedule.txt"
     sched_file.write_text("n 4\nrequested_n 4\nphases 2\nmaxflow 2\nsink t1\n")
     code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))

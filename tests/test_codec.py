@@ -275,7 +275,7 @@ def test_balanced_decode_canonical_combination():
     coded = encode(s, SourceBlock.from_packets(x))
     for j in range(12):
         acc = bytes(4)
-        for i in L5X12.column_symbols(j):
+        for i in {row[j] for row in L5X12.cells}:
             acc = bytes(a ^ b for a, b in zip(acc, coded[i - 1].payload))
         assert acc == x[j]
 

@@ -43,9 +43,21 @@ def manifest_text(n, k, mode, original_len, rect):
         pytest.param(LatinRectangle.from_text, "0 0\n", id="rectangle-0x0"),
         pytest.param(LatinRectangle.from_text, "2 1\n1\n1\n", id="rectangle-k-above-n"),
         pytest.param(LatinRectangle.from_text, "¹ 1\n1\n", id="rectangle-superscript-digit"),
+        pytest.param(LatinRectangle.from_text, "1 2\n1 +2\n", id="rectangle-plus-sign"),
+        pytest.param(LatinRectangle.from_text, "1 2\n-1 2\n", id="rectangle-minus-sign"),
+        pytest.param(
+            LatinRectangle.from_text,
+            "1 10\n1 2 3 4 5 6 7 8 9 1_0\n",
+            id="rectangle-underscore-digits",
+        ),
         pytest.param(BitMatrix.from_text, "0 0\n", id="matrix-0x0"),
         pytest.param(parse_manifest, "0 0 direct 0\n0 0\n", id="manifest-0x0-rectangle"),
         pytest.param(parse_manifest, "4 3 direct -1\n" + RECT_TEXT, id="manifest-negative-length"),
+        pytest.param(parse_manifest, "+4 3 direct 10\n" + RECT_TEXT, id="manifest-plus-n"),
+        pytest.param(parse_manifest, "4 -3 direct 10\n" + RECT_TEXT, id="manifest-minus-k"),
+        pytest.param(
+            parse_manifest, "4 3 direct 1_0\n" + RECT_TEXT, id="manifest-underscore-length"
+        ),
         pytest.param(parse_network, "source s\nsink s\n", id="network-source-is-sink"),
         pytest.param(
             parse_network, "source s\nsink t\nsink t\nedge s t\n", id="network-duplicate-sink"
@@ -67,6 +79,26 @@ def manifest_text(n, k, mode, original_len, rect):
             parse_schedule_partitions,
             FIG3_SCHEDULE.replace("path s u1 t1 :", "path s u1 t1"),
             id="partitions-path-missing-colon",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 : 1", "path s u1 t1 : 0"),
+            id="partitions-packet-zero",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 : 1", "path s u1 t1 : -1"),
+            id="partitions-negative-packet",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 : 1", "path s u1 t1 : +1"),
+            id="partitions-plus-packet",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 : 1", "path s u1 t1 : 1_0"),
+            id="partitions-underscore-packet",
         ),
         pytest.param(
             parse_schedule_partitions,

@@ -68,7 +68,7 @@ def test_check_condition_full_square_any_partition():
 
 def test_check_condition_violation():
     # keep all of column 1's five symbols off the third path
-    col = sorted(L5X12.column_symbols(0))
+    col = sorted(row[0] for row in L5X12.cells)
     others = [i for i in range(1, 13) if i not in col]
     part = PathPartition.from_sequences(
         [tuple(col[:4]), tuple([col[4]] + others[:3]), tuple(others[3:])]
@@ -106,21 +106,22 @@ def test_plain_packet_leaks_immediately():
 
 def test_audit_routing_example():
     scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
-    report = audit(L5X12, scheme, FIG3_PARTITION)
+    report = min_eavesdrop_paths(scheme, FIG3_PARTITION)
+    assert check_condition(L5X12, FIG3_PARTITION) is True
     assert report.condition_holds is True
     assert report.min_paths_to_decode == 3
-    assert not report.discrepancy
     assert report.summary_line().startswith("condition=true min_paths=3")
+    assert audit(L5X12, scheme, FIG3_PARTITION) == report
 
 
 def test_audit_degenerate_single_path():
     rect = LatinRectangle(((1,),))
     scheme = make_scheme(rect, MODE_BALANCED_DECODE)
     part = PathPartition.from_sequences([(1,)])
-    report = audit(rect, scheme, part)
+    report = min_eavesdrop_paths(scheme, part)
+    assert check_condition(rect, part) is True
     assert report.condition_holds is True
     assert report.min_paths_to_decode == 1
-    assert not report.discrepancy
 
 
 def test_singular_encoding_matrix_is_typed_error():
@@ -140,8 +141,8 @@ def test_audit_violated_condition_consistent():
     seen_violation = False
     for _ in range(200):
         part = random_partition(rng, 12, 3)
-        report = audit(L5X12, scheme, part)
-        assert not report.discrepancy
+        report = min_eavesdrop_paths(scheme, part)
+        assert check_condition(L5X12, part) == (report.min_paths_to_decode == 3), part
         if not report.condition_holds:
             seen_violation = True
             assert report.min_paths_to_decode < 3
@@ -171,8 +172,8 @@ def test_equivalence_random_instances():
         )
         scheme = make_scheme(rect, MODE_BALANCED_DECODE)
         part = random_partition(rng, n, f)
-        report = audit(rect, scheme, part)
-        assert not report.discrepancy, (rect, part)
+        report = min_eavesdrop_paths(scheme, part)
+        assert check_condition(rect, part) == (report.min_paths_to_decode == f), (rect, part)
 
 
 def test_high_row_designs_force_all_paths():
@@ -197,6 +198,27 @@ def test_high_row_designs_force_all_paths():
         assert report.witness_paths == tuple(range(1, f + 1))
 
 
+def test_even_order_top_rows_need_all_paths_unless_one_packet_each():
+    # For even n and k = n - 1, B = J + P for a permutation matrix P, and
+    # (J + P)(J + P^T) = nJ + I = I, so in both modes every row of E^-1 has
+    # weight n - 1: it misses one packet. A path of p >= 2 packets always
+    # meets such a row; a path of one packet misses exactly one row.
+    rng = random.Random(11)
+    for n in (2, 4, 6, 8, 10, 12, 16):
+        rect, _ = find_nonsingular_rectangle(n, seed=rng.getrandbits(32), moves=4 * n * n)
+        assert rect.k == n - 1
+        for mode in MODES:
+            scheme = make_scheme(rect, mode)
+            inverse = invert(scheme.encode_matrix)
+            assert all(row.bit_count() == n - 1 for row in inverse.row_bits), (n, mode)
+            for f in [f for f in range(1, n + 1) if n % f == 0]:
+                want = f if n // f >= 2 else f - 1
+                for _ in range(3):
+                    report = min_eavesdrop_paths(scheme, random_partition(rng, n, f))
+                    assert report.min_paths_to_decode == want, (n, mode, f)
+                    assert report.condition_holds == (want == f)
+
+
 def test_brute_force_matches_exhaustive_combinations():
     from itertools import combinations
 
@@ -218,6 +240,26 @@ def test_brute_force_matches_exhaustive_combinations():
         assert set(span_exposed(rows, captured)) == want
 
 
+def draw_design(draw):
+    """A nonsingular design with odd k and n <= 16."""
+    n = draw(st.integers(2, 16))
+    k = draw(st.sampled_from(range(1, n, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    try:
+        rect, _ = find_nonsingular_rectangle(n, k=k, seed=seed, moves=4 * n * n)
+    except DesignSearchError:
+        assume(False)  # some small (n, k) are rarely nonsingular
+    return rect
+
+
+def draw_partition(draw, n, path_counts):
+    """Equal-size path sets over 1..n, for a path count f in path_counts dividing n."""
+    f = draw(st.sampled_from([f for f in path_counts if n % f == 0]))
+    idxs = draw(st.permutations(range(1, n + 1)))
+    p = n // f
+    return PathPartition.from_sequences([idxs[i * p:(i + 1) * p] for i in range(f)])
+
+
 @st.composite
 def schemes(draw):
     """A real design's scheme in either mode, or a random invertible scheme.
@@ -225,15 +267,9 @@ def schemes(draw):
     The random encoding matrix is a row permutation of I with random row
     additions applied, so it is invertible and may keep weight-1 rows.
     """
-    n = draw(st.integers(2, 16))
     if draw(st.booleans()):
-        k = draw(st.sampled_from(range(1, n, 2)))
-        seed = draw(st.integers(0, 2**32 - 1))
-        try:
-            rect, _ = find_nonsingular_rectangle(n, k=k, seed=seed, moves=4 * n * n)
-        except DesignSearchError:
-            assume(False)  # some small (n, k) are rarely nonsingular
-        return make_scheme(rect, draw(st.sampled_from(MODES)))
+        return make_scheme(draw_design(draw), draw(st.sampled_from(MODES)))
+    n = draw(st.integers(2, 16))
     rows = [1 << j for j in draw(st.permutations(range(n)))]
     additions = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
     for i, d in draw(st.lists(additions, max_size=3 * n)):
@@ -245,11 +281,7 @@ def schemes(draw):
 @st.composite
 def scheme_and_partition(draw):
     scheme = draw(schemes())
-    n = scheme.n
-    f = draw(st.sampled_from([f for f in range(1, 9) if n % f == 0]))
-    idxs = draw(st.permutations(range(1, n + 1)))
-    p = n // f
-    return scheme, PathPartition.from_sequences([idxs[i * p:(i + 1) * p] for i in range(f)])
+    return scheme, draw_partition(draw, scheme.n, range(1, 9))
 
 
 @settings(deadline=None, max_examples=300)
@@ -257,3 +289,17 @@ def scheme_and_partition(draw):
 def test_min_eavesdrop_matches_subset_oracle(case):
     scheme, part = case
     assert min_eavesdrop_paths(scheme, part) == subset_min_eavesdrop(scheme, part)
+
+
+@st.composite
+def design_and_partition(draw):
+    rect = draw_design(draw)
+    return rect, draw_partition(draw, rect.n, range(1, rect.n + 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(design_and_partition())
+def test_column_test_is_balanced_decode_condition(case):
+    rect, part = case
+    scheme = make_scheme(rect, MODE_BALANCED_DECODE)
+    assert check_condition(rect, part) == min_eavesdrop_paths(scheme, part).condition_holds
