@@ -6,6 +6,7 @@ from .codec import (
     MODES,
     CodedPacket,
     CodingScheme,
+    Decoder,
     SourceBlock,
     decodable_indexes,
     decode,

@@ -153,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-n", "--packets", type=_positive_int, required=True, help="design order / packet count"
     )
-    p.add_argument("-k", "--rows", type=int, help="rectangle rows (odd); default auto")
+    p.add_argument(
+        "-k", "--rows", type=_positive_int, help="rectangle rows (odd, at most n); default auto"
+    )
     p.add_argument("--auto", action="store_true", help="pick rows automatically (n-1 or n-2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -201,6 +203,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "audit" and not (args.partition or args.schedule):
         parser.error("audit needs --schedule or --partition")
+    if args.command == "gen" and args.rows is not None and args.rows > args.packets:
+        parser.error(f"-k/--rows {args.rows} exceeds -n/--packets {args.packets}")
     try:
         return args.func(args)
     except ParseError as exc:

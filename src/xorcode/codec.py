@@ -143,30 +143,39 @@ def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:
 
 
 def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:
-    """XOR the sources per encoding row; header = the row's support, 1-based.
-
-    Each source is converted to an int once per block. A row of weight w with
-    2w > n + 1 costs fewer XORs as its complement, ``B = J xor R``: start from
-    the block total T (the XOR of all n sources, built on first use) and XOR
-    in the n - w sources outside the row.
-    """
+    """XOR the sources per encoding row; header = the row's support, 1-based."""
     n = scheme.n
     if block.n != n:
         raise ValueError(f"block has {block.n} packets, scheme expects {n}")
     sources = [int.from_bytes(p, "little") for p in block.packets]
+    rows = scheme.encode_matrix
+    payloads = _xor_rows(sources, rows.row_bits, block.packet_len)
+    return [
+        CodedPacket(i + 1, tuple([j + 1 for j in rows.row_support(i)]), payload)
+        for i, payload in enumerate(payloads)
+    ]
+
+
+def _xor_rows(values: list[int], rows: Sequence[int], length: int) -> list[bytes]:
+    """For each row, the XOR of the values its set bits name, as little-endian bytes.
+
+    Each value is an int converted once by the caller. A row of weight w with
+    2w > n + 1 (n values) costs fewer XORs as its complement, ``B = J xor R``:
+    start from the total T (the XOR of all n values, built on first use) and
+    XOR in the n - w values outside the row.
+    """
+    n = len(values)
     full = (1 << n) - 1
     total = None
     out = []
-    for i, row in enumerate(scheme.encode_matrix.row_bits):
-        header = tuple([j + 1 for j in scheme.encode_matrix.row_support(i)])
-        if 2 * len(header) > n + 1:
+    for row in rows:
+        if 2 * row.bit_count() > n + 1:
             if total is None:
-                total = _xor_sources(sources, full, 0)
-            acc = _xor_sources(sources, full ^ row, total)
+                total = _xor_sources(values, full, 0)
+            acc = _xor_sources(values, full ^ row, total)
         else:
-            acc = _xor_sources(sources, row, 0)
-        payload = acc.to_bytes(block.packet_len, "little")
-        out.append(CodedPacket(index=i + 1, header=header, payload=payload))
+            acc = _xor_sources(values, row, 0)
+        out.append(acc.to_bytes(length, "little"))
     return out
 
 
@@ -188,28 +197,95 @@ def _header_bits(packet: CodedPacket, n: int) -> int:
     return bits
 
 
-def _header_basis(packets: Sequence[CodedPacket], n: int, payloads: bool) -> Basis:
-    """Basis of the received coding vectors, each carrying its payload if asked.
+class Decoder:
+    """Decode packets one at a time: eliminate headers, apply payloads at full rank.
 
-    A packet whose header is dependent on earlier ones must reduce to a zero
-    payload too; anything else means some packet was corrupted.
+    The packet kept at position i enters the header ``Basis`` with payload
+    ``1 << i``, as in ``gf2.invert``, so a reduced row records the kept
+    packets it combines; kept payloads stay bytes. A dependent packet must
+    carry the XOR of the kept payloads its mask names, or some packet was
+    corrupted. The mask is unique, so an exact duplicate names one packet and
+    is compared as bytes. At full rank each kept payload is converted to an
+    int once, and ``_xor_rows``, encode's kernel, builds every source from
+    its solved mask.
     """
-    basis = Basis()
-    for p in packets:
-        pay = int.from_bytes(p.payload, "little") if payloads else 0
-        vec, pay = basis.add(_header_bits(p, n), pay)
-        if not vec and pay:
+
+    __slots__ = ("n", "redundant", "_basis", "_payloads")
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("packet count must be >= 1")
+        self.n = n
+        self.redundant = 0
+        self._basis = Basis()
+        self._payloads: list[bytes] = []
+
+    @property
+    def rank(self) -> int:
+        """Number of packets kept, the rank of the received headers."""
+        return len(self._basis)
+
+    @property
+    def recoverable(self) -> frozenset[int]:
+        """1-based sources whose unit vector lies in the span of the headers so far."""
+        return frozenset(l + 1 for l in self._basis.spanned_units(self.n))
+
+    def add(self, packet: CodedPacket) -> bool:
+        """Enter one packet; True if it raised the rank.
+
+        Raises ``PacketIntegrityError`` if the packet is dependent on earlier
+        ones but its payload disagrees with theirs.
+        """
+        payloads = self._payloads
+        if payloads and len(packet.payload) != len(payloads[0]):
+            raise ValueError("received packets have unequal payload lengths")
+        bit = 1 << len(payloads)
+        vec, mask = self._basis.add(_header_bits(packet, self.n), bit)
+        if vec:
+            payloads.append(packet.payload)
+            return True
+        self.redundant += 1
+        mask ^= bit
+        if mask & (mask - 1):
+            acc = int.from_bytes(packet.payload, "little")
+            while mask:
+                low = mask & -mask
+                acc ^= int.from_bytes(payloads[low.bit_length() - 1], "little")
+                mask ^= low
+            consistent = not acc
+        else:
+            consistent = packet.payload == payloads[mask.bit_length() - 1]
+        if not consistent:
             raise PacketIntegrityError(
-                f"packet {p.index} is linearly dependent on earlier packets "
+                f"packet {packet.index} is linearly dependent on earlier packets "
                 "but its payload disagrees"
             )
-    return basis
+        return False
+
+    def block(self, original_len: int | None = None) -> SourceBlock:
+        """The decoded sources; raises ``PartialDecodeError`` below full rank."""
+        n = self.n
+        if len(self._basis) < n:
+            raise PartialDecodeError(self.recoverable, n)
+        solved = self._basis.solve()
+        plen = len(self._payloads[0])
+        values = [int.from_bytes(p, "little") for p in self._payloads]
+        sources = tuple(_xor_rows(values, [solved[l] for l in range(n)], plen))
+        if original_len is None:
+            original_len = plen * n
+        return SourceBlock(sources, plen, original_len)
 
 
 def decodable_indexes(packets: Sequence[CodedPacket], n: int) -> frozenset[int]:
-    """source indexes l whose unit vector lies in the span of the received headers."""
-    basis = _header_basis(packets, n, payloads=False)
-    return frozenset(l + 1 for l in basis.spanned_units(n))
+    """source indexes l whose unit vector lies in the span of the received headers.
+
+    Only the headers enter the decoder's basis, so payloads are neither
+    stored nor checked.
+    """
+    decoder = Decoder(n)
+    for p in packets:
+        decoder._basis.add(_header_bits(p, n))
+    return decoder.recoverable
 
 
 def decode(
@@ -217,27 +293,19 @@ def decode(
 ) -> SourceBlock:
     """Recover the source block from headers and payloads alone.
 
-    Each packet's header and payload enter one GF(2) basis together, so
-    overheard or redundant packet sets work the same as the exact n-packet
-    case. At full rank, back-substitution leaves source l as the payload of
-    unit row e_l; below it, the sources whose unit vectors are already
-    spanned are reported as recoverable.
+    The packets go through one ``Decoder`` in the order given, so overheard
+    or redundant packet sets work the same as the exact n-packet case. Below
+    full rank, the sources whose unit vectors are already spanned are
+    reported as recoverable.
     """
-    if n < 1:
-        raise ValueError("packet count must be >= 1")
-    if not packets:
-        raise PartialDecodeError(frozenset(), n)
-    plen = len(packets[0].payload)
-    if any(len(p.payload) != plen for p in packets):
+    decoder = Decoder(n)
+    # Checked for the whole list first, so a length mismatch is reported
+    # ahead of an integrity error in an earlier packet.
+    if len({len(p.payload) for p in packets}) > 1:
         raise ValueError("received packets have unequal payload lengths")
-    basis = _header_basis(packets, n, payloads=True)
-    if len(basis) < n:
-        raise PartialDecodeError(frozenset(l + 1 for l in basis.spanned_units(n)), n)
-    solved = basis.solve()
-    sources = tuple([solved[l].to_bytes(plen, "little") for l in range(n)])
-    if original_len is None:
-        original_len = plen * n
-    return SourceBlock(sources, plen, original_len)
+    for p in packets:
+        decoder.add(p)
+    return decoder.block(original_len)
 
 
 _HEAD = struct.Struct("<HH")

@@ -597,6 +597,14 @@ def simulate(
     than n of them before the last phase. Distinct rows of an invertible
     encoding matrix are independent, so a sink that decodes needs exactly
     ``sched.phases`` phases, and one that does not never reaches full rank.
+
+    Decoding depends only on the set of packets received, not on their
+    order: a full-rank set decodes to the one block its headers determine,
+    a partial one reports the sources its span covers, and ``encode`` makes
+    every dependent packet consistent. So each distinct set is decoded once,
+    in the arrival order of the first sink that received it, and the other
+    sinks with that set share its outcome. A valid schedule gives every sink
+    the set 1..n, so one decode serves them all.
     """
     problems = validate_schedule(net, sched)
     if problems:
@@ -606,22 +614,24 @@ def simulate(
     if block.n != scheme.n:
         raise ValueError(f"block has {block.n} packets, scheme expects {scheme.n}")
     coded = encode(scheme, block)
+    outcomes: dict[frozenset[int], tuple[bool, bool, str | None]] = {}
     reports = []
     for si, sink in enumerate(sched.sinks):
         per_phase = tuple([
             tuple([sched.assignment[si][j][phase] for j in range(sched.maxflow)])
             for phase in range(sched.phases)
         ])
-        buffer = [coded[i - 1] for idxs in per_phase for i in idxs]
-        try:
-            recovered = decode(buffer, scheme.n, original_len=block.original_len)
-            decoded = True
-            correct = recovered.packets == block.packets
-            error = None
-        except CodingError as exc:
-            decoded = False
-            correct = False
-            error = str(exc)
+        arrived = [i for idxs in per_phase for i in idxs]
+        received = frozenset(arrived)
+        if received not in outcomes:
+            try:
+                recovered = decode(
+                    [coded[i - 1] for i in arrived], scheme.n, original_len=block.original_len
+                )
+                outcomes[received] = (True, recovered.packets == block.packets, None)
+            except CodingError as exc:
+                outcomes[received] = (False, False, str(exc))
+        decoded, correct, error = outcomes[received]
         reports.append(
             SinkReport(
                 sink=sink,

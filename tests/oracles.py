@@ -6,8 +6,13 @@ import random
 from itertools import combinations, permutations
 from typing import Sequence
 
-from xorcode.codec import CodingScheme
-from xorcode.errors import ScheduleError, TopologyError
+from xorcode.codec import CodedPacket, CodingScheme, SourceBlock
+from xorcode.errors import (
+    PacketIntegrityError,
+    PartialDecodeError,
+    ScheduleError,
+    TopologyError,
+)
 from xorcode.gf2 import Basis, BitMatrix
 from xorcode.latin import LatinRectangle
 from xorcode.network import Network, Schedule, edge_disjoint_paths, max_flow, num_phases
@@ -112,6 +117,39 @@ def xor_encode(rows: Sequence[int], packets: Sequence[bytes]) -> list[bytes]:
                 acc = bytes(a ^ b for a, b in zip(acc, packet))
         out.append(acc)
     return out
+
+
+def payload_elimination_decode(
+    packets: Sequence[CodedPacket], n: int, original_len: int | None = None
+) -> SourceBlock:
+    """Decode with every payload carried through the header elimination.
+
+    Each packet's header and payload int enter one ``Basis`` together. A
+    dependent header must reduce to a zero payload too; at full rank,
+    back-substitution leaves source l as the payload of unit row e_l.
+    """
+    if n < 1:
+        raise ValueError("packet count must be >= 1")
+    if not packets:
+        raise PartialDecodeError(frozenset(), n)
+    plen = len(packets[0].payload)
+    if any(len(p.payload) != plen for p in packets):
+        raise ValueError("received packets have unequal payload lengths")
+    basis = Basis()
+    for p in packets:
+        if p.header[-1] > n:
+            raise ValueError(f"packet {p.index} references source {p.header[-1]} > n={n}")
+        vec, pay = basis.add(sum(1 << (j - 1) for j in p.header), int.from_bytes(p.payload, "little"))
+        if not vec and pay:
+            raise PacketIntegrityError(
+                f"packet {p.index} is linearly dependent on earlier packets "
+                "but its payload disagrees"
+            )
+    if len(basis) < n:
+        raise PartialDecodeError(frozenset(l + 1 for l in basis.spanned_units(n)), n)
+    solved = basis.solve()
+    sources = tuple(solved[l].to_bytes(plen, "little") for l in range(n))
+    return SourceBlock(sources, plen, plen * n if original_len is None else original_len)
 
 
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -390,6 +390,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     for args in (
         ["gen", "-n", "0"],
+        ["gen", "-n", "12", "-k", "0"],
+        ["gen", "-n", "12", "-k", "-3"],
+        ["gen", "-n", "12", "-k", "13"],
         ["gen", "-n", "6", "--max-retries", "0"],
         ["gen", "-n", "6", "--moves", "0"],
         ["simulate", "--network", "net.txt", "-n", "4", "--packet-len", "0"],

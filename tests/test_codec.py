@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, INVERSE_SUPPORTS, L5X12, ROUTING_PATHS
-from oracles import xor_encode
+from oracles import payload_elimination_decode, xor_encode
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -14,6 +14,7 @@ from xorcode import (
     BitMatrix,
     CodedPacket,
     CodingScheme,
+    Decoder,
     LatinRectangle,
     PacketIntegrityError,
     ParseError,
@@ -132,19 +133,19 @@ def design(n, seed):
 
 
 @st.composite
-def design_schemes(draw):
-    n = draw(st.integers(1, 17))
+def design_schemes(draw, top=17):
+    n = draw(st.integers(1, top))
     return make_scheme(design(n, draw(st.integers(0, 2))), draw(st.sampled_from(MODES)))
 
 
 @st.composite
-def invertible_schemes(draw):
+def invertible_schemes(draw, top=17):
     """P1 . U . P2 with U unit upper-triangular, so the product is invertible.
 
     Row i of U has weight 1..n-i, drawn with a bias toward 1, the (n+1)/2
     boundary on either side, and the row's maximum (n for the first row).
     """
-    n = draw(st.integers(1, 17))
+    n = draw(st.integers(1, top))
     rows = []
     for i in range(n):
         top = n - i
@@ -251,12 +252,84 @@ def test_decode_integrity_error():
     assert decode(packets + [packets[0]], 4).packets == block.packets
 
 
+@st.composite
+def received_packets(draw):
+    """Coded packets of a random scheme as a sink might see them.
+
+    A shuffled subset of the n packets, possibly below rank, with extras
+    spliced in: exact duplicates and XOR combinations of coded packets, any
+    of which (base packets too) may have a corrupted first byte.
+    """
+    scheme = draw(st.one_of(design_schemes(top=16), invertible_schemes(top=16)))
+    n = scheme.n
+    coded = encode(scheme, draw(blocks(n)))
+    size = draw(st.just(n) | st.integers(0, n))
+    packets = draw(st.permutations(coded))[:size]
+    for extra in range(draw(st.integers(0, 4))):
+        # Distinct rows of an invertible E are independent, so the XOR is never empty.
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+        header_bits, payload = 0, bytes(len(coded[0].payload))
+        for i in picks:
+            header_bits ^= scheme.encode_matrix.row_bits[i]
+            payload = bytes(a ^ b for a, b in zip(payload, coded[i].payload))
+        index = picks[0] + 1 if len(picks) == 1 else n + 1 + extra
+        header = tuple(j + 1 for j in range(n) if (header_bits >> j) & 1)
+        packets.insert(draw(st.integers(0, len(packets))), CodedPacket(index, header, payload))
+    corrupt = draw(st.lists(st.integers(0, len(packets) - 1), max_size=2)) if packets else []
+    for pos in corrupt:
+        p = packets[pos]
+        flipped = bytes([p.payload[0] ^ draw(st.integers(1, 255))]) + p.payload[1:]
+        packets[pos] = CodedPacket(p.index, p.header, flipped)
+    return packets, n
+
+
+def decode_outcome(decoder, packets, n):
+    try:
+        return decoder(packets, n, original_len=n).packets
+    except (PacketIntegrityError, PartialDecodeError) as exc:
+        return type(exc), getattr(exc, "recoverable", None), str(exc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(received_packets())
+def test_decode_matches_payload_elimination_oracle(received):
+    # Same block bytes, or the same error type, recoverable set and message.
+    packets, n = received
+    assert decode_outcome(decode, packets, n) == decode_outcome(payload_elimination_decode, packets, n)
+
+
+def test_decoder_counts_rank_and_redundant_packets():
+    s = make_scheme(EXAMPLE_RECT, MODE_DIRECT)
+    block = SourceBlock.from_packets([b"ab", b"cd", b"ef", b"gh"])
+    p1, p2, p3, p4 = encode(s, block)
+    # headers (1,2,3) xor (2,3,4) = (1,4), carrying the XOR of their payloads
+    combo = CodedPacket(5, (1, 4), xor(p1.payload, p2.payload))
+    dec = Decoder(4)
+    steps = [dec.add(p) for p in (p1, p2, p1, combo)]
+    assert steps == [True, True, False, False]
+    assert (dec.rank, dec.redundant) == (2, 2)
+    assert dec.recoverable == frozenset()
+    with pytest.raises(PacketIntegrityError, match="packet 5 is linearly dependent"):
+        dec.add(CodedPacket(5, (1, 4), xor(p1.payload, p3.payload)))
+    with pytest.raises(PacketIntegrityError, match="packet 2 is linearly dependent"):
+        dec.add(CodedPacket(2, p2.header, b"!!"))
+    assert (dec.rank, dec.redundant) == (2, 4)
+    with pytest.raises(PartialDecodeError):
+        dec.block()
+    assert [dec.add(p) for p in (p3, p4, p4)] == [True, True, False]
+    assert (dec.rank, dec.redundant) == (4, 5)
+    assert dec.recoverable == frozenset({1, 2, 3, 4})
+    assert dec.block(7) == SourceBlock(block.packets, 2, 7)
+
+
 def test_decodable_indexes_examples():
     s = make_scheme(EXAMPLE_RECT, MODE_DIRECT)
     block = SourceBlock.from_packets([b"a", b"b", b"c", b"d"])
     packets = encode(s, block)
     assert decodable_indexes(packets, 4) == frozenset({1, 2, 3, 4})
     assert decodable_indexes([CodedPacket(1, (5,), b"z")], 6) == frozenset({5})
+    # headers only: a conflicting or longer payload is not checked
+    assert decodable_indexes([CodedPacket(1, (1,), b"a"), CodedPacket(2, (1,), b"bc")], 1) == {1}
 
 
 def test_decodable_indexes_two_paths_of_routing_leak_nothing():

@@ -12,6 +12,7 @@ from xorcode import (
     MODE_DIRECT,
     MODES,
     BitMatrix,
+    CodingError,
     CodingScheme,
     Network,
     ParseError,
@@ -19,7 +20,9 @@ from xorcode import (
     SourceBlock,
     TopologyError,
     build_schedule,
+    decode,
     edge_disjoint_paths,
+    encode,
     format_network,
     format_schedule,
     find_nonsingular_rectangle,
@@ -371,7 +374,9 @@ def test_build_schedule_matches_exhaustive_oracle(net, n):
 @given(small_dags(), st.integers(1, 6), st.data())
 def test_simulate_phases_match_header_rank(net, n, data):
     # A sink that decodes needed every phase; one that does not never reached
-    # full header rank. Checked on a designed or random E and a singular one.
+    # full header rank. Each sink's outcome is what decoding its own buffer,
+    # in arrival order, gives. Checked on a designed or random E and a
+    # singular one.
     try:
         sched = build_schedule(net, n)
     except (ScheduleError, TopologyError):
@@ -392,6 +397,14 @@ def test_simulate_phases_match_header_rank(net, n, data):
     rng = random.Random(m)
     block = SourceBlock.from_packets([rng.randbytes(3) for _ in range(m)])
     for sc in schemes:
+        coded = encode(sc, block)
         for r in simulate(net, sched, sc, block).sinks:
             assert r.phases_to_decode == header_phases_to_decode(sc, r.received)
             assert r.decoded == (r.phases_to_decode is not None)
+            buffer = [coded[i - 1] for idxs in r.received for i in idxs]
+            try:
+                out = decode(buffer, m, original_len=block.original_len)
+                expected = (True, out.packets == block.packets, None)
+            except CodingError as exc:
+                expected = (False, False, str(exc))
+            assert (r.decoded, r.correct, r.error) == expected
