@@ -37,9 +37,8 @@ def _load_rectangle(path: str) -> latin.LatinRectangle:
 
 
 def cmd_gen(args) -> int:
-    k = None if args.auto else args.rows
     rect, matrix = latin.find_nonsingular_rectangle(
-        args.packets, k, seed=args.seed, max_retries=args.max_retries, moves=args.moves
+        args.packets, args.rows, seed=args.seed, max_retries=args.max_retries, moves=args.moves
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-k", "--rows", type=_positive_int, help="rectangle rows (odd, at most n); default auto"
     )
-    p.add_argument("--auto", action="store_true", help="pick rows automatically (n-1 or n-2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--moves", type=_positive_int, help="mixing steps per sampled square (default n^3)"
@@ -207,10 +205,7 @@ def main(argv=None) -> int:
         parser.error(f"-k/--rows {args.rows} exceeds -n/--packets {args.packets}")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CodingError, ValueError) as exc:

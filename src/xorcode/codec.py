@@ -202,15 +202,13 @@ class Decoder:
 
     The packet kept at position i enters the header ``Basis`` with payload
     ``1 << i``, as in ``gf2.invert``, so a reduced row records the kept
-    packets it combines; kept payloads stay bytes. A dependent packet must
-    carry the XOR of the kept payloads its mask names, or some packet was
-    corrupted. The mask is unique, so an exact duplicate names one packet and
-    is compared as bytes. At full rank each kept payload is converted to an
-    int once, and ``_xor_rows``, encode's kernel, builds every source from
-    its solved mask.
+    packets it combines. Each payload is converted to an int once, on
+    arrival. A dependent packet must carry the XOR of the kept payloads its
+    mask names, or some packet was corrupted. At full rank ``_xor_rows``,
+    encode's kernel, builds every source from its solved mask.
     """
 
-    __slots__ = ("n", "redundant", "_basis", "_payloads")
+    __slots__ = ("n", "redundant", "_basis", "_values", "_length")
 
     def __init__(self, n: int):
         if n < 1:
@@ -218,7 +216,8 @@ class Decoder:
         self.n = n
         self.redundant = 0
         self._basis = Basis()
-        self._payloads: list[bytes] = []
+        self._values: list[int] = []
+        self._length = 0
 
     @property
     def rank(self) -> int:
@@ -236,26 +235,18 @@ class Decoder:
         Raises ``PacketIntegrityError`` if the packet is dependent on earlier
         ones but its payload disagrees with theirs.
         """
-        payloads = self._payloads
-        if payloads and len(packet.payload) != len(payloads[0]):
+        values = self._values
+        if values and len(packet.payload) != self._length:
             raise ValueError("received packets have unequal payload lengths")
-        bit = 1 << len(payloads)
+        bit = 1 << len(values)
         vec, mask = self._basis.add(_header_bits(packet, self.n), bit)
+        value = int.from_bytes(packet.payload, "little")
         if vec:
-            payloads.append(packet.payload)
+            self._length = len(packet.payload)
+            values.append(value)
             return True
         self.redundant += 1
-        mask ^= bit
-        if mask & (mask - 1):
-            acc = int.from_bytes(packet.payload, "little")
-            while mask:
-                low = mask & -mask
-                acc ^= int.from_bytes(payloads[low.bit_length() - 1], "little")
-                mask ^= low
-            consistent = not acc
-        else:
-            consistent = packet.payload == payloads[mask.bit_length() - 1]
-        if not consistent:
+        if _xor_sources(values, mask ^ bit, value):
             raise PacketIntegrityError(
                 f"packet {packet.index} is linearly dependent on earlier packets "
                 "but its payload disagrees"
@@ -268,9 +259,8 @@ class Decoder:
         if len(self._basis) < n:
             raise PartialDecodeError(self.recoverable, n)
         solved = self._basis.solve()
-        plen = len(self._payloads[0])
-        values = [int.from_bytes(p, "little") for p in self._payloads]
-        sources = tuple(_xor_rows(values, [solved[l] for l in range(n)], plen))
+        plen = self._length
+        sources = tuple(_xor_rows(self._values, [solved[l] for l in range(n)], plen))
         if original_len is None:
             original_len = plen * n
         return SourceBlock(sources, plen, original_len)
@@ -279,13 +269,14 @@ class Decoder:
 def decodable_indexes(packets: Sequence[CodedPacket], n: int) -> frozenset[int]:
     """source indexes l whose unit vector lies in the span of the received headers.
 
-    Only the headers enter the decoder's basis, so payloads are neither
-    stored nor checked.
+    Only the headers are reduced, so payloads are neither stored nor checked.
     """
-    decoder = Decoder(n)
+    if n < 1:
+        raise ValueError("packet count must be >= 1")
+    basis = Basis()
     for p in packets:
-        decoder._basis.add(_header_bits(p, n))
-    return decoder.recoverable
+        basis.add(_header_bits(p, n))
+    return frozenset(l + 1 for l in basis.spanned_units(n))
 
 
 def decode(

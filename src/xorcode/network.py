@@ -246,17 +246,6 @@ class Schedule:
     def padding(self) -> int:
         return self.n - self.requested_n
 
-    def sink_index(self, sink: str) -> int:
-        try:
-            return self.sinks.index(sink)
-        except ValueError:
-            raise ValueError(f"{sink!r} not in schedule") from None
-
-    def partition(self, sink: str) -> tuple[frozenset[int], ...]:
-        """Packet-index set carried by each path toward the sink."""
-        si = self.sink_index(sink)
-        return tuple(frozenset(seq) for seq in self.assignment[si])
-
 
 def _canonical_subsets(
     avail: Sequence[int], fresh: set[int], p: int
@@ -525,7 +514,9 @@ def _parse_schedule_lines(
                 raise ParseError(f"line {lineno}: path before any sink")
             if ":" not in toks:
                 raise ParseError(f"line {lineno}: path line missing ':'")
-            sep = toks.index(":")
+            # Packet tokens are decimal, so the last ':' ends the node names
+            # even when a node is itself named ':'.
+            sep = len(toks) - 1 - toks[::-1].index(":")
             if not all(t.isdecimal() and int(t) > 0 for t in toks[sep + 1:]):
                 raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
             rows.append((toks[1:sep], tuple(int(t) for t in toks[sep + 1:])))
@@ -597,14 +588,8 @@ def simulate(
     than n of them before the last phase. Distinct rows of an invertible
     encoding matrix are independent, so a sink that decodes needs exactly
     ``sched.phases`` phases, and one that does not never reaches full rank.
-
-    Decoding depends only on the set of packets received, not on their
-    order: a full-rank set decodes to the one block its headers determine,
-    a partial one reports the sources its span covers, and ``encode`` makes
-    every dependent packet consistent. So each distinct set is decoded once,
-    in the arrival order of the first sink that received it, and the other
-    sinks with that set share its outcome. A valid schedule gives every sink
-    the set 1..n, so one decode serves them all.
+    Since every sink receives the same set 1..n, the first sink's packets
+    are decoded once, in arrival order, and every sink shares that outcome.
     """
     problems = validate_schedule(net, sched)
     if problems:
@@ -614,34 +599,30 @@ def simulate(
     if block.n != scheme.n:
         raise ValueError(f"block has {block.n} packets, scheme expects {scheme.n}")
     coded = encode(scheme, block)
-    outcomes: dict[frozenset[int], tuple[bool, bool, str | None]] = {}
-    reports = []
-    for si, sink in enumerate(sched.sinks):
-        per_phase = tuple([
-            tuple([sched.assignment[si][j][phase] for j in range(sched.maxflow)])
-            for phase in range(sched.phases)
-        ])
-        arrived = [i for idxs in per_phase for i in idxs]
-        received = frozenset(arrived)
-        if received not in outcomes:
-            try:
-                recovered = decode(
-                    [coded[i - 1] for i in arrived], scheme.n, original_len=block.original_len
-                )
-                outcomes[received] = (True, recovered.packets == block.packets, None)
-            except CodingError as exc:
-                outcomes[received] = (False, False, str(exc))
-        decoded, correct, error = outcomes[received]
-        reports.append(
-            SinkReport(
-                sink=sink,
-                received=per_phase,
-                decoded=decoded,
-                correct=correct,
-                phases_to_decode=sched.phases if decoded else None,
-                error=error,
-            )
+    received = [
+        tuple([tuple([seq[phase] for seq in paths]) for phase in range(sched.phases)])
+        for paths in sched.assignment
+    ]
+    try:
+        recovered = decode(
+            [coded[i - 1] for idxs in received[0] for i in idxs],
+            scheme.n,
+            original_len=block.original_len,
         )
+        decoded, correct, error = True, recovered.packets == block.packets, None
+    except CodingError as exc:
+        decoded, correct, error = False, False, str(exc)
+    reports = [
+        SinkReport(
+            sink=sink,
+            received=per_phase,
+            decoded=decoded,
+            correct=correct,
+            phases_to_decode=sched.phases if decoded else None,
+            error=error,
+        )
+        for sink, per_phase in zip(sched.sinks, received)
+    ]
     return SimulationReport(
         n=sched.n,
         requested_n=sched.requested_n,

@@ -25,7 +25,7 @@ def run(capsys, *args):
 
 def test_gen_writes_design(tmp_path, capsys):
     out = tmp_path / "design"
-    code, stdout, _ = run(capsys, "gen", "-n", "4", "--auto", "--seed", "7", "-o", str(out))
+    code, stdout, _ = run(capsys, "gen", "-n", "4", "--seed", "7", "-o", str(out))
     assert code == 0
     assert "n=4 k=3" in stdout and "nonsingular=true" in stdout
     rect = LatinRectangle.from_text((out / "rectangle.txt").read_text())
@@ -393,6 +393,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["gen", "-n", "12", "-k", "0"],
         ["gen", "-n", "12", "-k", "-3"],
         ["gen", "-n", "12", "-k", "13"],
+        ["gen", "-n", "4", "--auto"],
         ["gen", "-n", "6", "--max-retries", "0"],
         ["gen", "-n", "6", "--moves", "0"],
         ["simulate", "--network", "net.txt", "-n", "4", "--packet-len", "0"],

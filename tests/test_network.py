@@ -142,7 +142,8 @@ def test_build_schedule_fig1(fig1):
     assert sched.phases == 2 and sched.maxflow == 2 and sched.padding == 0
     assert validate_schedule(fig1, sched) == []
     for sink in fig1.sinks:
-        assert set(sched.partition(sink)) == {frozenset({1, 2}), frozenset({3, 4})}
+        seqs = sched.assignment[sched.sinks.index(sink)]
+        assert {frozenset(seq) for seq in seqs} == {frozenset({1, 2}), frozenset({3, 4})}
 
 
 def test_build_schedule_fig2(fig2):
@@ -156,7 +157,8 @@ def test_build_schedule_fig3(fig3):
     assert sched.phases == 4
     assert validate_schedule(fig3, sched) == []
     # both sinks share all relays, so their partitions agree
-    assert sched.partition("t1") == sched.partition("t2")
+    t1, t2 = (sched.assignment[sched.sinks.index(t)] for t in ("t1", "t2"))
+    assert [frozenset(seq) for seq in t1] == [frozenset(seq) for seq in t2]
 
 
 def test_build_schedule_single_path_chain():
@@ -196,11 +198,11 @@ def test_table1_assignment_passes_validator(fig2):
     sched = parse_schedule(fig2, TABLE1_SCHEDULE)
     assert validate_schedule(fig2, sched) == []
     # per-phase receptions at the first and last sinks
-    si = sched.sink_index("t1")
+    si = sched.sinks.index("t1")
     phase1 = {sched.assignment[si][j][0] for j in range(2)}
     phase2 = {sched.assignment[si][j][1] for j in range(2)}
     assert (phase1, phase2) == ({4, 1}, {2, 3})
-    si = sched.sink_index("t6")
+    si = sched.sinks.index("t6")
     assert {sched.assignment[si][j][0] for j in range(2)} == {3, 2}
 
 
@@ -212,9 +214,9 @@ def test_validator_rejects_inconsistent_shared_relay(fig2):
     assert any("carries packet" in p for p in problems)
 
 
-def test_validator_catches_problems(fig1):
+def non_partition_schedule(fig1):
     sched = build_schedule(fig1, 4)
-    broken = sched.__class__(
+    return sched.__class__(
         n=sched.n,
         requested_n=sched.requested_n,
         phases=sched.phases,
@@ -223,17 +225,35 @@ def test_validator_catches_problems(fig1):
         paths=sched.paths,
         assignment=(((1, 2), (1, 4)),) + sched.assignment[1:],
     )
+
+
+def test_validator_catches_problems(fig1):
+    broken = non_partition_schedule(fig1)
     assert any("partition" in p for p in validate_schedule(fig1, broken))
 
 
+def test_simulate_rejects_invalid_schedule(fig1, fig2):
+    # simulate decodes one sink's packets for all sinks, which only a valid
+    # schedule (every sink receives 1..n) makes sound.
+    twisted = TABLE1_SCHEDULE.replace("path s u1 t2 : 4 2", "path s u1 t2 : 2 4")
+    scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3), MODE_DIRECT)
+    block = SourceBlock.from_packets([bytes([i]) * 3 for i in range(4)])
+    cases = ((fig2, parse_schedule(fig2, twisted)), (fig1, non_partition_schedule(fig1)))
+    for net, sched in cases:
+        with pytest.raises(ScheduleError, match="invalid schedule"):
+            simulate(net, sched, scheme, block)
+
+
 def test_schedule_text_roundtrip(fig3):
-    sched = build_schedule(fig3, 12)
-    text = format_schedule(fig3, sched)
-    again = parse_schedule(fig3, text)
-    assert again == sched
-    parts = parse_schedule_partitions(text)
-    assert set(parts) == {"t1", "t2"}
-    assert [frozenset(seq) for seq in parts["t1"]] == list(sched.partition("t1"))
+    # A relay named ':' puts the separator token among a path's node names.
+    colon = parse_network(FIG1_TEXT.replace("u1", ":"))
+    for net, n in ((fig3, 12), (colon, 4)):
+        sched = build_schedule(net, n)
+        text = format_schedule(net, sched)
+        assert parse_schedule(net, text) == sched
+        parts = parse_schedule_partitions(text)
+        assert set(parts) == {"t1", "t2"}
+        assert parts["t1"] == sched.assignment[sched.sinks.index("t1")]
 
 
 def test_simulate_fig2_with_direct_scheme(fig2):
