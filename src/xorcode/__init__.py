@@ -8,7 +8,6 @@ from .codec import (
     CodingScheme,
     Decoder,
     SourceBlock,
-    decodable_indexes,
     decode,
     deserialize_packet,
     encode,
@@ -48,11 +47,8 @@ from .network import (
     SinkReport,
     build_schedule,
     edge_disjoint_paths,
-    format_network,
     format_schedule,
     format_simulation_report,
-    max_flow,
-    num_phases,
     parse_network,
     parse_schedule,
     parse_schedule_partitions,

@@ -120,7 +120,7 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     rect = _load_rectangle(args.rectangle)
     scheme = codec.make_scheme(rect, args.mode)
-    if args.partition:
+    if args.partition is not None:
         seqs = []
         for chunk in args.partition.split(";"):
             toks = chunk.replace(",", " ").split()
@@ -189,9 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="eavesdropping audit of a routing")
     p.add_argument("-r", "--rectangle", required=True)
     p.add_argument("--mode", choices=codec.MODES, default=codec.MODE_BALANCED_DECODE)
-    p.add_argument("--schedule", help="schedule file to take the path partition from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--schedule", help="schedule file to take the path partition from")
+    source.add_argument(
+        "--partition", help="explicit partition, e.g. '3,10,7,2;8,4,11,9;1,6,5,12'"
+    )
     p.add_argument("--sink", help="which sink's partition to audit (default: first)")
-    p.add_argument("--partition", help="explicit partition, e.g. '3,10,7,2;8,4,11,9;1,6,5,12'")
     p.set_defaults(func=cmd_audit)
     return parser
 
@@ -199,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "audit" and not (args.partition or args.schedule):
-        parser.error("audit needs --schedule or --partition")
+    if args.command == "audit" and args.partition is not None and args.sink is not None:
+        parser.error("--sink applies to --schedule, not --partition")
     if args.command == "gen" and args.rows is not None and args.rows > args.packets:
         parser.error(f"-k/--rows {args.rows} exceeds -n/--packets {args.packets}")
     try:

@@ -266,19 +266,6 @@ class Decoder:
         return SourceBlock(sources, plen, original_len)
 
 
-def decodable_indexes(packets: Sequence[CodedPacket], n: int) -> frozenset[int]:
-    """source indexes l whose unit vector lies in the span of the received headers.
-
-    Only the headers are reduced, so payloads are neither stored nor checked.
-    """
-    if n < 1:
-        raise ValueError("packet count must be >= 1")
-    basis = Basis()
-    for p in packets:
-        basis.add(_header_bits(p, n))
-    return frozenset(l + 1 for l in basis.spanned_units(n))
-
-
 def decode(
     packets: Sequence[CodedPacket], n: int, original_len: int | None = None
 ) -> SourceBlock:

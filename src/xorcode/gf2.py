@@ -11,9 +11,8 @@ decoding and the eavesdropping audit all reduce rows against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import ParseError, SingularMatrixError
+from .errors import SingularMatrixError
 
 
 class Basis:
@@ -92,28 +91,6 @@ class BitMatrix:
             if bits < 0 or bits >> self.cols:
                 raise ValueError("row has set bits beyond declared width")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> BitMatrix:
-        if not rows:
-            raise ValueError("matrix must have at least one row")
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("rows have unequal lengths")
-        bits = []
-        for r in rows:
-            if any(v not in (0, 1) for v in r):
-                raise ValueError(f"non-binary entry in row {list(r)!r}")
-            bits.append(sum(v << j for j, v in enumerate(r)))
-        return cls(len(rows), cols, tuple(bits))
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[str]) -> BitMatrix:
-        return cls.from_rows([[int(ch) for ch in row] for row in rows])
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
     def row_support(self, i: int) -> tuple[int, ...]:
         """Positions of the set bits of row i, ascending, 0-based."""
         bits = self.row_bits[i]
@@ -130,26 +107,6 @@ class BitMatrix:
         lines = [f"{self.rows} {self.cols}"]
         lines.extend(format(bits, f"0{self.cols}b")[::-1] for bits in self.row_bits)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> BitMatrix:
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines:
-            raise ParseError("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 2 or not all(t.isdecimal() for t in head):
-            raise ParseError(f"bad matrix header {lines[0]!r}, expected 'rows cols'")
-        rows, cols = int(head[0]), int(head[1])
-        if rows < 1 or cols < 1:
-            raise ParseError(f"matrix must have at least one row and one column, got {rows}x{cols}")
-        if len(lines) != rows + 1:
-            raise ParseError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-        bits = []
-        for i, line in enumerate(lines[1:]):
-            if len(line) != cols or set(line) - {"0", "1"}:
-                raise ParseError(f"bad matrix row {i + 1}: {line!r}")
-            bits.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
-        return cls(rows, cols, tuple(bits))
 
 
 def rank(m: BitMatrix) -> int:

@@ -38,9 +38,6 @@ class LatinRectangle:
     def n(self) -> int:
         return len(self.cells[0])
 
-    def is_square(self) -> bool:
-        return self.k == self.n
-
     def to_text(self) -> str:
         lines = [f"{self.k} {self.n}"]
         lines.extend(" ".join(str(v) for v in row) for row in self.cells)

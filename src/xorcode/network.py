@@ -132,16 +132,11 @@ def parse_network(text: str) -> Network:
         raise ParseError(str(exc)) from None
 
 
-def format_network(net: Network) -> str:
-    lines = [f"node {v}" for v in net.nodes]
-    lines.extend(f"edge {u} {v}" for u, v in net.edges)
-    lines.append(f"source {net.source}")
-    lines.extend(f"sink {t}" for t in net.sinks)
-    return "\n".join(lines) + "\n"
+def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
+    """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
-
-def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
-    """Unit-capacity max flow by BFS augmenting paths; returns (value, per-edge flow)."""
+    The flow is found by BFS augmenting paths and then decomposed.
+    """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
     edges = net.edges
@@ -176,28 +171,18 @@ def _augmenting_flow(net: Network, sink: str) -> tuple[int, list[int]]:
                     prev[v] = (eid, -1)
                     queue.append(v)
         if sink not in prev:
-            return value, flow
+            break
         node = sink
         while node != net.source:
             eid, direction = prev[node]  # type: ignore[misc]
             flow[eid] = 1 if direction == 1 else 0
             node = edges[eid][0] if direction == 1 else edges[eid][1]
         value += 1
-
-
-def max_flow(net: Network, sink: str) -> int:
-    """Maximum number of edge-disjoint source-to-sink paths (0 if unreachable)."""
-    return _augmenting_flow(net, sink)[0]
-
-
-def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
-    """Decompose an integral max flow into edge-id paths, deterministic order."""
-    value, flow = _augmenting_flow(net, sink)
     # Each node's flow-carrying out-edges in descending id order, so pop() takes the lowest.
     available: dict[str, list[int]] = {v: [] for v in net.nodes}
     for eid in range(len(flow) - 1, -1, -1):
         if flow[eid]:
-            available[net.edges[eid][0]].append(eid)
+            available[edges[eid][0]].append(eid)
     paths = []
     for _ in range(value):
         node = net.source
@@ -205,7 +190,7 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
         while node != sink:
             eid = available[node].pop()
             path.append(eid)
-            node = net.edges[eid][1]
+            node = edges[eid][1]
         paths.append(tuple(path))
     return paths
 
@@ -214,15 +199,6 @@ def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
     if not path:
         return ()
     return (net.edges[path[0]][0],) + tuple(net.edges[eid][1] for eid in path)
-
-
-def num_phases(n: int, maxflow: int) -> int:
-    """ceil(n / maxflow) phases to deliver n packets at maxflow per phase."""
-    if n < 1:
-        raise ValueError("packet count must be >= 1")
-    if maxflow < 1:
-        raise ValueError("max flow must be >= 1")
-    return -(-n // maxflow)
 
 
 @dataclass(frozen=True)
@@ -314,7 +290,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
         raise TopologyError(f"sinks have unequal max-flow: {detail}")
     if f == 0:
         raise TopologyError("sinks are unreachable from the source")
-    p = num_phases(n, f)
+    p = -(-n // f)
     padded = p * f
 
     # Union-find over (sink, path) pairs, numbered si * f + j, joined by shared edges.
@@ -397,6 +373,11 @@ def validate_schedule(net: Network, sched: Schedule) -> list[str]:
         return problems
     if sched.n != sched.maxflow * sched.phases:
         problems.append(f"n={sched.n} is not phases*maxflow={sched.phases * sched.maxflow}")
+    # build_schedule pads the request up to the next multiple of maxflow.
+    if not sched.n - sched.maxflow < sched.requested_n <= sched.n:
+        problems.append(
+            f"requested_n={sched.requested_n} is not in {sched.n - sched.maxflow + 1}..{sched.n}"
+        )
     if set(sched.sinks) != set(net.sinks) or len(sched.sinks) != len(net.sinks):
         problems.append("schedule sinks do not match network sinks")
         return problems
@@ -502,6 +483,8 @@ def _parse_schedule_lines(
         if toks[0] in _SCHEDULE_HEADERS:
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError(f"line {lineno}: bad header {line!r}")
+            if toks[0] in header:
+                raise ParseError(f"line {lineno}: second {toks[0]!r} header")
             header[toks[0]] = int(toks[1])
         elif toks[0] == "sink":
             if len(toks) != 2:

@@ -15,8 +15,16 @@ from xorcode.errors import (
 )
 from xorcode.gf2 import Basis, BitMatrix
 from xorcode.latin import LatinRectangle
-from xorcode.network import Network, Schedule, edge_disjoint_paths, max_flow, num_phases
+from xorcode.network import Network, Schedule, edge_disjoint_paths
 from xorcode.security import EavesdropReport, PathPartition
+
+
+def bit_matrix(rows: Sequence[Sequence[int] | str]) -> BitMatrix:
+    """Matrix from rows of 0/1 entries or '0'/'1' strings; entry j of a row is column j."""
+    cols = len(rows[0])
+    assert all(len(r) == cols and set(map(int, r)) <= {0, 1} for r in rows)
+    bits = tuple(sum(int(v) << j for j, v in enumerate(r)) for r in rows)
+    return BitMatrix(len(rows), cols, bits)
 
 
 def leibniz_determinant(m: BitMatrix) -> int:
@@ -305,16 +313,16 @@ def exhaustive_schedule(net: Network, n: int) -> Schedule:
     """
     if n < 1:
         raise ValueError("packet count must be >= 1")
-    flows = [max_flow(net, t) for t in net.sinks]
+    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
+    flows = [len(paths) for paths in sink_paths]
     f = flows[0]
     if any(x != f for x in flows):
         detail = ", ".join(f"{t}={x}" for t, x in zip(net.sinks, flows))
         raise TopologyError(f"sinks have unequal max-flow: {detail}")
     if f == 0:
         raise TopologyError("sinks are unreachable from the source")
-    p = num_phases(n, f)
+    p = -(-n // f)
     padded = p * f
-    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
     edge_phase: dict[tuple[int, int], int] = {}
     chosen: list[tuple[tuple[int, ...], ...]] = []
 

@@ -1,4 +1,6 @@
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,13 @@ def test_simulate_readme_golden_output(tmp_path, capsys):
     assert digests == GOLDEN_SIMULATE
 
 
+def test_readme_library_quick_start():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 GOLDEN_SCHEDULES = {
     "fig2": (FIG2_TEXT, 4, (
         "n 4\nrequested_n 4\nphases 2\nmaxflow 2\n"
@@ -385,9 +394,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     code, _, err = run(capsys, "decode", "-m", str(tmp_path / "nope.txt"), "-o", "x", "y")
     assert code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["audit", "-r", "rect.txt"])  # neither schedule nor partition
-    assert exc.value.code == 2
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(L5X12.to_text())
+    sched_file = tmp_path / "schedule.txt"
+    fig3 = parse_network(FIG3_TEXT)
+    sched_file.write_text(format_schedule(fig3, build_schedule(fig3, 12)))
+    partition = ["--partition", "3,10,7,2;8,4,11,9;1,6,5,12"]
+    for extra in (
+        [],  # neither schedule nor partition
+        ["--schedule", str(sched_file)] + partition,
+        partition + ["--sink", "nosuch"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "-r", str(rect_file)] + extra)
+        assert exc.value.code == 2, extra
     for args in (
         ["gen", "-n", "0"],
         ["gen", "-n", "12", "-k", "0"],

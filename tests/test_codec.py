@@ -22,7 +22,6 @@ from xorcode import (
     SingularMatrixError,
     SourceBlock,
     WireFormatError,
-    decodable_indexes,
     decode,
     deserialize_packet,
     encode,
@@ -322,14 +321,19 @@ def test_decoder_counts_rank_and_redundant_packets():
     assert dec.block(7) == SourceBlock(block.packets, 2, 7)
 
 
+def recoverable_after(packets, n):
+    decoder = Decoder(n)
+    for p in packets:
+        decoder.add(p)
+    return decoder.recoverable
+
+
 def test_decodable_indexes_examples():
     s = make_scheme(EXAMPLE_RECT, MODE_DIRECT)
     block = SourceBlock.from_packets([b"a", b"b", b"c", b"d"])
     packets = encode(s, block)
-    assert decodable_indexes(packets, 4) == frozenset({1, 2, 3, 4})
-    assert decodable_indexes([CodedPacket(1, (5,), b"z")], 6) == frozenset({5})
-    # headers only: a conflicting or longer payload is not checked
-    assert decodable_indexes([CodedPacket(1, (1,), b"a"), CodedPacket(2, (1,), b"bc")], 1) == {1}
+    assert recoverable_after(packets, 4) == frozenset({1, 2, 3, 4})
+    assert recoverable_after([CodedPacket(1, (5,), b"z")], 6) == frozenset({5})
 
 
 def test_decodable_indexes_two_paths_of_routing_leak_nothing():
@@ -337,7 +341,7 @@ def test_decodable_indexes_two_paths_of_routing_leak_nothing():
     block = SourceBlock.from_packets([bytes([i]) for i in range(12)])
     coded = encode(s, block)
     captured = [coded[i - 1] for i in ROUTING_PATHS[0] + ROUTING_PATHS[1]]
-    assert decodable_indexes(captured, 12) == frozenset()
+    assert recoverable_after(captured, 12) == frozenset()
 
 
 def test_balanced_decode_canonical_combination():
@@ -371,11 +375,14 @@ def test_decodable_indexes_monotone():
     block = SourceBlock.from_packets([rng.randbytes(2) for _ in range(8)])
     coded = encode(s, block)
     rng.shuffle(coded)
-    prev = frozenset()
-    for i in range(len(coded) + 1):
-        cur = decodable_indexes(coded[:i], 8)
-        assert prev <= cur
-        prev = cur
+    decoder = Decoder(8)
+    prev = decoder.recoverable
+    assert prev == frozenset()
+    for p in coded:
+        decoder.add(p)
+        assert prev <= decoder.recoverable
+        prev = decoder.recoverable
+    assert prev == frozenset(range(1, 9))
 
 
 def test_serialize_documented_bytes():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_M_ROWS, EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, L5X12
-from oracles import mat_mul, reference_jm_generate, transpose
+from oracles import bit_matrix, mat_mul, reference_jm_generate, transpose
 from xorcode import (
     BitMatrix,
     DesignSearchError,
@@ -77,11 +77,11 @@ def test_is_balanced():
     m = block_incidence(split_upper(EXAMPLE_SQUARE, 3))
     assert is_balanced(m, 3)
     assert not is_balanced(m, 2)
-    assert is_balanced(BitMatrix.identity(4), 1)
+    assert is_balanced(bit_matrix(["1000", "0100", "0010", "0001"]), 1)
     flipped = BitMatrix(4, 4, (m.row_bits[0] ^ 1,) + m.row_bits[1:])
     assert not is_balanced(flipped, 3)
     with pytest.raises(ValueError):
-        is_balanced(BitMatrix.from_strings(["10", "01", "11"]), 1)
+        is_balanced(bit_matrix(["10", "01", "11"]), 1)
 
 
 def test_balance_holds_for_random_rectangles():

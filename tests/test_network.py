@@ -23,13 +23,10 @@ from xorcode import (
     decode,
     edge_disjoint_paths,
     encode,
-    format_network,
     format_schedule,
     find_nonsingular_rectangle,
     format_simulation_report,
     make_scheme,
-    max_flow,
-    num_phases,
     parse_network,
     parse_schedule,
     parse_schedule_partitions,
@@ -64,10 +61,6 @@ JOINED_BY_OTHER_SINK = (
 )
 
 
-def test_parse_and_format_roundtrip(fig1):
-    assert parse_network(format_network(fig1)) == fig1
-
-
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_network("edge a b\nsink b\n")  # no source
@@ -85,21 +78,21 @@ def test_network_invariants():
 
 
 def test_max_flow_examples(fig1, fig3):
-    assert max_flow(fig1, "t1") == 2
-    assert max_flow(fig1, "t2") == 2
-    assert max_flow(fig3, "t1") == 3
+    assert len(edge_disjoint_paths(fig1, "t1")) == 2
+    assert len(edge_disjoint_paths(fig1, "t2")) == 2
+    assert len(edge_disjoint_paths(fig3, "t1")) == 3
     chain = parse_network(CHAIN)
-    assert max_flow(chain, "t") == 1
+    assert len(edge_disjoint_paths(chain, "t")) == 1
 
 
 def test_max_flow_unreachable():
     net = parse_network("source s\nsink t\nnode x\nedge s x\n")
-    assert max_flow(net, "t") == 0
+    assert edge_disjoint_paths(net, "t") == []
 
 
 def test_max_flow_requires_declared_sink(fig1):
     with pytest.raises(ValueError):
-        max_flow(fig1, "u1")
+        edge_disjoint_paths(fig1, "u1")
 
 
 def test_edge_disjoint_paths(fig1, fig3):
@@ -120,21 +113,26 @@ def test_edge_disjoint_paths_parallel_edges():
     assert paths == [(0,), (1,)]
 
 
-def test_num_phases():
-    assert num_phases(4, 2) == 2
-    assert num_phases(12, 3) == 4
-    assert num_phases(5, 2) == 3
-    with pytest.raises(ValueError):
-        num_phases(4, 0)
+def test_num_phases(fig1, fig3):
+    # ceil(n / maxflow) phases
+    assert build_schedule(fig1, 4).phases == 2
+    assert build_schedule(fig3, 12).phases == 4
+    assert build_schedule(fig1, 5).phases == 3
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            build_schedule(fig1, n)
+    with pytest.raises(TopologyError, match="unreachable"):
+        build_schedule(parse_network("source s\nsink t\nnode x\nedge s x\n"), 4)
 
 
-def test_num_phases_covers_demand():
-    for n in range(1, 20):
-        for f in range(1, 6):
-            p = num_phases(n, f)
-            assert p * f >= n
-            if n % f == 0:
-                assert p * f == n
+def test_num_phases_covers_demand(fig1, fig3):
+    # the fewest whole phases that carry n packets, padded up to a multiple of the flow
+    for net, f in ((parse_network(CHAIN), 1), (fig1, 2), (fig3, 3)):
+        for n in range(1, 20):
+            sched = build_schedule(net, n)
+            assert sched.maxflow == f and sched.requested_n == n
+            assert sched.n == sched.phases * f
+            assert n <= sched.n < n + f
 
 
 def test_build_schedule_fig1(fig1):
@@ -230,6 +228,22 @@ def non_partition_schedule(fig1):
 def test_validator_catches_problems(fig1):
     broken = non_partition_schedule(fig1)
     assert any("partition" in p for p in validate_schedule(fig1, broken))
+
+
+def test_validator_checks_requested_n(fig3):
+    # build_schedule pads a request for 10..12 packets on 3 paths up to 12.
+    text = format_schedule(fig3, build_schedule(fig3, 12))
+
+    def requesting(requested_n):
+        return parse_schedule(fig3, text.replace("requested_n 12", f"requested_n {requested_n}"))
+
+    for requested_n, flagged in ((40, True), (9, True), (10, False), (12, False)):
+        problems = validate_schedule(fig3, requesting(requested_n))
+        assert problems == ([f"requested_n={requested_n} is not in 10..12"] if flagged else [])
+    scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
+    block = SourceBlock.from_packets([bytes([i]) for i in range(12)])
+    with pytest.raises(ScheduleError, match="requested_n=40"):
+        simulate(fig3, requesting(40), scheme, block)
 
 
 def test_simulate_rejects_invalid_schedule(fig1, fig2):
@@ -387,7 +401,7 @@ def test_build_schedule_matches_exhaustive_oracle(net, n):
         cap = graph.edges[u, v]["capacity"] + 1 if graph.has_edge(u, v) else 1
         graph.add_edge(u, v, capacity=cap)
     for t in net.sinks:
-        assert max_flow(net, t) == nx.maximum_flow_value(graph, net.source, t)
+        assert len(edge_disjoint_paths(net, t)) == nx.maximum_flow_value(graph, net.source, t)
 
 
 @settings(deadline=None, max_examples=200)

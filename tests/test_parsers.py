@@ -1,4 +1,5 @@
-"""Every text and wire parser either round-trips its input or raises ParseError."""
+"""Every text and wire parser raises ParseError or returns a value that round-trips
+through its writer (the network parser has no writer)."""
 
 from types import SimpleNamespace
 
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, FIG3_TEXT, L5X12
 from xorcode import (
-    BitMatrix,
     CodedPacket,
     LatinRectangle,
+    Network,
     ParseError,
     TopologyError,
     WireFormatError,
     build_schedule,
     deserialize_packet,
     format_manifest,
-    format_network,
     format_schedule,
     parse_manifest,
     parse_network,
@@ -50,7 +50,6 @@ def manifest_text(n, k, mode, original_len, rect):
             "1 10\n1 2 3 4 5 6 7 8 9 1_0\n",
             id="rectangle-underscore-digits",
         ),
-        pytest.param(BitMatrix.from_text, "0 0\n", id="matrix-0x0"),
         pytest.param(parse_manifest, "0 0 direct 0\n0 0\n", id="manifest-0x0-rectangle"),
         pytest.param(parse_manifest, "4 3 direct -1\n" + RECT_TEXT, id="manifest-negative-length"),
         pytest.param(parse_manifest, "+4 3 direct 10\n" + RECT_TEXT, id="manifest-plus-n"),
@@ -69,6 +68,16 @@ def manifest_text(n, k, mode, original_len, rect):
             lambda text: parse_schedule(FIG3, text),
             FIG3_SCHEDULE + "sink t1\n",
             id="schedule-second-section-for-sink",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            "n 99\n" + FIG3_SCHEDULE,
+            id="schedule-second-n-header",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("maxflow 3\n", "maxflow 3\nmaxflow 3\n"),
+            id="partitions-second-maxflow-header",
         ),
         pytest.param(
             parse_schedule_partitions,
@@ -168,16 +177,6 @@ def test_fuzz_rectangle_text(text):
 
 
 @FUZZ
-@given(fuzzed("3 4\n1110\n0111\n1101\n", ["0", "1", "2", "x", "²", " ", "\n"]))
-def test_fuzz_matrix_text(text):
-    try:
-        m = BitMatrix.from_text(text)
-    except ParseError:
-        return
-    assert BitMatrix.from_text(m.to_text()) == m
-
-
-@FUZZ
 @given(fuzzed(MANIFEST, RECT_ALPHABET + ["direct", "balanced_decode", "sideways"]))
 def test_fuzz_manifest(text):
     try:
@@ -197,10 +196,9 @@ def test_fuzz_network_text(text):
     # A cycle or self-loop is well-formed text for an unsupported topology:
     # a domain error (CLI exit 1), not a parse error.
     try:
-        net = parse_network(text)
+        assert isinstance(parse_network(text), Network)
     except (ParseError, TopologyError):
-        return
-    assert parse_network(format_network(net)) == net
+        pass
 
 
 SCHEDULE_ALPHABET = ["n ", "phases ", "sink ", "path ", "s", "u1", "t1", ":", "1", "0",

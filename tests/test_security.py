@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, L5X12, ROUTING_PATHS
-from oracles import span_exposed, subset_min_eavesdrop
+from oracles import bit_matrix, span_exposed, subset_min_eavesdrop
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -126,7 +126,7 @@ def test_audit_degenerate_single_path():
 
 def test_singular_encoding_matrix_is_typed_error():
     # a caller-built scheme whose encoding matrix has no inverse
-    e = BitMatrix.from_rows([[1, 1], [1, 1]])
+    e = bit_matrix([[1, 1], [1, 1]])
     scheme = CodingScheme(2, 1, e, e, MODE_DIRECT)
     part = PathPartition.from_sequences([(1,), (2,)])
     with pytest.raises(SingularMatrixError):
