@@ -2,7 +2,7 @@
 
 Every command draws all randomness from --seed and prints it, so repeated
 invocations are byte-identical. Exit codes: 0 success, 1 domain error
-(singular design, infeasible schedule, rank deficit), 2 usage or parse error.
+(singular design, infeasible schedule, rank deficit), 2 usage, parse or file error.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         parser.error(f"-k/--rows {args.rows} exceeds -n/--packets {args.packets}")
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CodingError, ValueError) as exc:

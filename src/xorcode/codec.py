@@ -1,8 +1,9 @@
 """XOR packet coding: schemes from Latin rectangles, encode/decode, wire format.
 
-A coded packet carries its coding vector as a sorted list of source-packet
-indexes (the support of its encoding row), so sinks rebuild the decoding
-matrix from headers alone. Wire format, little-endian:
+A coded packet carries its coding vector as its encoding-row int (bit j is
+source j + 1); the wire writes it as the ascending list of 1-based source
+indexes, so sinks rebuild the decoding matrix from headers alone. Wire format,
+little-endian:
 
     u16 packet_index | u16 header_count h | h * u16 source indexes
     | u32 payload_len | payload bytes
@@ -87,21 +88,27 @@ class SourceBlock:
 
 @dataclass(frozen=True)
 class CodedPacket:
-    """One on-wire unit: index, header of source indexes, XOR payload."""
+    """One coded packet: index, coding vector (bit j is source j + 1), XOR payload."""
 
     index: int
-    header: tuple[int, ...]
+    vector: int
     payload: bytes
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("packet index must be >= 1")
-        if not self.header:
-            raise ValueError("header must not be empty")
-        if any(b < 1 for b in self.header) or any(
-            a >= b for a, b in zip(self.header, self.header[1:])
-        ):
-            raise ValueError("header indexes must be >= 1 and strictly increasing")
+        if self.vector < 1:
+            raise ValueError("coding vector must name at least one source")
+
+    @property
+    def header(self) -> tuple[int, ...]:
+        """The 1-based source indexes of the coding vector, ascending."""
+        bits = self.vector
+        # A list, not a generator: CPython 3.11 builds tuple(generator) at a
+        # guessed length, resizes it, and on release parks it in the free list
+        # of its final size, so per-packet calls pin up to ~4 MB of free tuples
+        # between full collections.
+        return tuple([j + 1 for j in range(bits.bit_length()) if (bits >> j) & 1])
 
 
 def split_payload(data: bytes, n: int) -> SourceBlock:
@@ -143,17 +150,14 @@ def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:
 
 
 def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:
-    """XOR the sources per encoding row; header = the row's support, 1-based."""
+    """XOR the sources per encoding row; each packet's vector is its row."""
     n = scheme.n
     if block.n != n:
         raise ValueError(f"block has {block.n} packets, scheme expects {n}")
     sources = [int.from_bytes(p, "little") for p in block.packets]
     rows = scheme.encode_matrix
     payloads = _xor_rows(sources, rows.row_bits, block.packet_len)
-    return [
-        CodedPacket(i + 1, tuple([j + 1 for j in rows.row_support(i)]), payload)
-        for i, payload in enumerate(payloads)
-    ]
+    return [CodedPacket(i + 1, row, p) for i, (row, p) in enumerate(zip(rows.row_bits, payloads))]
 
 
 def _xor_rows(values: list[int], rows: Sequence[int], length: int) -> list[bytes]:
@@ -186,15 +190,6 @@ def _xor_sources(sources: list[int], bits: int, acc: int) -> int:
         acc ^= sources[low.bit_length() - 1]
         bits ^= low
     return acc
-
-
-def _header_bits(packet: CodedPacket, n: int) -> int:
-    if packet.header[-1] > n:
-        raise ValueError(f"packet {packet.index} references source {packet.header[-1]} > n={n}")
-    bits = 0
-    for j in packet.header:
-        bits |= 1 << (j - 1)
-    return bits
 
 
 class Decoder:
@@ -238,8 +233,11 @@ class Decoder:
         values = self._values
         if values and len(packet.payload) != self._length:
             raise ValueError("received packets have unequal payload lengths")
+        if packet.vector >> self.n:
+            k = packet.vector.bit_length()
+            raise ValueError(f"packet {packet.index} references source {k} > n={self.n}")
         bit = 1 << len(values)
-        vec, mask = self._basis.add(_header_bits(packet, self.n), bit)
+        vec, mask = self._basis.add(packet.vector, bit)
         value = int.from_bytes(packet.payload, "little")
         if vec:
             self._length = len(packet.payload)
@@ -291,13 +289,14 @@ _PLEN = struct.Struct("<I")
 
 
 def serialize_packet(packet: CodedPacket) -> bytes:
-    if packet.index > 0xFFFF or packet.header[-1] > 0xFFFF:
+    if packet.index > 0xFFFF or packet.vector.bit_length() > 0xFFFF:
         raise ValueError("index does not fit the u16 wire format")
     if len(packet.payload) > 0xFFFFFFFF:
         raise ValueError("payload too large for the u32 wire format")
+    header = packet.header
     parts = [
-        _HEAD.pack(packet.index, len(packet.header)),
-        struct.pack(f"<{len(packet.header)}H", *packet.header),
+        _HEAD.pack(packet.index, len(header)),
+        struct.pack(f"<{len(header)}H", *header),
         _PLEN.pack(len(packet.payload)),
         packet.payload,
     ]
@@ -317,8 +316,9 @@ def deserialize_packet(buf: bytes) -> CodedPacket:
     if len(buf) < end:
         raise WireFormatError("truncated header indexes", offset=len(buf))
     header = struct.unpack_from(f"<{count}H", buf, offset)
-    if any(h < 1 for h in header) or any(a >= b for a, b in zip(header, header[1:])):
+    if header[0] < 1 or any(a >= b for a, b in zip(header, header[1:])):
         raise WireFormatError("header indexes not strictly increasing from >= 1", offset=offset)
+    vector = sum([1 << (j - 1) for j in header])
     offset = end
     if len(buf) < offset + _PLEN.size:
         raise WireFormatError("truncated payload length", offset=len(buf))
@@ -328,7 +328,7 @@ def deserialize_packet(buf: bytes) -> CodedPacket:
         raise WireFormatError("truncated payload", offset=len(buf))
     if len(buf) > offset + plen:
         raise WireFormatError("trailing bytes after payload", offset=offset + plen)
-    return CodedPacket(index=index, header=tuple(header), payload=buf[offset:offset + plen])
+    return CodedPacket(index=index, vector=vector, payload=buf[offset:offset + plen])
 
 
 def format_manifest(scheme: CodingScheme, rect: LatinRectangle, original_len: int) -> str:

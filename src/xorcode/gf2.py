@@ -94,10 +94,6 @@ class BitMatrix:
     def row_support(self, i: int) -> tuple[int, ...]:
         """Positions of the set bits of row i, ascending, 0-based."""
         bits = self.row_bits[i]
-        # A list, not a generator: CPython 3.11 builds tuple(generator) at a
-        # guessed length, resizes it, and on release parks it in the free list
-        # of its final size, so per-packet calls pin up to ~4 MB of free tuples
-        # between full collections. The library builds per-packet tuples this way.
         return tuple([j for j in range(self.cols) if (bits >> j) & 1])
 
     def is_square(self) -> bool:

@@ -44,7 +44,11 @@ class PathPartition:
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
-        return cls(tuple([frozenset(seq) for seq in seqs]))
+        sets = [(frozenset(seq), len(seq)) for seq in seqs]
+        for i, (s, size) in enumerate(sets):
+            if len(s) != size:
+                raise ValueError(f"path {i + 1} carries a packet more than once")
+        return cls(tuple([s for s, _ in sets]))
 
     def check(self, n: int):
         """Raise unless the sets partition 1..n into equal-size parts."""

@@ -388,6 +388,22 @@ def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
     assert code == 2 and "no path lines" in err
 
 
+def test_audit_repeated_packet_in_path_is_domain_error(tmp_path, capsys):
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    code, _, err = run(
+        capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", "1,1,2,2;3,3,4,4"
+    )
+    assert code == 1 and "path 1 carries a packet more than once" in err
+    sched_file = tmp_path / "schedule.txt"
+    sched_file.write_text(
+        "n 4\nrequested_n 4\nphases 4\nmaxflow 2\nsink t1\n"
+        "path s u1 t1 : 1 2 1 2\npath s u2 t1 : 3 4 3 4\n"
+    )
+    code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
+    assert code == 1 and "path 1 carries a packet more than once" in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing -n
@@ -396,6 +412,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
     rect_file = tmp_path / "rect.txt"
     rect_file.write_text(L5X12.to_text())
+    # a path that is not UTF-8 text, is a directory, or is a file where a directory goes
+    manifest = tmp_path / "manifest.bin"
+    manifest.write_bytes(b"\xff\xfe not utf-8\n")
+    code, _, err = run(capsys, "decode", "-m", str(manifest), "-o", str(tmp_path / "x"), str(rect_file))
+    assert code == 2 and err.startswith("error: ") and "utf-8" in err
+    code, _, err = run(capsys, "audit", "-r", str(tmp_path), "--partition", "1,2;3,4")
+    assert code == 2 and err.startswith("error: ") and "Is a directory" in err
+    code, _, err = run(capsys, "gen", "-n", "4", "-o", str(rect_file))
+    assert code == 2 and err.startswith("error: ") and "File exists" in err
     sched_file = tmp_path / "schedule.txt"
     fig3 = parse_network(FIG3_TEXT)
     sched_file.write_text(format_schedule(fig3, build_schedule(fig3, 12)))

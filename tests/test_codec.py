@@ -232,8 +232,8 @@ def test_decode_needs_full_rank():
 
 def test_decode_reports_recoverable_indexes():
     packets = [
-        CodedPacket(1, (1,), b"x"),
-        CodedPacket(2, (2, 3), b"y"),
+        CodedPacket(1, 0b001, b"x"),
+        CodedPacket(2, 0b110, b"y"),
     ]
     with pytest.raises(PartialDecodeError) as exc:
         decode(packets, 3)
@@ -244,7 +244,7 @@ def test_decode_integrity_error():
     s = make_scheme(EXAMPLE_RECT, MODE_DIRECT)
     block = SourceBlock.from_packets([b"ab", b"cd", b"ef", b"gh"])
     packets = encode(s, block)
-    bad = CodedPacket(packets[0].index, packets[0].header, b"!!")
+    bad = CodedPacket(packets[0].index, packets[0].vector, b"!!")
     with pytest.raises(PacketIntegrityError):
         decode(packets + [bad], 4)
     # a true duplicate is redundant, not inconsistent
@@ -267,18 +267,17 @@ def received_packets(draw):
     for extra in range(draw(st.integers(0, 4))):
         # Distinct rows of an invertible E are independent, so the XOR is never empty.
         picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
-        header_bits, payload = 0, bytes(len(coded[0].payload))
+        vector, payload = 0, bytes(len(coded[0].payload))
         for i in picks:
-            header_bits ^= scheme.encode_matrix.row_bits[i]
+            vector ^= scheme.encode_matrix.row_bits[i]
             payload = bytes(a ^ b for a, b in zip(payload, coded[i].payload))
         index = picks[0] + 1 if len(picks) == 1 else n + 1 + extra
-        header = tuple(j + 1 for j in range(n) if (header_bits >> j) & 1)
-        packets.insert(draw(st.integers(0, len(packets))), CodedPacket(index, header, payload))
+        packets.insert(draw(st.integers(0, len(packets))), CodedPacket(index, vector, payload))
     corrupt = draw(st.lists(st.integers(0, len(packets) - 1), max_size=2)) if packets else []
     for pos in corrupt:
         p = packets[pos]
         flipped = bytes([p.payload[0] ^ draw(st.integers(1, 255))]) + p.payload[1:]
-        packets[pos] = CodedPacket(p.index, p.header, flipped)
+        packets[pos] = CodedPacket(p.index, p.vector, flipped)
     return packets, n
 
 
@@ -302,16 +301,16 @@ def test_decoder_counts_rank_and_redundant_packets():
     block = SourceBlock.from_packets([b"ab", b"cd", b"ef", b"gh"])
     p1, p2, p3, p4 = encode(s, block)
     # headers (1,2,3) xor (2,3,4) = (1,4), carrying the XOR of their payloads
-    combo = CodedPacket(5, (1, 4), xor(p1.payload, p2.payload))
+    combo = CodedPacket(5, 0b1001, xor(p1.payload, p2.payload))
     dec = Decoder(4)
     steps = [dec.add(p) for p in (p1, p2, p1, combo)]
     assert steps == [True, True, False, False]
     assert (dec.rank, dec.redundant) == (2, 2)
     assert dec.recoverable == frozenset()
     with pytest.raises(PacketIntegrityError, match="packet 5 is linearly dependent"):
-        dec.add(CodedPacket(5, (1, 4), xor(p1.payload, p3.payload)))
+        dec.add(CodedPacket(5, 0b1001, xor(p1.payload, p3.payload)))
     with pytest.raises(PacketIntegrityError, match="packet 2 is linearly dependent"):
-        dec.add(CodedPacket(2, p2.header, b"!!"))
+        dec.add(CodedPacket(2, p2.vector, b"!!"))
     assert (dec.rank, dec.redundant) == (2, 4)
     with pytest.raises(PartialDecodeError):
         dec.block()
@@ -333,7 +332,7 @@ def test_decodable_indexes_examples():
     block = SourceBlock.from_packets([b"a", b"b", b"c", b"d"])
     packets = encode(s, block)
     assert recoverable_after(packets, 4) == frozenset({1, 2, 3, 4})
-    assert recoverable_after([CodedPacket(1, (5,), b"z")], 6) == frozenset({5})
+    assert recoverable_after([CodedPacket(1, 0b10000, b"z")], 6) == frozenset({5})
 
 
 def test_decodable_indexes_two_paths_of_routing_leak_nothing():
@@ -366,6 +365,7 @@ def test_header_matches_encode_row_support():
             block = SourceBlock.from_packets([rng.randbytes(2) for _ in range(n)])
             for i, p in enumerate(encode(s, block)):
                 assert p.header == tuple(j + 1 for j in s.encode_matrix.row_support(i))
+                assert p.vector == s.encode_matrix.row_bits[p.index - 1]
 
 
 def test_decodable_indexes_monotone():
@@ -386,7 +386,7 @@ def test_decodable_indexes_monotone():
 
 
 def test_serialize_documented_bytes():
-    p = CodedPacket(index=1, header=(1, 2, 3), payload=b"AB")
+    p = CodedPacket(index=1, vector=0b111, payload=b"AB")
     assert serialize_packet(p) == bytes.fromhex("0100 0300 0100 0200 0300 02000000 4142".replace(" ", ""))
 
 
@@ -394,13 +394,26 @@ def test_serialize_roundtrip_fuzz():
     rng = random.Random(4)
     for _ in range(200):
         n = rng.randint(1, 40)
-        header = tuple(sorted(rng.sample(range(1, 200), n)))
-        p = CodedPacket(rng.randint(1, 500), header, rng.randbytes(rng.randint(0, 64)))
+        vector = sum(1 << (j - 1) for j in rng.sample(range(1, 200), n))
+        p = CodedPacket(rng.randint(1, 500), vector, rng.randbytes(rng.randint(0, 64)))
         assert deserialize_packet(serialize_packet(p)) == p
 
 
+def test_packet_range_checks():
+    with pytest.raises(ValueError, match="packet index must be >= 1"):
+        CodedPacket(0, 0b1, b"x")
+    with pytest.raises(ValueError, match="coding vector must name at least one source"):
+        CodedPacket(1, 0, b"x")
+    with pytest.raises(ValueError, match="references source 5 > n=4"):
+        decode([CodedPacket(1, 0b10001, b"x")], 4)
+    serialize_packet(CodedPacket(0xFFFF, 1 << 0xFFFE, b""))
+    for index, vector in ((0x10000, 0b1), (1, 1 << 0xFFFF)):
+        with pytest.raises(ValueError, match="does not fit the u16 wire format"):
+            serialize_packet(CodedPacket(index, vector, b""))
+
+
 def test_deserialize_errors():
-    p = CodedPacket(index=2, header=(1, 4), payload=b"xyz")
+    p = CodedPacket(index=2, vector=0b1001, payload=b"xyz")
     buf = serialize_packet(p)
     with pytest.raises(WireFormatError):
         deserialize_packet(buf[:-1])

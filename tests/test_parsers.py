@@ -142,7 +142,7 @@ def test_malformed_text_raises_parse_error(parse, text):
 
 
 def test_packet_index_zero_is_wire_format_error():
-    buf = serialize_packet(CodedPacket(index=1, header=(1, 2), payload=b"ab"))
+    buf = serialize_packet(CodedPacket(index=1, vector=0b11, payload=b"ab"))
     with pytest.raises(WireFormatError):
         deserialize_packet(b"\x00\x00" + buf[2:])
 
@@ -215,7 +215,7 @@ def test_fuzz_schedule_text(text):
     assert parse_schedule(FIG3, format_schedule(FIG3, sched)) == sched
 
 
-VALID_PACKET = serialize_packet(CodedPacket(index=3, header=(1, 4, 9), payload=b"payload"))
+VALID_PACKET = serialize_packet(CodedPacket(index=3, vector=0b100001001, payload=b"payload"))
 
 
 @st.composite

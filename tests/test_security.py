@@ -54,6 +54,9 @@ def test_partition_validation():
         PathPartition.from_sequences([(1, 2), (3,)]).check(3)
     with pytest.raises(ValueError):
         PathPartition.from_sequences([(1, 2), (3, 5)]).check(4)
+    # a packet repeated within one path is not merged into one entry
+    with pytest.raises(ValueError, match="path 2 carries a packet more than once"):
+        PathPartition.from_sequences([(1, 2), (3, 3, 4)])
 
 
 def test_check_condition_routing_example():
