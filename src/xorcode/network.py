@@ -224,46 +224,31 @@ class Schedule:
 
 
 def _canonical_subsets(
-    avail: Sequence[int], fresh: set[int], p: int
+    plain: Sequence[int], top: int, free: int, p: int
 ) -> Iterator[tuple[int, ...]]:
-    """Ascending p-subsets of avail in lexicographic order that use only the lowest fresh packets.
+    """Ascending p-subsets of plain + top+1..top+free, in lexicographic order.
 
-    Fresh packets are interchangeable, so a subset that skips a fresh packet
-    takes no higher fresh one. A position is picked only if the subset can
-    still be completed, so each next subset costs O(p * len(avail)) at most.
+    plain holds ascending packets up to top. The unused packets
+    top+1..top+free are interchangeable and exceed every plain packet, so a
+    candidate is some plain picks completed by top+1, top+2, .... An
+    extension of the picks sorts before the candidate it extends, so the
+    candidates come from a post-order walk over the picks. A pick is made
+    only if the candidate can still be completed.
     """
-    size = len(avail)
-    fresh_before = [0] * (size + 1)  # fresh packets in avail[:i]
-    for i, x in enumerate(avail):
-        fresh_before[i + 1] = fresh_before[i] + (x in fresh)
-    plain_from = [size - i - (fresh_before[size] - fresh_before[i]) for i in range(size + 1)]
-
-    picked: list[int] = []  # indexes into avail
-    fresh_picked = 0
+    need = p - free  # fewest plain picks a candidate can have
+    unused = list(range(top + 1, top + 1 + p))
+    picked: list[int] = []  # indexes into plain
     i = 0
     while True:
-        need = p - len(picked)
-        for j in range(i, size - need + 1):
-            no_skip = fresh_before[j] == fresh_picked
-            if avail[j] in fresh:
-                if no_skip:
-                    break
-            elif no_skip or plain_from[j + 1] >= need - 1:
-                break
-        else:
-            if not picked:
-                return
-            j = picked.pop()
-            fresh_picked -= avail[j] in fresh
-            i = j + 1
+        if i < len(plain) and len(picked) < p and len(picked) + len(plain) - i >= need:
+            picked.append(i)
+            i += 1
             continue
-        picked.append(j)
-        fresh_picked += avail[j] in fresh
-        i = j + 1
-        if len(picked) == p:
-            yield tuple([avail[t] for t in picked])
-            picked.pop()
-            fresh_picked -= avail[j] in fresh
+        if len(picked) >= need:
+            yield tuple([plain[t] for t in picked] + unused[: p - len(picked)])
+        if not picked:
+            return
+        i = picked.pop() + 1
 
 
 def build_schedule(net: Network, n: int) -> Schedule:
@@ -275,8 +260,9 @@ def build_schedule(net: Network, n: int) -> Schedule:
     one class is rejected at once. Classes are then given ascending p-packet
     sequences in order of first appearance (sinks in input order, paths in
     order), disjoint from every assigned class that shares a sink with them,
-    by depth-first search in lexicographic order. Unused packets are
-    interchangeable, so only the lowest of them are tried. The result is the
+    by depth-first search in lexicographic order. The packets in use are
+    always 1..top, and unused packets are interchangeable, so only the
+    lowest of them, top+1, top+2, ..., are tried. The result is the
     lexicographically first valid labelling of the sinks' (path, phase) slots.
     Raises if sinks disagree on max flow or no consistent assignment exists.
     """
@@ -325,21 +311,23 @@ def build_schedule(net: Network, n: int) -> Schedule:
                 neighbours[c] = set()
             neighbours[c].update(x for x in classes if x != c)
 
-    # Depth-first search with one lazy candidate generator per class on the branch;
-    # holders[x] counts the assigned classes that carry packet x.
+    # Depth-first search with one lazy candidate generator per class on the branch.
+    # The assigned classes hold exactly packets 1..tops[k]: if they hold 1..m
+    # before a push, no neighbour holds a packet above m, so the new class takes
+    # the lowest of those, m+1..m+j; a pop restores the state before its push.
     seqs: dict[int, tuple[int, ...]] = {}
-    holders = [0] * (padded + 1)
+    tops = [0]
     pending: list[Iterator[tuple[int, ...]]] = []
     k = 0
     while k < len(order):
         c = order[k]
         if k == len(pending):
             taken = {x for nb in neighbours[c] if nb in seqs for x in seqs[nb]}
-            avail = [x for x in range(1, padded + 1) if x not in taken]
-            pending.append(_canonical_subsets(avail, {x for x in avail if not holders[x]}, p))
+            plain = [x for x in range(1, tops[k] + 1) if x not in taken]
+            pending.append(_canonical_subsets(plain, tops[k], padded - tops[k], p))
         else:
-            for x in seqs.pop(c):
-                holders[x] -= 1
+            del seqs[c]
+            tops.pop()
         seq = next(pending[k], None)
         if seq is None:
             pending.pop()
@@ -351,8 +339,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
                 )
             continue
         seqs[c] = seq
-        for x in seq:
-            holders[x] += 1
+        tops.append(max(tops[k], seq[-1]))
         k += 1
     return Schedule(
         n=padded,
@@ -384,7 +371,6 @@ def validate_schedule(net: Network, sched: Schedule) -> list[str]:
     if not (len(sched.paths) == len(sched.assignment) == len(sched.sinks)):
         problems.append("per-sink path/assignment shape mismatch")
         return problems
-    full = set(range(1, sched.n + 1))
     for si, sink in enumerate(sched.sinks):
         paths = sched.paths[si]
         if len(paths) != sched.maxflow:
@@ -414,7 +400,7 @@ def validate_schedule(net: Network, sched: Schedule) -> list[str]:
             if len(seq) != sched.phases:
                 problems.append(f"sink {sink} path {j + 1}: {len(seq)} phases, expected {sched.phases}")
             flat.extend(seq)
-        if sorted(flat) != sorted(full):
+        if len(flat) != sched.n or sorted(flat) != list(range(1, sched.n + 1)):
             problems.append(f"sink {sink}: packet sets do not partition 1..{sched.n}")
     carried: dict[tuple[int, int], tuple[str, int]] = {}
     for si, sink in enumerate(sched.sinks):

@@ -300,6 +300,18 @@ def header_phases_to_decode(scheme: CodingScheme, per_phase: Sequence[Sequence[i
     return None
 
 
+def lowest_unused_subsets(
+    plain: Sequence[int], top: int, free: int, p: int
+) -> list[tuple[int, ...]]:
+    """Every p-combination of plain + top+1..top+free whose packets above top are top+1..top+j."""
+    unused = list(range(top + 1, top + free + 1))
+    return [
+        combo
+        for combo in combinations(list(plain) + unused, p)
+        if [x for x in combo if x > top] == unused[: sum(x > top for x in combo)]
+    ]
+
+
 def exhaustive_schedule(net: Network, n: int) -> Schedule:
     """Cell-by-cell packet labelling search: the lexicographically first valid schedule.
 

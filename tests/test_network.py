@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, FIG1_TEXT, FIG2_TEXT, FIG3_TEXT, TABLE1_SCHEDULE, L5X12
-from oracles import exhaustive_schedule, header_phases_to_decode
+from oracles import exhaustive_schedule, header_phases_to_decode, lowest_unused_subsets
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -35,6 +37,7 @@ from xorcode import (
     split_upper,
     validate_schedule,
 )
+from xorcode.network import _canonical_subsets
 
 CHAIN = "source s\nsink t\nedge s a\nedge a t\n"
 
@@ -246,6 +249,24 @@ def test_validator_checks_requested_n(fig3):
         simulate(fig3, requesting(40), scheme, block)
 
 
+def test_validator_cost_follows_the_schedule_not_its_n_header():
+    # A 71-byte schedule that claims a million packets: the partition check
+    # must not build or sort 1..n to find that one packet is not n of them.
+    net = parse_network(CHAIN)
+    text = "n 1000000\nrequested_n 1000000\nphases 1\nmaxflow 1\nsink t\npath s a t : 1\n"
+    tracemalloc.start()
+    try:
+        problems = validate_schedule(net, parse_schedule(net, text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == [
+        "n=1000000 is not phases*maxflow=1",
+        "sink t: packet sets do not partition 1..1000000",
+    ]
+    assert peak < 1 << 20
+
+
 def test_simulate_rejects_invalid_schedule(fig1, fig2):
     # simulate decodes one sink's packets for all sinks, which only a valid
     # schedule (every sink receives 1..n) makes sound.
@@ -348,6 +369,39 @@ def test_build_schedule_rejects_paths_joined_through_other_sink():
     net = parse_network(JOINED_BY_OTHER_SINK)
     with pytest.raises(ScheduleError, match="two paths of sink t1"):
         build_schedule(net, 4)
+
+
+# s feeds relays a, b, e, f, g, c, d; t0 reads a b c d, t1 e f g d, t2 f g c d.
+# Class e must equal class c, its last candidate, so the search backtracks
+# through every earlier candidate of e.
+SEVEN_RELAYS = (
+    "source s\nsink t0\nsink t1\nsink t2\n"
+    + "".join(f"edge s {r}\n" for r in "abefgcd")
+    + "".join(f"edge {r} {t}\n" for t, rs in (("t0", "abcd"), ("t1", "efgd"), ("t2", "fgcd")) for r in rs)
+)
+
+
+@pytest.mark.parametrize(
+    ("n", "digest"),
+    [
+        (12, "807aa569c07516babbdfad0cbc485ba6b7d6f1e2b72b52d53e8669f6cec9d2d5"),
+        (16, "4d7b05c795456ac6c604f458cc2619ad1fde5ad5d1f7e1cbb606c8e0e7e41b42"),
+    ],
+)
+def test_build_schedule_backtracking_golden(n, digest):
+    # Beyond the exhaustive oracle's reach; any change in candidate order fails here.
+    net = parse_network(SEVEN_RELAYS)
+    text = format_schedule(net, build_schedule(net, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=500)
+@given(st.lists(st.booleans(), max_size=9), st.integers(0, 6), st.integers(0, 7))
+def test_canonical_subsets_match_oracle(keep, free, p):
+    # plain is any subset of 1..top; its packets are the held ones no neighbour took.
+    top = len(keep)
+    plain = [x for x, kept in zip(range(1, top + 1), keep) if kept]
+    assert list(_canonical_subsets(plain, top, free, p)) == lowest_unused_subsets(plain, top, free, p)
 
 
 @st.composite
