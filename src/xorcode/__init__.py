@@ -38,7 +38,6 @@ from .latin import (
     is_balanced,
     jm_generate,
     split_upper,
-    validate,
 )
 from .network import (
     Network,

@@ -1,4 +1,4 @@
-"""Latin squares and rectangles: validation, random sampling, block incidence.
+"""Latin squares and rectangles: a checked type, random sampling, block incidence.
 
 Symbols are 1..n. The block-incidence matrix of a k x n rectangle is the
 n x n 0-1 matrix whose row j marks the symbols appearing in column j. It is
@@ -17,7 +17,8 @@ from .gf2 import BitMatrix, determinant
 
 @dataclass(frozen=True)
 class LatinRectangle:
-    """k x n array of symbols in 1..n; construction checks shape only, see validate()."""
+    """k x n array, valid by construction: every row is a permutation of 1..n
+    (n the length of row 0) and no column repeats a symbol, so k <= n."""
 
     cells: tuple[tuple[int, ...], ...]
 
@@ -25,10 +26,13 @@ class LatinRectangle:
         if not self.cells or not self.cells[0]:
             raise ValueError("rectangle must have at least one row and one column")
         n = len(self.cells[0])
-        if any(len(row) != n for row in self.cells):
-            raise ValueError("rows have unequal lengths")
-        if len(self.cells) > n:
-            raise ValueError("rectangle cannot have more rows than columns")
+        symbols = set(range(1, n + 1))
+        for i, row in enumerate(self.cells, 1):
+            if len(row) != n or set(row) != symbols:
+                raise ValueError(f"not a Latin rectangle: row {i} is not a permutation of 1..{n}")
+        for j, col in enumerate(zip(*self.cells), 1):
+            if len(set(col)) != len(col):
+                raise ValueError(f"not a Latin rectangle: column {j} repeats a symbol")
 
     @property
     def k(self) -> int:
@@ -64,21 +68,10 @@ class LatinRectangle:
             if not all(t.isdecimal() for t in toks):
                 raise ParseError(f"non-integer entry in row {i + 1}: {line!r}")
             rows.append(tuple(int(t) for t in toks))
-        return cls(tuple(rows))
-
-
-def validate(rect: LatinRectangle) -> bool:
-    """True iff every row is a permutation of 1..n and no column repeats a symbol."""
-    n = rect.n
-    full = set(range(1, n + 1))
-    for row in rect.cells:
-        if set(row) != full:
-            return False
-    for j in range(n):
-        col = [row[j] for row in rect.cells]
-        if len(set(col)) != len(col):
-            return False
-    return True
+        try:
+            return cls(tuple(rows))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
 
 def split_upper(square: LatinRectangle, k: int) -> LatinRectangle:
@@ -90,8 +83,6 @@ def split_upper(square: LatinRectangle, k: int) -> LatinRectangle:
 
 def block_incidence(rect: LatinRectangle) -> BitMatrix:
     """n x n matrix whose row j marks the symbols of column j of the rectangle."""
-    if not validate(rect):
-        raise ValueError("not a valid Latin rectangle")
     n = rect.n
     bits = []
     for j in range(n):

@@ -435,8 +435,6 @@ def format_schedule(net: Network, sched: Schedule) -> str:
 
 
 def _resolve_path(net: Network, names: list[str], taken: set[int]) -> tuple[int, ...]:
-    if len(names) < 2:
-        raise ParseError(f"path needs at least two nodes: {names!r}")
     out_ = net.adjacency[0]
     path = []
     for a, b in zip(names, names[1:]):
@@ -486,9 +484,12 @@ def _parse_schedule_lines(
             # Packet tokens are decimal, so the last ':' ends the node names
             # even when a node is itself named ':'.
             sep = len(toks) - 1 - toks[::-1].index(":")
+            names = toks[1:sep]
+            if len(names) < 2:
+                raise ParseError(f"line {lineno}: path needs at least two nodes: {names!r}")
             if not all(t.isdecimal() and int(t) > 0 for t in toks[sep + 1:]):
                 raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
-            rows.append((toks[1:sep], tuple(int(t) for t in toks[sep + 1:])))
+            rows.append((names, tuple(int(t) for t in toks[sep + 1:])))
         else:
             raise ParseError(f"line {lineno}: bad directive {line!r}")
     for key in _SCHEDULE_HEADERS:
@@ -565,8 +566,6 @@ def simulate(
         raise ScheduleError("invalid schedule: " + "; ".join(problems))
     if scheme.n != sched.n:
         raise ValueError(f"scheme carries {scheme.n} packets, schedule delivers {sched.n}")
-    if block.n != scheme.n:
-        raise ValueError(f"block has {block.n} packets, scheme expects {scheme.n}")
     coded = encode(scheme, block)
     received = [
         tuple([tuple([seq[phase] for seq in paths]) for phase in range(sched.phases)])

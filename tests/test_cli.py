@@ -242,6 +242,23 @@ def test_format_schedule_golden(name):
     assert format_schedule(net, build_schedule(net, n)) == expected
 
 
+def test_simulate_with_rectangle_file(tmp_path, capsys):
+    # The README's network and design.
+    design = tmp_path / "design"
+    assert run(capsys, "gen", "-n", "12", "-k", "5", "--seed", "3", "-o", str(design))[0] == 0
+    net_file = tmp_path / "net.txt"
+    net_file.write_text(FIG3_TEXT)
+    args = ["simulate", "--network", str(net_file), "-o", str(tmp_path / "sim"), "--rectangle"]
+    code, stdout, _ = run(capsys, *args, str(design / "rectangle.txt"), "-n", "12")
+    assert code == 0 and "summary sinks=2 decoded=2" in stdout
+    code, _, err = run(capsys, *args, str(design / "rectangle.txt"), "-n", "6")
+    assert code == 1 and "scheme carries 12 packets, schedule delivers 6" in err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\n1 2\n1 2\n")
+    code, _, err = run(capsys, *args, str(bad), "-n", "12")
+    assert code == 2 and err.startswith("error: ") and "column 1 repeats" in err
+
+
 def test_simulate_fig2(tmp_path, capsys):
     net_file = tmp_path / "net.txt"
     net_file.write_text(FIG2_TEXT)
@@ -386,6 +403,11 @@ def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
     sched_file.write_text("n 4\nrequested_n 4\nphases 2\nmaxflow 2\nsink t1\n")
     code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
     assert code == 2 and "no path lines" in err
+    sched_file.write_text(
+        "n 4\nrequested_n 4\nphases 2\nmaxflow 2\nsink t1\npath : 1 2\npath s : 3 4\n"
+    )
+    code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
+    assert code == 2 and "line 6: path needs at least two nodes" in err
 
 
 def test_audit_repeated_packet_in_path_is_domain_error(tmp_path, capsys):
@@ -457,6 +479,29 @@ def test_empty_rectangle_file_is_parse_error(tmp_path, capsys):
         capsys, "encode", "-r", str(rect_file), "-i", str(data), "-o", str(tmp_path)
     )
     assert code == 2 and "rectangle" in err
+
+
+def test_non_latin_rectangle_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 4\n1 2 3 4\n1 2 3 4\n")
+    data = tmp_path / "msg.bin"
+    data.write_bytes(b"hello")
+    for args in (
+        ["encode", "-r", str(bad), "-i", str(data), "-o", str(tmp_path / "coded")],
+        ["audit", "-r", str(bad), "--partition", "1,2;3,4"],
+    ):
+        code, _, err = run(capsys, *args)
+        assert code == 2 and err.startswith("error: ") and "column 1 repeats" in err, args
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    coded = tmp_path / "coded"
+    assert run(capsys, "encode", "-r", str(rect_file), "-i", str(data), "-o", str(coded))[0] == 0
+    manifest = coded / "manifest.txt"
+    first, second = (" ".join(map(str, row)) for row in EXAMPLE_RECT.cells[:2])
+    manifest.write_text(manifest.read_text().replace(second, first))  # row 1 twice
+    packets = sorted(str(p) for p in coded.glob("packet_*.bin"))
+    code, _, err = run(capsys, "decode", "-m", str(manifest), "-o", str(tmp_path / "out"), *packets)
+    assert code == 2 and err.startswith("error: ") and "column 1 repeats" in err
 
 
 def test_bad_network_file_is_parse_error(tmp_path, capsys):

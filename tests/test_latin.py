@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_M_ROWS, EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, L5X12
-from oracles import bit_matrix, mat_mul, reference_jm_generate, transpose
+from oracles import (
+    bit_matrix,
+    enumerate_latin_squares,
+    mat_mul,
+    reference_jm_generate,
+    transpose,
+)
 from xorcode import (
     BitMatrix,
     DesignSearchError,
@@ -19,16 +25,46 @@ from xorcode import (
     is_balanced,
     jm_generate,
     split_upper,
-    validate,
 )
 
 
 def test_validate_examples():
-    assert validate(EXAMPLE_SQUARE)
-    assert validate(L5X12)
-    assert not validate(LatinRectangle(((1, 2), (1, 2))))
-    assert not validate(LatinRectangle(((1, 1),)))
-    assert not validate(LatinRectangle(((1, 3),)))  # 3 is out of range for n=2
+    # The Latin check lives in the constructor: valid arrays construct, invalid ones raise.
+    assert LatinRectangle(EXAMPLE_SQUARE.cells) == EXAMPLE_SQUARE
+    assert LatinRectangle(L5X12.cells) == L5X12
+    with pytest.raises(ValueError, match="column 1 repeats"):
+        LatinRectangle(((1, 2), (1, 2)))
+    with pytest.raises(ValueError, match="row 1 is not a permutation"):
+        LatinRectangle(((1, 1),))
+    with pytest.raises(ValueError, match="row 1 is not a permutation"):
+        LatinRectangle(((1, 3),))  # 3 is out of range for n=2
+
+
+ORDER_4_SQUARES = enumerate_latin_squares(4)
+# Every Latin rectangle extends to a square by adding rows below it, so the
+# k-row prefixes of the 576 order-4 squares are all the k x 4 rectangles.
+ORDER_4_PREFIXES = {sq[:k] for sq in ORDER_4_SQUARES for k in range(1, 5)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_constructor_accepts_exactly_the_latin_prefixes(data):
+    k = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        # Permutation rows drawn independently: only the column rule can fail.
+        rows = [list(data.draw(st.permutations(range(1, 5)))) for _ in range(k)]
+    else:
+        rows = [list(row) for row in data.draw(st.sampled_from(ORDER_4_SQUARES))[:k]]
+        if data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, k - 1))][data.draw(st.integers(0, 3))] = data.draw(
+                st.integers(0, 5)
+            )
+    cells = tuple(tuple(row) for row in rows)
+    if cells in ORDER_4_PREFIXES:
+        assert LatinRectangle(cells).cells == cells
+    else:
+        with pytest.raises(ValueError):
+            LatinRectangle(cells)
 
 
 def test_rectangle_shape_errors():
@@ -36,12 +72,13 @@ def test_rectangle_shape_errors():
         LatinRectangle(((1, 2), (2, 1), (1, 2)))  # more rows than columns
     with pytest.raises(ValueError):
         LatinRectangle(((1, 2), (1,)))
+    with pytest.raises(ValueError):
+        LatinRectangle(((1, 2), (2, 1, 1)))  # holds the symbols 1..n but is too long
 
 
 def test_split_upper():
     r = split_upper(EXAMPLE_SQUARE, 3)
     assert r.cells == ((2, 4, 1, 3), (1, 3, 2, 4), (3, 2, 4, 1))
-    assert validate(r)
     assert split_upper(EXAMPLE_SQUARE, 4) == EXAMPLE_SQUARE
     assert split_upper(EXAMPLE_SQUARE, 1).k == 1
     with pytest.raises(ValueError):
@@ -69,6 +106,7 @@ def test_block_incidence_l5x12_supports():
 
 
 def test_block_incidence_rejects_invalid():
+    # A non-Latin array never reaches block_incidence: the constructor raises first.
     with pytest.raises(ValueError):
         block_incidence(LatinRectangle(((1, 2), (1, 2))))
 
@@ -119,7 +157,7 @@ def test_odd_rows_not_sufficient():
 
 def test_jm_trivial_orders():
     assert jm_generate(1).cells == ((1,),)
-    assert validate(jm_generate(2, seed=3))
+    assert jm_generate(2, seed=3).n == 2
     with pytest.raises(ValueError):
         jm_generate(0)
 
@@ -128,7 +166,7 @@ def test_jm_always_valid():
     count = 0
     for n in range(2, 11):
         for seed in range(112):
-            assert validate(jm_generate(n, seed=seed, moves=2 * n * n))
+            jm_generate(n, seed=seed, moves=2 * n * n)  # the constructor checks it
             count += 1
     assert count >= 1000
 

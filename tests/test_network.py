@@ -324,10 +324,10 @@ def test_simulate_rejects_mismatch(fig1):
     sched = build_schedule(fig1, 4)
     rect = split_upper(EXAMPLE_SQUARE, 3)
     scheme = make_scheme(rect, MODE_DIRECT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block has 5 packets, scheme expects 4"):
         simulate(fig1, sched, scheme, SourceBlock.from_packets([b"x"] * 5))
     bad = build_schedule(fig1, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scheme carries 4 packets, schedule delivers 6"):
         simulate(fig1, bad, scheme, SourceBlock.from_packets([b"x"] * 4))
 
 

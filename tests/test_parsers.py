@@ -50,7 +50,15 @@ def manifest_text(n, k, mode, original_len, rect):
             "1 10\n1 2 3 4 5 6 7 8 9 1_0\n",
             id="rectangle-underscore-digits",
         ),
+        pytest.param(LatinRectangle.from_text, "2 2\n1 2\n1 2\n", id="rectangle-column-repeats"),
+        pytest.param(LatinRectangle.from_text, "1 2\n1 1\n", id="rectangle-row-repeats"),
+        pytest.param(LatinRectangle.from_text, "1 2\n1 3\n", id="rectangle-symbol-above-n"),
         pytest.param(parse_manifest, "0 0 direct 0\n0 0\n", id="manifest-0x0-rectangle"),
+        pytest.param(
+            parse_manifest,
+            "4 2 direct 10\n2 4\n2 4 1 3\n2 4 1 3\n",
+            id="manifest-rectangle-repeats-a-row",
+        ),
         pytest.param(parse_manifest, "4 3 direct -1\n" + RECT_TEXT, id="manifest-negative-length"),
         pytest.param(parse_manifest, "+4 3 direct 10\n" + RECT_TEXT, id="manifest-plus-n"),
         pytest.param(parse_manifest, "4 -3 direct 10\n" + RECT_TEXT, id="manifest-minus-k"),
@@ -88,6 +96,16 @@ def manifest_text(n, k, mode, original_len, rect):
             parse_schedule_partitions,
             FIG3_SCHEDULE.replace("path s u1 t1 :", "path s u1 t1"),
             id="partitions-path-missing-colon",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u1 t1 :", "path :"),
+            id="partitions-path-without-nodes",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("path s u2 t1 :", "path s :"),
+            id="partitions-path-with-one-node",
         ),
         pytest.param(
             parse_schedule_partitions,
