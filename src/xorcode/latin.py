@@ -17,8 +17,8 @@ from .gf2 import BitMatrix, determinant
 
 @dataclass(frozen=True)
 class LatinRectangle:
-    """k x n array, valid by construction: every row is a permutation of 1..n
-    (n the length of row 0) and no column repeats a symbol, so k <= n."""
+    """k x n array of ints, valid by construction: every row is a permutation
+    of 1..n (n the length of row 0) and no column repeats a symbol, so k <= n."""
 
     cells: tuple[tuple[int, ...], ...]
 
@@ -30,6 +30,8 @@ class LatinRectangle:
         for i, row in enumerate(self.cells, 1):
             if len(row) != n or set(row) != symbols:
                 raise ValueError(f"not a Latin rectangle: row {i} is not a permutation of 1..{n}")
+            if any(type(v) is not int for v in row):
+                raise ValueError(f"not a Latin rectangle: row {i} holds a non-int entry")
         for j, col in enumerate(zip(*self.cells), 1):
             if len(set(col)) != len(col):
                 raise ValueError(f"not a Latin rectangle: column {j} repeats a symbol")

@@ -201,13 +201,32 @@ def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
     return (net.edges[path[0]][0],) + tuple(net.edges[eid][1] for eid in path)
 
 
+def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions) -> None:
+    """Raise ValueError unless the headers agree and each (sink, sequences) pair
+    has maxflow sequences of phases packets, checked before they partition 1..n."""
+    if maxflow < 1 or phases < 1:
+        raise ValueError("non-positive maxflow or phase count")
+    if n != phases * maxflow:
+        raise ValueError(f"n={n} is not phases*maxflow={phases * maxflow}")
+    # build_schedule pads the request up to the next multiple of maxflow.
+    if not n - maxflow < requested_n <= n:
+        raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
+    for sink, seqs in partitions:
+        if len(seqs) != maxflow or any(len(seq) != phases for seq in seqs):
+            raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
+        if sorted([x for seq in seqs for x in seq]) != list(range(1, n + 1)):
+            raise ValueError(f"sink {sink}: packet sets do not partition 1..{n}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Per-sink edge-disjoint paths with one packet index per path per phase.
 
     ``n`` is the delivered packet count; when the requested count is not a
     multiple of the max flow it is padded up, and ``requested_n`` keeps the
-    original value.
+    original value. Valid by construction: the headers and sequences pass
+    ``_check_partitions``, each sink's paths are non-empty, and paths through
+    one edge carry one sequence, so a sink's paths are edge-disjoint.
     """
 
     n: int
@@ -217,6 +236,21 @@ class Schedule:
     sinks: tuple[str, ...]
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     assignment: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self):
+        if not len(self.paths) == len(self.assignment) == len(self.sinks):
+            raise ValueError("per-sink path/assignment shape mismatch")
+        header = (self.n, self.requested_n, self.phases, self.maxflow)
+        _check_partitions(*header, zip(self.sinks, self.assignment))
+        carried: dict[int, tuple[str, tuple[int, ...]]] = {}  # edge -> first (sink, sequence)
+        for sink, paths, seqs in zip(self.sinks, self.paths, self.assignment):
+            if len(paths) != len(seqs) or not all(paths):
+                raise ValueError(f"sink {sink}: needs {len(seqs)} non-empty paths")
+            for path, seq in zip(paths, seqs):
+                for e in path:
+                    t, carries = carried.setdefault(e, (sink, seq))
+                    if carries != seq:
+                        raise ValueError(f"edge {e} carries {carries} for {t}, {seq} for {sink}")
 
     @property
     def padding(self) -> int:
@@ -353,68 +387,21 @@ def build_schedule(net: Network, n: int) -> Schedule:
 
 
 def validate_schedule(net: Network, sched: Schedule) -> list[str]:
-    """Independent invariant check; returns a list of problems (empty = valid)."""
+    """Why a schedule does not fit a network (empty if it does): its sinks must be
+    the network's and each path must run source->sink along existing edges."""
+    if sorted(sched.sinks) != sorted(net.sinks):
+        return ["schedule sinks do not match network sinks"]
     problems = []
-    if sched.maxflow < 1 or sched.phases < 1:
-        problems.append("non-positive maxflow or phase count")
-        return problems
-    if sched.n != sched.maxflow * sched.phases:
-        problems.append(f"n={sched.n} is not phases*maxflow={sched.phases * sched.maxflow}")
-    # build_schedule pads the request up to the next multiple of maxflow.
-    if not sched.n - sched.maxflow < sched.requested_n <= sched.n:
-        problems.append(
-            f"requested_n={sched.requested_n} is not in {sched.n - sched.maxflow + 1}..{sched.n}"
-        )
-    if set(sched.sinks) != set(net.sinks) or len(sched.sinks) != len(net.sinks):
-        problems.append("schedule sinks do not match network sinks")
-        return problems
-    if not (len(sched.paths) == len(sched.assignment) == len(sched.sinks)):
-        problems.append("per-sink path/assignment shape mismatch")
-        return problems
-    for si, sink in enumerate(sched.sinks):
-        paths = sched.paths[si]
-        if len(paths) != sched.maxflow:
-            problems.append(f"sink {sink}: {len(paths)} paths, expected {sched.maxflow}")
-        seen_edges: set[int] = set()
-        for j, path in enumerate(paths):
-            if not path:
-                problems.append(f"sink {sink} path {j + 1}: empty")
-                continue
+    for sink, paths in zip(sched.sinks, sched.paths):
+        for j, path in enumerate(paths, 1):
             if any(not 0 <= e < len(net.edges) for e in path):
-                problems.append(f"sink {sink} path {j + 1}: unknown edge id")
+                problems.append(f"sink {sink} path {j}: unknown edge id")
                 continue
             if net.edges[path[0]][0] != net.source or net.edges[path[-1]][1] != sink:
-                problems.append(f"sink {sink} path {j + 1}: does not run source->sink")
+                problems.append(f"sink {sink} path {j}: does not run source->sink")
             for a, b in zip(path, path[1:]):
                 if net.edges[a][1] != net.edges[b][0]:
-                    problems.append(f"sink {sink} path {j + 1}: edges {a},{b} do not connect")
-            if seen_edges & set(path):
-                problems.append(f"sink {sink}: paths share an edge")
-            seen_edges |= set(path)
-        assign = sched.assignment[si]
-        if len(assign) != len(paths):
-            problems.append(f"sink {sink}: assignment rows != path count")
-            continue
-        flat: list[int] = []
-        for j, seq in enumerate(assign):
-            if len(seq) != sched.phases:
-                problems.append(f"sink {sink} path {j + 1}: {len(seq)} phases, expected {sched.phases}")
-            flat.extend(seq)
-        if len(flat) != sched.n or sorted(flat) != list(range(1, sched.n + 1)):
-            problems.append(f"sink {sink}: packet sets do not partition 1..{sched.n}")
-    carried: dict[tuple[int, int], tuple[str, int]] = {}
-    for si, sink in enumerate(sched.sinks):
-        for path, seq in zip(sched.paths[si], sched.assignment[si]):
-            for phase, pkt in enumerate(seq):
-                for e in path:
-                    prior = carried.get((e, phase))
-                    if prior is None:
-                        carried[(e, phase)] = (sink, pkt)
-                    elif prior[1] != pkt:
-                        problems.append(
-                            f"edge {e} phase {phase + 1}: carries packet {prior[1]} "
-                            f"for {prior[0]} but {pkt} for {sink}"
-                        )
+                    problems.append(f"sink {sink} path {j}: edges {a},{b} do not connect")
     return problems
 
 
@@ -452,10 +439,13 @@ def _resolve_path(net: Network, names: list[str], taken: set[int]) -> tuple[int,
 _SCHEDULE_HEADERS = ("n", "requested_n", "phases", "maxflow")
 
 
-def _parse_schedule_lines(
-    text: str,
-) -> tuple[dict[str, int], dict[str, list[tuple[list[str], tuple[int, ...]]]]]:
-    """Headers and, per sink section in order, each path's node names and packets."""
+def _parse_schedule_lines(text: str) -> tuple[
+    dict[str, int],
+    dict[str, list[tuple[list[str], tuple[int, ...]]]],
+    dict[str, tuple[tuple[int, ...], ...]],
+]:
+    """Headers, each sink section's (node names, packets) rows, and each sink's
+    packet sequences, which with the headers pass ``_check_partitions``."""
     header: dict[str, int] = {}
     sections: dict[str, list[tuple[list[str], tuple[int, ...]]]] = {}
     rows: list[tuple[list[str], tuple[int, ...]]] | None = None
@@ -500,30 +490,36 @@ def _parse_schedule_lines(
     for sink, rows in sections.items():
         if not rows:
             raise ParseError(f"sink {sink!r} section has no path lines")
-    return header, sections
+    parts = {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
+    try:
+        _check_partitions(partitions=parts.items(), **header)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return header, sections, parts
 
 
 def parse_schedule(net: Network, text: str) -> Schedule:
-    header, sections = _parse_schedule_lines(text)
+    """A schedule that is valid and fits ``net``; anything else is a ParseError."""
+    header, sections, parts = _parse_schedule_lines(text)
     paths = []
     for rows in sections.values():
         taken: set[int] = set()
         paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
-    return Schedule(
-        n=header["n"],
-        requested_n=header["requested_n"],
-        phases=header["phases"],
-        maxflow=header["maxflow"],
-        sinks=tuple(sections),
-        paths=tuple(paths),
-        assignment=tuple(tuple(packets for _, packets in rows) for rows in sections.values()),
-    )
+    try:
+        sched = Schedule(
+            sinks=tuple(parts), paths=tuple(paths), assignment=tuple(parts.values()), **header
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    problems = validate_schedule(net, sched)
+    if problems:
+        raise ParseError("; ".join(problems))
+    return sched
 
 
 def parse_schedule_partitions(text: str) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Per-sink packet sequences from a schedule file, no network needed."""
-    _, sections = _parse_schedule_lines(text)
-    return {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
+    return _parse_schedule_lines(text)[2]
 
 
 @dataclass(frozen=True)
@@ -558,12 +554,13 @@ def simulate(
     than n of them before the last phase. Distinct rows of an invertible
     encoding matrix are independent, so a sink that decodes needs exactly
     ``sched.phases`` phases, and one that does not never reaches full rank.
-    Since every sink receives the same set 1..n, the first sink's packets
-    are decoded once, in arrival order, and every sink shares that outcome.
+    A valid ``Schedule`` that fits ``net`` gives every sink the same set 1..n,
+    so the first sink's packets are decoded once, in arrival order, and every
+    sink shares that outcome.
     """
     problems = validate_schedule(net, sched)
     if problems:
-        raise ScheduleError("invalid schedule: " + "; ".join(problems))
+        raise ScheduleError("schedule does not fit the network: " + "; ".join(problems))
     if scheme.n != sched.n:
         raise ValueError(f"scheme carries {scheme.n} packets, schedule delivers {sched.n}")
     coded = encode(scheme, block)

@@ -28,19 +28,29 @@ from .latin import LatinRectangle, block_incidence
 
 @dataclass(frozen=True)
 class PathPartition:
-    """Coded-packet index sets S_i, one per edge-disjoint path."""
+    """Coded-packet index sets S_i, one per edge-disjoint path.
+
+    Valid by construction: at least one set, all non-empty and of equal size,
+    and together they partition 1..n, where n is their total size.
+    """
 
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         if not self.sets:
             raise ValueError("partition needs at least one path")
-        if any(not s for s in self.sets):
-            raise ValueError("every path must carry at least one packet")
+        if not self.sets[0] or any(len(s) != len(self.sets[0]) for s in self.sets):
+            raise ValueError("path sets must be non-empty and of equal size")
+        if frozenset().union(*self.sets) != set(range(1, self.n + 1)):
+            raise ValueError(f"path sets do not partition 1..{self.n}")
 
     @property
     def maxflow(self) -> int:
         return len(self.sets)
+
+    @property
+    def n(self) -> int:
+        return len(self.sets) * len(self.sets[0])
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
@@ -49,19 +59,6 @@ class PathPartition:
             if len(s) != size:
                 raise ValueError(f"path {i + 1} carries a packet more than once")
         return cls(tuple([s for s, _ in sets]))
-
-    def check(self, n: int):
-        """Raise unless the sets partition 1..n into equal-size parts."""
-        union: set[int] = set()
-        for s in self.sets:
-            if union & s:
-                raise ValueError("path packet sets overlap")
-            union |= s
-        if union != set(range(1, n + 1)):
-            raise ValueError(f"path sets do not cover 1..{n}")
-        sizes = {len(s) for s in self.sets}
-        if len(sizes) != 1:
-            raise ValueError("path sets have unequal sizes")
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,8 @@ class EavesdropReport:
 
 def _paths_needed(rows: Sequence[int], part: PathPartition) -> list[tuple[int, ...]]:
     """Per row, the 1-based paths whose packet sets meet the row's support."""
+    if part.n != len(rows):
+        raise ValueError(f"partition covers 1..{part.n}, design has {len(rows)} packets")
     masks = [sum(1 << (i - 1) for i in s) for s in part.sets]
     return [tuple([j + 1 for j, mask in enumerate(masks) if mask & row]) for row in rows]
 
@@ -105,7 +104,6 @@ def check_condition(rect: LatinRectangle, part: PathPartition) -> bool:
     equals ``condition_holds``; in ``direct`` mode E^-1 = B^-1 and this test
     does not apply.
     """
-    part.check(rect.n)
     needs = _paths_needed(block_incidence(rect).row_bits, part)
     return all(len(paths) == part.maxflow for paths in needs)
 
@@ -121,7 +119,6 @@ def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropR
     E^-1 is recomputed rather than read from ``scheme.decode_matrix``, so a
     singular E raises ``SingularMatrixError``.
     """
-    part.check(scheme.n)
     need = _paths_needed(invert(scheme.encode_matrix).row_bits, part)
     witness = min(need, key=lambda paths: (len(paths), paths))
     return EavesdropReport(

@@ -121,6 +121,37 @@ path s u3 t6 : 3 1
 path s u4 t6 : 2 4
 """
 
+# Schedules for the FIG3 network whose headers disagree with their paths.
+# The first is the README's n=12 schedule with its headers edited to 6
+# packets in 2 phases, while its paths still carry 4 packets each. The second
+# claims 12 packets in 4 phases on 3 paths but gives each sink two paths of 6.
+SHORT_HEADER_SCHEDULE = """
+n 6
+requested_n 6
+phases 2
+maxflow 3
+sink t1
+path s u1 t1 : 1 2 3 4
+path s u2 t1 : 5 6 7 8
+path s u3 t1 : 9 10 11 12
+sink t2
+path s u1 t2 : 1 2 3 4
+path s u2 t2 : 5 6 7 8
+path s u3 t2 : 9 10 11 12
+"""
+TWO_PATH_SCHEDULE = """
+n 12
+requested_n 12
+phases 4
+maxflow 3
+sink t1
+path s u1 t1 : 1 2 3 4 5 6
+path s u2 t1 : 7 8 9 10 11 12
+sink t2
+path s u1 t2 : 1 2 3 4 5 6
+path s u2 t2 : 7 8 9 10 11 12
+"""
+
 
 @pytest.fixture
 def example_square():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Any, Sequence
 
 from xorcode.codec import CodedPacket, CodingScheme, SourceBlock
 from xorcode.errors import (
@@ -72,7 +73,8 @@ def subset_min_eavesdrop(scheme: CodingScheme, part: PathPartition) -> Eavesdrop
     The first subset whose captured coding vectors span some unit vector is
     the witness; costs up to 2^f eliminations.
     """
-    part.check(scheme.n)
+    if part.n != scheme.n:
+        raise ValueError(f"partition covers 1..{part.n}, scheme has {scheme.n} packets")
     f = part.maxflow
     for size in range(1, f + 1):
         for combo in combinations(range(f), size):
@@ -404,3 +406,77 @@ def exhaustive_schedule(net: Network, n: int) -> Schedule:
         paths=tuple(tuple(paths) for paths in sink_paths),
         assignment=tuple(chosen),
     )
+
+
+def schedule_problems(net: Network, fields: dict[str, Any]) -> list[str]:
+    """Every problem of a would-be schedule on ``net`` (empty = valid and fits).
+
+    ``fields`` holds ``Schedule``'s fields, which need not be valid. This is
+    the library's whole-schedule validator from before ``Schedule`` checked
+    its own invariants: it compares per (edge, phase) slot, where the type
+    compares whole per-edge sequences.
+    """
+    sched = SimpleNamespace(**fields)
+    problems = []
+    if sched.maxflow < 1 or sched.phases < 1:
+        problems.append("non-positive maxflow or phase count")
+        return problems
+    if sched.n != sched.maxflow * sched.phases:
+        problems.append(f"n={sched.n} is not phases*maxflow={sched.phases * sched.maxflow}")
+    if not sched.n - sched.maxflow < sched.requested_n <= sched.n:
+        problems.append(
+            f"requested_n={sched.requested_n} is not in {sched.n - sched.maxflow + 1}..{sched.n}"
+        )
+    if set(sched.sinks) != set(net.sinks) or len(sched.sinks) != len(net.sinks):
+        problems.append("schedule sinks do not match network sinks")
+        return problems
+    if not (len(sched.paths) == len(sched.assignment) == len(sched.sinks)):
+        problems.append("per-sink path/assignment shape mismatch")
+        return problems
+    for si, sink in enumerate(sched.sinks):
+        paths = sched.paths[si]
+        if len(paths) != sched.maxflow:
+            problems.append(f"sink {sink}: {len(paths)} paths, expected {sched.maxflow}")
+        seen_edges: set[int] = set()
+        for j, path in enumerate(paths):
+            if not path:
+                problems.append(f"sink {sink} path {j + 1}: empty")
+                continue
+            if any(not 0 <= e < len(net.edges) for e in path):
+                problems.append(f"sink {sink} path {j + 1}: unknown edge id")
+                continue
+            if net.edges[path[0]][0] != net.source or net.edges[path[-1]][1] != sink:
+                problems.append(f"sink {sink} path {j + 1}: does not run source->sink")
+            for a, b in zip(path, path[1:]):
+                if net.edges[a][1] != net.edges[b][0]:
+                    problems.append(f"sink {sink} path {j + 1}: edges {a},{b} do not connect")
+            if seen_edges & set(path):
+                problems.append(f"sink {sink}: paths share an edge")
+            seen_edges |= set(path)
+        assign = sched.assignment[si]
+        if len(assign) != len(paths):
+            problems.append(f"sink {sink}: assignment rows != path count")
+            continue
+        flat: list[int] = []
+        for j, seq in enumerate(assign):
+            if len(seq) != sched.phases:
+                problems.append(
+                    f"sink {sink} path {j + 1}: {len(seq)} phases, expected {sched.phases}"
+                )
+            flat.extend(seq)
+        if len(flat) != sched.n or sorted(flat) != list(range(1, sched.n + 1)):
+            problems.append(f"sink {sink}: packet sets do not partition 1..{sched.n}")
+    carried: dict[tuple[int, int], tuple[str, int]] = {}
+    for si, sink in enumerate(sched.sinks):
+        for path, seq in zip(sched.paths[si], sched.assignment[si]):
+            for phase, pkt in enumerate(seq):
+                for e in path:
+                    prior = carried.get((e, phase))
+                    if prior is None:
+                        carried[(e, phase)] = (sink, pkt)
+                    elif prior[1] != pkt:
+                        problems.append(
+                            f"edge {e} phase {phase + 1}: carries packet {prior[1]} "
+                            f"for {prior[0]} but {pkt} for {sink}"
+                        )
+    return problems

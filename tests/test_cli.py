@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXAMPLE_SQUARE, FIG2_TEXT, FIG3_TEXT, L5X12
+from conftest import (
+    EXAMPLE_SQUARE,
+    FIG2_TEXT,
+    FIG3_TEXT,
+    L5X12,
+    SHORT_HEADER_SCHEDULE,
+    TWO_PATH_SCHEDULE,
+)
 from xorcode import (
     LatinRectangle,
     PathPartition,
@@ -422,8 +429,23 @@ def test_audit_repeated_packet_in_path_is_domain_error(tmp_path, capsys):
         "n 4\nrequested_n 4\nphases 4\nmaxflow 2\nsink t1\n"
         "path s u1 t1 : 1 2 1 2\npath s u2 t1 : 3 4 3 4\n"
     )
+    # The file's headers say 4 packets, but 2 paths of 4 phases carry 8.
     code, _, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
-    assert code == 1 and "path 1 carries a packet more than once" in err
+    assert code == 2 and "error: n=4 is not phases*maxflow=8" in err
+
+
+def test_audit_schedule_headers_must_match_paths(tmp_path, capsys):
+    # Headers that disagree with the paths below them make a malformed file.
+    rect_file = tmp_path / "l5x12.txt"
+    rect_file.write_text(L5X12.to_text())
+    sched_file = tmp_path / "schedule.txt"
+    for text, message in (
+        (SHORT_HEADER_SCHEDULE, "sink t1: needs 3 paths of 2 packets each"),
+        (TWO_PATH_SCHEDULE, "sink t1: needs 3 paths of 4 packets each"),
+    ):
+        sched_file.write_text(text)
+        code, out, err = run(capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

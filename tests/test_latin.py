@@ -67,6 +67,16 @@ def test_constructor_accepts_exactly_the_latin_prefixes(data):
             LatinRectangle(cells)
 
 
+def test_constructor_rejects_non_int_cells():
+    # 1.0 and True equal 1, so only the type check keeps to_text's output
+    # readable by from_text.
+    for row in ((1.0, 2), (True, 2), (2, 1.0)):
+        with pytest.raises(ValueError, match="row 1 holds a non-int entry"):
+            LatinRectangle((row,))
+    with pytest.raises(ValueError, match="row 2 holds a non-int entry"):
+        LatinRectangle(((1, 2), (2, True)))
+
+
 def test_rectangle_shape_errors():
     with pytest.raises(ValueError):
         LatinRectangle(((1, 2), (2, 1), (1, 2)))  # more rows than columns

@@ -1,5 +1,8 @@
+import collections
+import dataclasses
 import hashlib
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -8,7 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, FIG1_TEXT, FIG2_TEXT, FIG3_TEXT, TABLE1_SCHEDULE, L5X12
-from oracles import exhaustive_schedule, header_phases_to_decode, lowest_unused_subsets
+from oracles import (
+    exhaustive_schedule,
+    header_phases_to_decode,
+    lowest_unused_subsets,
+    schedule_problems,
+)
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -18,6 +26,7 @@ from xorcode import (
     CodingScheme,
     Network,
     ParseError,
+    Schedule,
     ScheduleError,
     SourceBlock,
     TopologyError,
@@ -208,75 +217,114 @@ def test_table1_assignment_passes_validator(fig2):
 
 
 def test_validator_rejects_inconsistent_shared_relay(fig2):
-    # t2's copy of the s->u1 relay must carry the same per-phase packets as t1's
+    # t2's copy of the s->u1 relay must carry the same per-phase packets as
+    # t1's. Each sink's packets still partition 1..4, so only the network-free
+    # reader accepts the file; parse_schedule rejects it where it enters.
     twisted = TABLE1_SCHEDULE.replace("path s u1 t2 : 4 2", "path s u1 t2 : 2 4")
-    sched = parse_schedule(fig2, twisted)
-    problems = validate_schedule(fig2, sched)
-    assert any("carries packet" in p for p in problems)
-
-
-def non_partition_schedule(fig1):
-    sched = build_schedule(fig1, 4)
-    return sched.__class__(
-        n=sched.n,
-        requested_n=sched.requested_n,
-        phases=sched.phases,
-        maxflow=sched.maxflow,
-        sinks=sched.sinks,
-        paths=sched.paths,
-        assignment=(((1, 2), (1, 4)),) + sched.assignment[1:],
-    )
+    with pytest.raises(ParseError, match=re.escape("edge 0 carries (4, 2) for t1, (2, 4) for t2")):
+        parse_schedule(fig2, twisted)
+    assert parse_schedule_partitions(twisted)["t2"] == ((2, 4), (3, 1))
 
 
 def test_validator_catches_problems(fig1):
-    broken = non_partition_schedule(fig1)
-    assert any("partition" in p for p in validate_schedule(fig1, broken))
+    # Each invariant of Schedule has a field edit that breaks it, and the
+    # constructor names it; a valid schedule that does not fit the network is
+    # validate_schedule's finding.
+    sched = build_schedule(fig1, 4)  # t1: paths (0, 2), (1, 4) carry (1, 2), (3, 4)
+    t1, t2 = sched.assignment
+    cases = [
+        (dict(maxflow=0), "non-positive maxflow or phase count"),
+        (dict(n=0, requested_n=0, phases=0, assignment=(((), ()),) * 2), "non-positive maxflow"),
+        (dict(n=6), "n=6 is not phases*maxflow=4"),
+        (dict(requested_n=2), "requested_n=2 is not in 3..4"),
+        (dict(sinks=("t1",)), "per-sink path/assignment shape mismatch"),
+        (dict(assignment=(t1[:1], t2)), "sink t1: needs 2 paths of 2 packets each"),
+        (dict(assignment=(((1, 2, 3), (4,)), t2)), "sink t1: needs 2 paths of 2 packets each"),
+        (dict(assignment=(((1, 2), (1, 4)), t2)), "sink t1: packet sets do not partition 1..4"),
+        (dict(paths=(((0, 2), ()), sched.paths[1])), "sink t1: needs 2 non-empty paths"),
+        (dict(paths=(sched.paths[0][:1], sched.paths[1])), "sink t1: needs 2 non-empty paths"),
+        # Paths of one sink that share an edge carry two of its disjoint sequences.
+        (dict(paths=(((0, 2), (0, 4)), sched.paths[1])), "carries (1, 2) for t1, (3, 4) for t1"),
+        (dict(assignment=(((3, 4), (1, 2)), t2)), "edge 0 carries (3, 4) for t1, (1, 2) for t2"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(sched, **edit)
+    # Swapping every class's packets keeps the schedule valid.
+    assert dataclasses.replace(sched, assignment=((t1[1], t1[0]), (t2[1], t2[0])))
+    renamed = dataclasses.replace(sched, sinks=("t1", "t3"))
+    assert validate_schedule(fig1, renamed) == ["schedule sinks do not match network sinks"]
+    shifted = dataclasses.replace(sched, paths=(((0, 2), (9, 4)), ((2, 3), (1, 5))))
+    assert validate_schedule(fig1, shifted) == [
+        "sink t1 path 2: unknown edge id",
+        "sink t2 path 1: does not run source->sink",
+        "sink t2 path 1: edges 2,3 do not connect",
+    ]
 
 
 def test_validator_checks_requested_n(fig3):
     # build_schedule pads a request for 10..12 packets on 3 paths up to 12.
-    text = format_schedule(fig3, build_schedule(fig3, 12))
-
-    def requesting(requested_n):
-        return parse_schedule(fig3, text.replace("requested_n 12", f"requested_n {requested_n}"))
-
+    sched = build_schedule(fig3, 12)
+    text = format_schedule(fig3, sched)
     for requested_n, flagged in ((40, True), (9, True), (10, False), (12, False)):
-        problems = validate_schedule(fig3, requesting(requested_n))
-        assert problems == ([f"requested_n={requested_n} is not in 10..12"] if flagged else [])
-    scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
-    block = SourceBlock.from_packets([bytes([i]) for i in range(12)])
-    with pytest.raises(ScheduleError, match="requested_n=40"):
-        simulate(fig3, requesting(40), scheme, block)
+        edited = text.replace("requested_n 12", f"requested_n {requested_n}")
+        if flagged:
+            message = f"requested_n={requested_n} is not in 10..12"
+            for parse in (lambda t: parse_schedule(fig3, t), parse_schedule_partitions):
+                with pytest.raises(ParseError, match=message):
+                    parse(edited)
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(sched, requested_n=requested_n)
+        else:
+            assert parse_schedule(fig3, edited).requested_n == requested_n
 
 
 def test_validator_cost_follows_the_schedule_not_its_n_header():
-    # A 71-byte schedule that claims a million packets: the partition check
-    # must not build or sort 1..n to find that one packet is not n of them.
+    # Schedules that claim a million packets on one path: rejecting one must
+    # not build or sort 1..n to find that its packets are not n of them.
     net = parse_network(CHAIN)
-    text = "n 1000000\nrequested_n 1000000\nphases 1\nmaxflow 1\nsink t\npath s a t : 1\n"
-    tracemalloc.start()
-    try:
-        problems = validate_schedule(net, parse_schedule(net, text))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert problems == [
-        "n=1000000 is not phases*maxflow=1",
-        "sink t: packet sets do not partition 1..1000000",
+    cases = [
+        (1, 1, (1,), "n=1000000 is not phases*maxflow=1"),
+        (1000, 1000, tuple(range(1, 1001)), "sink t: needs 1000 paths of 1000 packets each"),
     ]
-    assert peak < 1 << 20
+    for phases, maxflow, packets, message in cases:
+        header = dict(n=1000000, requested_n=1000000, phases=phases, maxflow=maxflow)
+        text = "".join(f"{k} {v}\n" for k, v in header.items()) + "sink t\npath s a t :"
+        text += "".join(f" {x}" for x in packets) + "\n"
+        one_path = dict(sinks=("t",), paths=(((0, 1),),), assignment=((packets,),))
+        readers = [
+            (ParseError, lambda: parse_schedule(net, text)),
+            (ParseError, lambda: parse_schedule_partitions(text)),
+            (ValueError, lambda: Schedule(**header, **one_path)),
+        ]
+        for error, read in readers:
+            tracemalloc.start()
+            try:
+                with pytest.raises(error, match=re.escape(message)):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (message, peak)
 
 
 def test_simulate_rejects_invalid_schedule(fig1, fig2):
-    # simulate decodes one sink's packets for all sinks, which only a valid
-    # schedule (every sink receives 1..n) makes sound.
-    twisted = TABLE1_SCHEDULE.replace("path s u1 t2 : 4 2", "path s u1 t2 : 2 4")
+    # simulate decodes one sink's packets for all sinks, which is sound only
+    # for a schedule that fits the network: a fig1 schedule names two of
+    # fig2's six sinks, and on fig1 with its edges reversed its edge ids name
+    # other edges.
+    sched = build_schedule(fig1, 4)
     scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3), MODE_DIRECT)
     block = SourceBlock.from_packets([bytes([i]) * 3 for i in range(4)])
-    cases = ((fig2, parse_schedule(fig2, twisted)), (fig1, non_partition_schedule(fig1)))
-    for net, sched in cases:
-        with pytest.raises(ScheduleError, match="invalid schedule"):
+    reversed_edges = Network(fig1.nodes, fig1.edges[::-1], fig1.source, fig1.sinks)
+    cases = (
+        (fig2, "schedule sinks do not match network sinks"),
+        (reversed_edges, "sink t1 path 1: does not run source->sink"),
+    )
+    for net, message in cases:
+        with pytest.raises(ScheduleError, match=f"schedule does not fit the network: {message}"):
             simulate(net, sched, scheme, block)
+    assert simulate(fig1, sched, scheme, block).all_decoded
 
 
 def test_schedule_text_roundtrip(fig3):
@@ -393,6 +441,120 @@ def test_build_schedule_backtracking_golden(n, digest):
     net = parse_network(SEVEN_RELAYS)
     text = format_schedule(net, build_schedule(net, n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def mutant_fields(rng: random.Random, net: Network, sched: Schedule) -> dict:
+    """sched's fields after one to three random edits, some of which keep it valid."""
+    header = {k: getattr(sched, k) for k in ("n", "requested_n", "phases", "maxflow")}
+    sinks = list(sched.sinks)
+    paths = [[list(path) for path in ps] for ps in sched.paths]
+    assign = [[list(seq) for seq in seqs] for seqs in sched.assignment]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(10)
+        si = rng.randrange(len(sinks)) if sinks else None
+        if kind == 0:  # a header off by one or two
+            key = rng.choice(list(header))
+            header[key] += rng.choice((-2, -1, 1, 2))
+        elif kind == 1:  # swap two packet labels everywhere: stays valid
+            a, b = rng.randint(1, sched.n), rng.randint(1, sched.n)
+            swap = {a: b, b: a}
+            assign = [[[swap.get(x, x) for x in seq] for seq in seqs] for seqs in assign]
+        elif kind == 2:  # permute the phases of every sequence alike: stays valid
+            order = rng.sample(range(sched.phases), sched.phases)
+            assign = [[[seq[i] for i in order if i < len(seq)] for seq in seqs] for seqs in assign]
+        elif kind == 3 and si is not None and assign[si] and assign[si][0]:
+            # swap two slots of one sink: still a partition, shared edges may disagree
+            slots = [(j, i) for j, seq in enumerate(assign[si]) for i in range(len(seq))]
+            (j1, i1), (j2, i2) = rng.choice(slots), rng.choice(slots)
+            seqs = assign[si]
+            seqs[j1][i1], seqs[j2][i2] = seqs[j2][i2], seqs[j1][i1]
+        elif kind == 4 and si is not None and assign[si] and assign[si][0]:
+            seq = rng.choice(assign[si])
+            seq[rng.randrange(len(seq))] = rng.randint(0, sched.n + 1)
+        elif kind == 5 and si is not None and paths[si]:
+            # change one edge id, or cut a path short, maybe to nothing
+            path = rng.choice(paths[si])
+            if path and rng.random() < 0.8:
+                path[rng.randrange(len(path))] = rng.randint(-1, len(net.edges))
+            elif path:
+                del path[rng.randrange(len(path)):]
+        elif kind == 6 and si is not None and len(paths[si]) >= 2:
+            # swap two paths of a sink, with their packets (valid) or without
+            j1, j2 = rng.sample(range(len(paths[si])), 2)
+            paths[si][j1], paths[si][j2] = paths[si][j2], paths[si][j1]
+            if rng.random() < 0.5 and len(assign[si]) == len(paths[si]):
+                assign[si][j1], assign[si][j2] = assign[si][j2], assign[si][j1]
+        elif kind == 7 and si is not None:
+            # drop a path, a sequence, a phase, a whole sink, or only its name
+            what = rng.randrange(5)
+            if what == 0 and paths[si]:
+                paths[si].pop()
+            elif what == 1 and assign[si]:
+                assign[si].pop()
+            elif what == 2 and assign[si] and assign[si][0]:
+                assign[si][0].pop()
+            elif what == 3:
+                del sinks[si], paths[si], assign[si]
+            elif what == 4:
+                del sinks[si]
+        elif kind == 8 and si is not None:
+            # reorder the sinks with their rows (valid), repeat one, or rename one
+            what = rng.randrange(3)
+            if what == 0:
+                order = rng.sample(range(len(sinks)), len(sinks))
+                sinks, paths, assign = ([xs[i] for i in order] for xs in (sinks, paths, assign))
+            elif what == 1:
+                sinks, paths, assign = (xs + [xs[si]] for xs in (sinks, paths, assign))
+            else:
+                sinks[si] = rng.choice(list(net.sinks) + ["x"])
+        elif kind == 9 and si is not None and len(assign[si]) >= 2 and rng.random() < 0.3:
+            # move one packet between two sequences wherever they occur: the
+            # sink's packets still partition 1..n, in sequences of unequal length
+            a, b = (tuple(seq) for seq in rng.sample(assign[si], 2))
+            if a:
+                moved = {a: list(a[:-1]), b: list(b + a[-1:])}
+                assign = [[moved.get(tuple(seq), seq) for seq in seqs] for seqs in assign]
+        elif kind == 9 and si is not None and paths[si]:
+            # give a path of one sink another sink's path (and maybe its packets)
+            sk = rng.randrange(len(sinks))
+            if paths[sk] and len(paths[sk]) == len(assign[sk]):
+                j, l = rng.randrange(len(paths[si])), rng.randrange(len(paths[sk]))
+                paths[si][j] = list(paths[sk][l])
+                if rng.random() < 0.5 and j < len(assign[si]):
+                    assign[si][j] = list(assign[sk][l])
+    return dict(
+        header,
+        sinks=tuple(sinks),
+        paths=tuple(tuple(tuple(path) for path in ps) for ps in paths),
+        assignment=tuple(tuple(tuple(seq) for seq in seqs) for seqs in assign),
+    )
+
+
+MUTANT_SOURCES = [
+    (FIG1_TEXT, 4), (FIG1_TEXT, 5), (FIG2_TEXT, 4), (FIG3_TEXT, 6), (FIG3_TEXT, 12),
+    (CHAIN, 3), (relay_ring(4), 8), (SEVEN_RELAYS, 12), (FIG2_TEXT, None),
+]
+
+
+def test_constructor_and_fit_match_whole_schedule_oracle():
+    # A mutant constructs and fits its network exactly when the pre-split
+    # validator finds no problem; both outcomes occur often.
+    pool = []
+    for text, n in MUTANT_SOURCES:
+        net = parse_network(text)
+        pool.append((net, parse_schedule(net, TABLE1_SCHEDULE) if n is None else build_schedule(net, n)))
+    outcomes = collections.Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        net, sched = rng.choice(pool)
+        fields = mutant_fields(rng, net, sched)
+        try:
+            fits = validate_schedule(net, Schedule(**fields)) == []
+        except ValueError:
+            fits = False
+        assert fits == (schedule_problems(net, fields) == []), (seed, fields)
+        outcomes[fits] += 1
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 @settings(max_examples=500)

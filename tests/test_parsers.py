@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_SQUARE, FIG3_TEXT, L5X12
+from conftest import (
+    EXAMPLE_SQUARE,
+    FIG3_TEXT,
+    L5X12,
+    SHORT_HEADER_SCHEDULE,
+    TWO_PATH_SCHEDULE,
+)
 from xorcode import (
     CodedPacket,
     LatinRectangle,
@@ -151,6 +157,30 @@ def manifest_text(n, k, mode, original_len, rect):
             lambda text: parse_schedule(FIG3, text),
             FIG3_SCHEDULE + "sink t3\n",
             id="schedule-trailing-sink-without-paths",
+        ),
+        pytest.param(
+            parse_schedule_partitions, SHORT_HEADER_SCHEDULE, id="partitions-short-header"
+        ),
+        pytest.param(parse_schedule_partitions, TWO_PATH_SCHEDULE, id="partitions-two-paths"),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            SHORT_HEADER_SCHEDULE,
+            id="schedule-short-header",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            TWO_PATH_SCHEDULE,
+            id="schedule-two-paths",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            FIG3_SCHEDULE.replace("path s u1 t2 : 1 2", "path s u1 t2 : 2 1"),
+            id="schedule-shared-relay-disagrees",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            FIG3_SCHEDULE.replace("path s u1 t2", "path u1 t2"),
+            id="schedule-path-not-from-source",
         ),
     ],
 )

@@ -44,19 +44,63 @@ def random_partition(rng, n, f):
 
 
 def test_partition_validation():
+    # The constructor checks the partition; n is the sets' total size.
     part = PathPartition.from_sequences([(1, 2), (3, 4)])
-    part.check(4)
-    with pytest.raises(ValueError):
-        PathPartition.from_sequences([(1, 2), ()])
-    with pytest.raises(ValueError):
-        PathPartition.from_sequences([(1, 2), (2, 3)]).check(3)
-    with pytest.raises(ValueError):
-        PathPartition.from_sequences([(1, 2), (3,)]).check(3)
-    with pytest.raises(ValueError):
-        PathPartition.from_sequences([(1, 2), (3, 5)]).check(4)
-    # a packet repeated within one path is not merged into one entry
-    with pytest.raises(ValueError, match="path 2 carries a packet more than once"):
-        PathPartition.from_sequences([(1, 2), (3, 3, 4)])
+    assert (part.n, part.maxflow) == (4, 2)
+    cases = [
+        ([], "at least one path"),
+        ([(1, 2), ()], "non-empty and of equal size"),
+        ([(1, 2), (3,)], "non-empty and of equal size"),
+        ([(1, 2), (2, 3)], "do not partition 1..4"),
+        ([(1, 2), (3, 5)], "do not partition 1..4"),
+        # a packet repeated within one path is not merged into one entry
+        ([(1, 2), (3, 3, 4)], "path 2 carries a packet more than once"),
+    ]
+    for seqs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PathPartition.from_sequences(seqs)
+    scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
+    with pytest.raises(ValueError, match="partition covers 1..4, design has 12 packets"):
+        min_eavesdrop_paths(scheme, part)
+    with pytest.raises(ValueError, match="partition covers 1..4, design has 12 packets"):
+        check_condition(L5X12, part)
+
+
+@st.composite
+def split_permutations(draw):
+    """f sequences of p packets over a shuffled 1..f*p, often with one packet
+    changed, dropped or added."""
+    f, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    idxs = draw(st.permutations(range(1, f * p + 1)))
+    seqs = [list(idxs[i * p:(i + 1) * p]) for i in range(f)]
+    edit = draw(st.sampled_from(["none", "change", "drop", "add"]))
+    if seqs and edit != "none":
+        seq = draw(st.sampled_from(seqs))
+        if edit == "add" or not seq:
+            seq.append(draw(st.integers(0, f * p + 1)))
+        elif edit == "drop":
+            seq.pop()
+        else:
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(st.integers(0, f * p + 1))
+    return seqs
+
+
+ANY_SEQUENCES = st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=4)
+
+
+@settings(max_examples=300)
+@given(st.one_of(split_permutations(), ANY_SEQUENCES))
+def test_partition_constructs_exactly_on_equal_size_partitions(seqs):
+    # Sequences of packets construct exactly when their concatenation sorts
+    # to 1..N for some N >= 1 and all have one size.
+    flat = sorted(x for seq in seqs for x in seq)
+    valid = flat == list(range(1, len(flat) + 1)) != [] and len({len(seq) for seq in seqs}) == 1
+    try:
+        part = PathPartition.from_sequences(seqs)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid and part.n == len(flat)
 
 
 def test_check_condition_routing_example():
@@ -76,7 +120,6 @@ def test_check_condition_violation():
     part = PathPartition.from_sequences(
         [tuple(col[:4]), tuple([col[4]] + others[:3]), tuple(others[3:])]
     )
-    part.check(12)
     assert not check_condition(L5X12, part)
 
 
