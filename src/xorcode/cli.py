@@ -157,7 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--moves", type=_positive_int, help="mixing steps per sampled square (default n^3)"
+        "--moves",
+        type=_positive_int,
+        help="accepted moves before the first sampled square (default n^3); "
+        "later samples follow moves//n more",
     )
     p.add_argument("--max-retries", type=_positive_int, default=64)
     p.add_argument("-o", "--out", default=".", help="output directory")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DesignSearchError, ParseError
 from .gf2 import BitMatrix, determinant
@@ -123,10 +124,15 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
     """
     if n < 1:
         raise ValueError("order must be at least 1")
+    return next(_jm_walk(n, seed, n ** 3 if moves is None else moves, 1))
+
+
+def _jm_walk(n: int, seed: int, moves: int, step: int) -> Iterator[LatinRectangle]:
+    """``jm_generate``'s walk, resumable: yield the square after ``moves``
+    accepted moves, then after every ``step`` more, on one random stream."""
     if n == 1:
-        return LatinRectangle(((1,),))
-    if moves is None:
-        moves = n ** 3
+        while True:
+            yield LatinRectangle(((1,),))
     rnd = random.Random(seed).random
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
     # row_at[c*n+s]: row of s in column c. Start from the cyclic square.
@@ -143,69 +149,71 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
         cn = c * n
         for s in range(n):
             row_at[cn + s] = (s - c) % n
-    # One accepted move per outer iteration. It starts from a proper pivot, a
-    # random empty (cell, symbol) triple, and steps until the far corner
-    # (r2, c2, s2) closes. A corner that does not close becomes the defect:
-    # the next pivot, whose cell, row line and column line each hold a
-    # second entry (far, the column of s2 in row r2, the row of s2 in column
-    # c2) besides the old (s, c, r); a coin flip per line picks which entry
-    # the step moves. random() >= 0.5 is exactly int(random() * 2) == 1.
-    for _ in range(moves):
-        while True:
-            r = int(rnd() * n)
-            c = int(rnd() * n)
-            s = int(rnd() * n)
-            rn = r * n
-            s2 = sym_at[rn + c]
-            if s2 != s:
-                break
-        cn = c * n
-        c2 = col_at[rn + s]
-        r2 = row_at[cn + s]
-        fill_sym, fill_col, fill_row = s, c, r
-        while True:
-            r2n = r2 * n
-            c2n = c2 * n
-            sym_at[rn + c] = fill_sym
-            sym_at[rn + c2] = s2
-            sym_at[r2n + c] = s2
-            col_at[rn + s] = fill_col
-            col_at[rn + s2] = c2
-            col_at[r2n + s] = c2
-            row_at[cn + s] = fill_row
-            row_at[cn + s2] = r2
-            row_at[c2n + s] = r2
-            far = sym_at[r2n + c2]
-            if far == s2:
-                sym_at[r2n + c2] = s
-                col_at[r2n + s2] = c
-                row_at[c2n + s2] = r
-                break
-            rn, cn = r2n, c2n
-            if rnd() >= 0.5:
-                fill_sym = s
-                s, s2 = s2, far
-            else:
-                fill_sym = far
-                s, s2 = s2, s
-            t = col_at[rn + s]
-            if rnd() >= 0.5:
-                fill_col = c
-                c, c2 = c2, t
-            else:
-                fill_col = t
-                c, c2 = c2, c
-            t = row_at[cn + s]
-            if rnd() >= 0.5:
-                fill_row = r
-                r, r2 = r2, t
-            else:
-                fill_row = t
-                r, r2 = r2, r
-    cells = tuple(
-        tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
-    )
-    return LatinRectangle(cells)
+    # One accepted move per pass of the for loop. It starts from a proper
+    # pivot, a random empty (cell, symbol) triple, and steps until the far
+    # corner (r2, c2, s2) closes. A corner that does not close becomes the
+    # defect: the next pivot, whose cell, row line and column line each hold
+    # a second entry (far, the column of s2 in row r2, the row of s2 in
+    # column c2) besides the old (s, c, r); a coin flip per line picks which
+    # entry the step moves. random() >= 0.5 is exactly int(random() * 2) == 1.
+    while True:
+        for _ in range(moves):
+            while True:
+                r = int(rnd() * n)
+                c = int(rnd() * n)
+                s = int(rnd() * n)
+                rn = r * n
+                s2 = sym_at[rn + c]
+                if s2 != s:
+                    break
+            cn = c * n
+            c2 = col_at[rn + s]
+            r2 = row_at[cn + s]
+            fill_sym, fill_col, fill_row = s, c, r
+            while True:
+                r2n = r2 * n
+                c2n = c2 * n
+                sym_at[rn + c] = fill_sym
+                sym_at[rn + c2] = s2
+                sym_at[r2n + c] = s2
+                col_at[rn + s] = fill_col
+                col_at[rn + s2] = c2
+                col_at[r2n + s] = c2
+                row_at[cn + s] = fill_row
+                row_at[cn + s2] = r2
+                row_at[c2n + s] = r2
+                far = sym_at[r2n + c2]
+                if far == s2:
+                    sym_at[r2n + c2] = s
+                    col_at[r2n + s2] = c
+                    row_at[c2n + s2] = r
+                    break
+                rn, cn = r2n, c2n
+                if rnd() >= 0.5:
+                    fill_sym = s
+                    s, s2 = s2, far
+                else:
+                    fill_sym = far
+                    s, s2 = s2, s
+                t = col_at[rn + s]
+                if rnd() >= 0.5:
+                    fill_col = c
+                    c, c2 = c2, t
+                else:
+                    fill_col = t
+                    c, c2 = c2, c
+                t = row_at[cn + s]
+                if rnd() >= 0.5:
+                    fill_row = r
+                    r, r2 = r2, t
+                else:
+                    fill_row = t
+                    r, r2 = r2, r
+        cells = tuple(
+            tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
+        )
+        yield LatinRectangle(cells)
+        moves = step
 
 
 def auto_rows(n: int) -> int:
@@ -226,9 +234,15 @@ def find_nonsingular_rectangle(
 ) -> tuple[LatinRectangle, BitMatrix]:
     """Search for a k x n Latin rectangle with nonsingular block incidence.
 
-    Repeats sample-square / take-upper-rows / test-determinant until a hit.
-    Even k is rejected outright: with an even number of ones in every row,
-    the XOR of all columns is zero, so the matrix is singular over GF(2).
+    One walk serves the whole search. It is seeded with the first
+    ``getrandbits(63)`` of ``random.Random(seed)``, call it s0, and sample j
+    (from 0) is the square after ``moves + j * max(1, moves // n)`` accepted
+    moves, exactly ``jm_generate(n, s0, moves + j * max(1, moves // n))``;
+    ``moves`` defaults to n^3. The first sample whose upper k rows have a
+    nonsingular block incidence is returned, and ``max_retries`` bounds the
+    samples tested. Even k is rejected outright: with an even number of ones
+    in every row, the XOR of all columns is zero, so the matrix is singular
+    over GF(2).
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -241,10 +255,11 @@ def find_nonsingular_rectangle(
             f"row count {k} is even; the incidence matrix of an even-row "
             "rectangle is always singular over GF(2)"
         )
-    rng = random.Random(seed)
+    if moves is None:
+        moves = n ** 3
+    walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves, max(1, moves // n))
     for _ in range(max_retries):
-        square = jm_generate(n, seed=rng.getrandbits(63), moves=moves)
-        rect = split_upper(square, k)
+        rect = split_upper(next(walk), k)
         m = block_incidence(rect)
         if determinant(m):
             return rect, m

@@ -203,7 +203,8 @@ def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
 
 def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions) -> None:
     """Raise ValueError unless the headers agree and each (sink, sequences) pair
-    has maxflow sequences of phases packets, checked before they partition 1..n."""
+    has maxflow sequences of phases packets, checked before they are ints
+    that partition 1..n."""
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -214,7 +215,10 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     for sink, seqs in partitions:
         if len(seqs) != maxflow or any(len(seq) != phases for seq in seqs):
             raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-        if sorted([x for seq in seqs for x in seq]) != list(range(1, n + 1)):
+        packets = [x for seq in seqs for x in seq]
+        if any(type(x) is not int for x in packets):
+            raise ValueError(f"sink {sink}: packet indexes must be ints")
+        if sorted(packets) != list(range(1, n + 1)):
             raise ValueError(f"sink {sink}: packet sets do not partition 1..{n}")
 
 

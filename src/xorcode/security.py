@@ -31,7 +31,7 @@ class PathPartition:
     """Coded-packet index sets S_i, one per edge-disjoint path.
 
     Valid by construction: at least one set, all non-empty and of equal size,
-    and together they partition 1..n, where n is their total size.
+    holding ints that together partition 1..n, where n is their total size.
     """
 
     sets: tuple[frozenset[int], ...]
@@ -41,6 +41,8 @@ class PathPartition:
             raise ValueError("partition needs at least one path")
         if not self.sets[0] or any(len(s) != len(self.sets[0]) for s in self.sets):
             raise ValueError("path sets must be non-empty and of equal size")
+        if any(type(x) is not int for s in self.sets for x in s):
+            raise ValueError("path sets must hold int packet indexes")
         if frozenset().union(*self.sets) != set(range(1, self.n + 1)):
             raise ValueError(f"path sets do not partition 1..{self.n}")
 

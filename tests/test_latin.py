@@ -254,6 +254,29 @@ def test_find_nonsingular_given_k():
     assert determinant(m) == 1
 
 
+def test_find_nonsingular_continues_one_walk():
+    # One walk per search, seeded like the first fresh walk used to be:
+    # sample j is the reference walk after M + j * max(1, M // n) accepted
+    # moves, and the search returns the first sample that passes.
+    samples_needed = {}
+    for n, k in ((12, 5), (13, None), (9, 7), (16, 7), (5, 3)):
+        rows = auto_rows(n) if k is None else k
+        for seed in range(3):
+            for moves in (None, 4 * n * n, n - 2):
+                total = n ** 3 if moves is None else moves
+                step = max(1, total // n)
+                s0 = random.Random(seed).getrandbits(63)
+                for j in range(64):
+                    rect = split_upper(reference_jm_generate(n, s0, total + j * step), rows)
+                    if determinant(block_incidence(rect)):
+                        break
+                assert find_nonsingular_rectangle(n, k, seed, moves=moves)[0] == rect
+                samples_needed[n, rows, seed, moves] = j
+    assert max(samples_needed.values()) >= 2
+    # Below n moves the step floors at one move, and some search takes it.
+    assert any(j for (n, _, _, moves), j in samples_needed.items() if moves == n - 2)
+
+
 def test_find_nonsingular_rejects_even_k():
     with pytest.raises(ValueError, match="even"):
         find_nonsingular_rectangle(4, k=2)

@@ -262,6 +262,15 @@ def test_validator_catches_problems(fig1):
     ]
 
 
+def test_schedule_rejects_non_int_packets(fig1):
+    # 1.0 and True equal 1, so only the type check keeps format_schedule's
+    # output readable by parse_schedule.
+    sched = build_schedule(fig1, 4)
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="sink t1: packet indexes must be ints"):
+            dataclasses.replace(sched, assignment=(((bad, 2), (3, 4)), ((1, 2), (3, 4))))
+
+
 def test_validator_checks_requested_n(fig3):
     # build_schedule pads a request for 10..12 packets on 3 paths up to 12.
     sched = build_schedule(fig3, 12)

@@ -66,6 +66,13 @@ def test_partition_validation():
         check_condition(L5X12, part)
 
 
+def test_partition_rejects_non_int_packets():
+    # 1.0 and True equal 1 and hash alike, so only the type check stops them.
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="path sets must hold int packet indexes"):
+            PathPartition.from_sequences([(bad, 2), (3, 4)])
+
+
 @st.composite
 def split_permutations(draw):
     """f sequences of p packets over a shuffled 1..f*p, often with one packet
