@@ -35,7 +35,6 @@ from .latin import (
     auto_rows,
     block_incidence,
     find_nonsingular_rectangle,
-    is_balanced,
     jm_generate,
     split_upper,
 )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import codec, latin, network, security
 from .errors import CodingError, ParseError
-from .gf2 import determinant, invert
+from .gf2 import invert
 
 
 def _seeds(seed: int, count: int) -> list[int]:
@@ -33,7 +33,7 @@ def _positive_int(text: str) -> int:
 
 
 def _load_rectangle(path: str) -> latin.LatinRectangle:
-    return latin.LatinRectangle.from_text(Path(path).read_text())
+    return latin.LatinRectangle.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_gen(args) -> int:
@@ -42,14 +42,10 @@ def cmd_gen(args) -> int:
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "rectangle.txt").write_text(rect.to_text())
-    (outdir / "incidence.txt").write_text(matrix.to_text())
-    (outdir / "inverse.txt").write_text(invert(matrix).to_text())
-    print(
-        f"seed={args.seed} n={rect.n} k={rect.k} "
-        f"balanced={str(latin.is_balanced(matrix, rect.k)).lower()} "
-        f"nonsingular={str(bool(determinant(matrix))).lower()}"
-    )
+    (outdir / "rectangle.txt").write_text(rect.to_text(), encoding="utf-8")
+    (outdir / "incidence.txt").write_text(matrix.to_text(), encoding="utf-8")
+    (outdir / "inverse.txt").write_text(invert(matrix).to_text(), encoding="utf-8")
+    print(f"seed={args.seed} n={rect.n} k={rect.k}")
     print(f"wrote {outdir / 'rectangle.txt'} {outdir / 'incidence.txt'} {outdir / 'inverse.txt'}")
     return 0
 
@@ -71,9 +67,11 @@ def cmd_encode(args) -> int:
         name.write_bytes(codec.serialize_packet(p))
         names.append(str(name))
     manifest = outdir / "manifest.txt"
-    manifest.write_text(codec.format_manifest(scheme, rect, block.original_len))
+    manifest.write_text(
+        codec.format_manifest(rect, scheme.mode, block.original_len), encoding="utf-8"
+    )
     print(
-        f"n={scheme.n} k={scheme.k} mode={scheme.mode} "
+        f"n={scheme.n} k={rect.k} mode={scheme.mode} "
         f"packet_len={block.packet_len} original_len={block.original_len}"
     )
     print(f"wrote {len(names)} packets and {manifest}")
@@ -81,7 +79,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    n, _, _, original_len, _ = codec.parse_manifest(Path(args.manifest).read_text())
+    manifest = Path(args.manifest).read_text(encoding="utf-8")
+    n, _, _, original_len, _ = codec.parse_manifest(manifest)
     packets = [codec.deserialize_packet(Path(f).read_bytes()) for f in args.packets]
     block = codec.decode(packets, n, original_len=original_len)
     Path(args.output).write_bytes(codec.join_payload(block))
@@ -90,7 +89,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net = network.parse_network(Path(args.network).read_text())
+    net = network.parse_network(Path(args.network).read_text(encoding="utf-8"))
     sched = network.build_schedule(net, args.packets)
     design_seed, payload_seed = _seeds(args.seed, 2)
     if args.rectangle:
@@ -106,9 +105,9 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sched_path = outdir / "schedule.txt"
-    sched_path.write_text(network.format_schedule(net, sched))
+    sched_path.write_text(network.format_schedule(net, sched), encoding="utf-8")
     report_text = network.format_simulation_report(report)
-    (outdir / "report.txt").write_text(report_text)
+    (outdir / "report.txt").write_text(report_text, encoding="utf-8")
     print(f"seed={args.seed} n={sched.n} k={rect.k} mode={args.mode}")
     if sched.padding:
         print(f"padding={sched.padding} (requested {sched.requested_n}, delivering {sched.n})")
@@ -131,7 +130,8 @@ def cmd_audit(args) -> int:
             seqs.append(tuple(int(t) for t in toks))
         part = security.PathPartition.from_sequences(seqs)
     else:
-        partitions = network.parse_schedule_partitions(Path(args.schedule).read_text())
+        text = Path(args.schedule).read_text(encoding="utf-8")
+        partitions = network.parse_schedule_partitions(text)
         sink = args.sink or next(iter(partitions))
         if sink not in partitions:
             raise ParseError(f"sink {sink!r} not found in schedule")

@@ -15,7 +15,7 @@ the Latin rectangle in its own text format.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -35,19 +35,29 @@ MODES = (MODE_DIRECT, MODE_BALANCED_DECODE)
 
 @dataclass(frozen=True)
 class CodingScheme:
-    """Paired encode/decode matrices; encode_matrix . decode_matrix = I.
+    """An encoding matrix E and its mode; ``decode_matrix`` is E^-1, derived once.
 
     In ``direct`` mode the balanced incidence matrix encodes (each coded
     packet XORs exactly k sources) and its inverse decodes. In
     ``balanced_decode`` mode the roles swap so that every source packet is
-    recovered from exactly k coded packets instead.
+    recovered from exactly k coded packets instead. Valid by construction:
+    the mode is one of ``MODES`` and E is invertible (``gf2.invert`` raises
+    ``ValueError`` for a non-square E, ``SingularMatrixError`` for a singular one).
     """
 
-    n: int
-    k: int
     encode_matrix: BitMatrix
-    decode_matrix: BitMatrix
     mode: str
+    decode_matrix: BitMatrix = field(init=False)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        object.__setattr__(self, "decode_matrix", invert(self.encode_matrix))
+
+    @property
+    def n(self) -> int:
+        """The order of E: source and coded packets per block."""
+        return self.encode_matrix.rows
 
 
 @dataclass(frozen=True)
@@ -129,24 +139,14 @@ def join_payload(block: SourceBlock) -> bytes:
 
 
 def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:
-    """Build a coding scheme from a rectangle's block-incidence matrix."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    """Build a scheme from a rectangle's incidence matrix B: E = B, or B^-1 if balanced_decode."""
+    if rect.k % 2 == 0:
+        raise SingularMatrixError(
+            f"incidence matrix of a {rect.k}x{rect.n} rectangle with even "
+            "row count is always singular over GF(2)"
+        )
     b = block_incidence(rect)
-    try:
-        b_inv = invert(b)
-    except SingularMatrixError:
-        if rect.k % 2 == 0:
-            raise SingularMatrixError(
-                f"incidence matrix of a {rect.k}x{rect.n} rectangle with even "
-                "row count is always singular over GF(2)"
-            ) from None
-        raise
-    if mode == MODE_DIRECT:
-        enc, dec = b, b_inv
-    else:
-        enc, dec = b_inv, b
-    return CodingScheme(n=rect.n, k=rect.k, encode_matrix=enc, decode_matrix=dec, mode=mode)
+    return CodingScheme(b if mode == MODE_DIRECT else invert(b), mode)
 
 
 def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:
@@ -331,8 +331,8 @@ def deserialize_packet(buf: bytes) -> CodedPacket:
     return CodedPacket(index=index, vector=vector, payload=buf[offset:offset + plen])
 
 
-def format_manifest(scheme: CodingScheme, rect: LatinRectangle, original_len: int) -> str:
-    return f"{scheme.n} {scheme.k} {scheme.mode} {original_len}\n" + rect.to_text()
+def format_manifest(rect: LatinRectangle, mode: str, original_len: int) -> str:
+    return f"{rect.n} {rect.k} {mode} {original_len}\n" + rect.to_text()
 
 
 def parse_manifest(text: str) -> tuple[int, int, str, int, LatinRectangle]:

@@ -96,18 +96,6 @@ def block_incidence(rect: LatinRectangle) -> BitMatrix:
     return BitMatrix(n, n, tuple(bits))
 
 
-def is_balanced(m: BitMatrix, k: int) -> bool:
-    """True iff every row and every column has exactly k ones."""
-    if not m.is_square():
-        raise ValueError("balance check requires a square matrix")
-    if any(row.bit_count() != k for row in m.row_bits):
-        return False
-    for j in range(m.cols):
-        if sum((row >> j) & 1 for row in m.row_bits) != k:
-            return False
-    return True
-
-
 def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectangle:
     """Sample a random Latin square of order n by an incidence-cube walk.
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
-from .errors import CodingError, ParseError, ScheduleError, TopologyError
+from .errors import ParseError, ScheduleError, TopologyError
 
 
 @dataclass(frozen=True)
@@ -555,9 +555,9 @@ def simulate(
     """Replay the phase schedule and decode at every sink from headers alone.
 
     A valid schedule brings each sink the n distinct coded packets, fewer
-    than n of them before the last phase. Distinct rows of an invertible
-    encoding matrix are independent, so a sink that decodes needs exactly
-    ``sched.phases`` phases, and one that does not never reaches full rank.
+    than n of them before the last phase. Distinct rows of the scheme's
+    invertible encoding matrix are independent, so every sink decodes after
+    exactly ``sched.phases`` phases and the decode cannot fail.
     A valid ``Schedule`` that fits ``net`` gives every sink the same set 1..n,
     so the first sink's packets are decoded once, in arrival order, and every
     sink shares that outcome.
@@ -572,23 +572,20 @@ def simulate(
         tuple([tuple([seq[phase] for seq in paths]) for phase in range(sched.phases)])
         for paths in sched.assignment
     ]
-    try:
-        recovered = decode(
-            [coded[i - 1] for idxs in received[0] for i in idxs],
-            scheme.n,
-            original_len=block.original_len,
-        )
-        decoded, correct, error = True, recovered.packets == block.packets, None
-    except CodingError as exc:
-        decoded, correct, error = False, False, str(exc)
+    recovered = decode(
+        [coded[i - 1] for idxs in received[0] for i in idxs],
+        scheme.n,
+        original_len=block.original_len,
+    )
+    correct = recovered.packets == block.packets
     reports = [
         SinkReport(
             sink=sink,
             received=per_phase,
-            decoded=decoded,
+            decoded=True,
             correct=correct,
-            phases_to_decode=sched.phases if decoded else None,
-            error=error,
+            phases_to_decode=sched.phases,
+            error=None,
         )
         for sink, per_phase in zip(sched.sinks, received)
     ]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import CodingScheme
-from .gf2 import invert
 from .latin import LatinRectangle, block_incidence
 
 
@@ -118,10 +117,8 @@ def min_eavesdrop_paths(scheme: CodingScheme, part: PathPartition) -> EavesdropR
     exposing sets are the shortest need[l]: the witness is the lexicographically
     first of them, and the exposed sources are those whose need equals it. The
     condition holds when the witness is all f paths.
-    E^-1 is recomputed rather than read from ``scheme.decode_matrix``, so a
-    singular E raises ``SingularMatrixError``.
     """
-    need = _paths_needed(invert(scheme.encode_matrix).row_bits, part)
+    need = _paths_needed(scheme.decode_matrix.row_bits, part)
     witness = min(need, key=lambda paths: (len(paths), paths))
     return EavesdropReport(
         min_paths_to_decode=len(witness),

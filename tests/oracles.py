@@ -28,6 +28,18 @@ def bit_matrix(rows: Sequence[Sequence[int] | str]) -> BitMatrix:
     return BitMatrix(len(rows), cols, bits)
 
 
+def is_balanced(m: BitMatrix, k: int) -> bool:
+    """True iff every row and every column has exactly k ones."""
+    if not m.is_square():
+        raise ValueError("balance check requires a square matrix")
+    if any(row.bit_count() != k for row in m.row_bits):
+        return False
+    for j in range(m.cols):
+        if sum((row >> j) & 1 for row in m.row_bits) != k:
+            return False
+    return True
+
+
 def leibniz_determinant(m: BitMatrix) -> int:
     """Permanent-style expansion over all permutations; signs vanish mod 2."""
     assert m.is_square()

@@ -18,7 +18,7 @@ from conftest import (
     ROUTING_PATHS,
     TABLE1_SCHEDULE,
 )
-from oracles import enumerate_latin_squares, span_exposed
+from oracles import enumerate_latin_squares, is_balanced, span_exposed
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -32,7 +32,6 @@ from xorcode import (
     encode,
     find_nonsingular_rectangle,
     invert,
-    is_balanced,
     jm_generate,
     make_scheme,
     min_eavesdrop_paths,

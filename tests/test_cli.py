@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from xorcode import (
     parse_network,
     split_upper,
 )
+import xorcode
 from xorcode.cli import main
 
 EXAMPLE_RECT = split_upper(EXAMPLE_SQUARE, 3)
@@ -36,7 +40,7 @@ def test_gen_writes_design(tmp_path, capsys):
     out = tmp_path / "design"
     code, stdout, _ = run(capsys, "gen", "-n", "4", "--seed", "7", "-o", str(out))
     assert code == 0
-    assert "n=4 k=3" in stdout and "nonsingular=true" in stdout
+    assert stdout.splitlines()[0] == "seed=7 n=4 k=3"
     rect = LatinRectangle.from_text((out / "rectangle.txt").read_text())
     assert rect.k == 3 and rect.n == 4
     assert (out / "incidence.txt").exists() and (out / "inverse.txt").exists()
@@ -533,3 +537,25 @@ def test_bad_network_file_is_parse_error(tmp_path, capsys):
         capsys, "simulate", "--network", str(net_file), "-n", "2", "-o", str(tmp_path)
     )
     assert code == 2 and "bad directive" in err
+
+
+def test_text_files_are_utf8_under_the_c_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII;
+    # the CLI still reads a UTF-8 schedule whose first sink is named "t\u00e9".
+    net = parse_network(FIG3_TEXT.replace("t1", "t\u00e9"))
+    sched_file = tmp_path / "schedule.txt"
+    sched_file.write_bytes(format_schedule(net, build_schedule(net, 12)).encode("utf-8"))
+    rect_file = tmp_path / "l5x12.txt"
+    rect_file.write_bytes(L5X12.to_text().encode("utf-8"))
+    src = str(Path(xorcode.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xorcode.cli", "audit", "-r", str(rect_file),
+         "--mode", "balanced_decode", "--schedule", str(sched_file)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"condition=")

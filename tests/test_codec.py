@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, INVERSE_SUPPORTS, L5X12, ROUTING_PATHS
-from oracles import payload_elimination_decode, xor_encode
+from oracles import leibniz_determinant, mat_mul, payload_elimination_decode, xor_encode
 from xorcode import (
     MODE_BALANCED_DECODE,
     MODE_DIRECT,
@@ -51,7 +51,58 @@ def test_make_scheme_direct_matches_incidence():
     assert tuple(s.encode_matrix.to_text().splitlines()[1:]) == (
         "1110", "0111", "1101", "1011",
     )
-    assert s.n == 4 and s.k == 3
+    assert s.n == 4
+
+
+SQUARE_ROWS = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(SQUARE_ROWS, st.sampled_from(MODES + ("bogus", "", "Direct")))
+def test_scheme_constructs_exactly_for_invertible_e_and_known_mode(rows, mode):
+    n = len(rows)
+    enc = BitMatrix(n, n, tuple(rows))
+    if mode not in MODES:
+        with pytest.raises(ValueError, match="unknown mode"):
+            CodingScheme(enc, mode)
+    elif not leibniz_determinant(enc):
+        with pytest.raises(SingularMatrixError):
+            CodingScheme(enc, mode)
+    else:
+        s = CodingScheme(enc, mode)
+        assert mat_mul(enc, s.decode_matrix) == BitMatrix(n, n, tuple(1 << i for i in range(n)))
+        assert s.n == enc.rows == n
+
+
+def test_scheme_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        CodingScheme(BitMatrix(2, 3, (0b011, 0b110)), MODE_DIRECT)
+
+
+def test_scheme_order_is_the_order_of_e():
+    # n is E's order, not a field of its own, so a block of another size
+    # cannot be encoded with a source silently dropped.
+    e4 = make_scheme(EXAMPLE_RECT).encode_matrix
+    with pytest.raises(TypeError):
+        CodingScheme(5, 3, e4, invert(e4), MODE_DIRECT)
+    scheme = CodingScheme(e4, MODE_DIRECT)
+    assert scheme.n == 4
+    with pytest.raises(ValueError, match="block has 5 packets, scheme expects 4"):
+        encode(scheme, SourceBlock.from_packets([b"x"] * 5))
+
+
+def test_scheme_rejects_unknown_mode():
+    # A scheme's mode is always one the manifest parser reads back.
+    e4 = make_scheme(EXAMPLE_RECT).encode_matrix
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        CodingScheme(e4, "bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        make_scheme(EXAMPLE_RECT, "bogus")
+    for mode in MODES:
+        text = format_manifest(EXAMPLE_RECT, CodingScheme(e4, mode).mode, 10)
+        assert parse_manifest(text)[:4] == (4, 3, mode, 10)
 
 
 def test_make_scheme_balanced_swaps_roles():
@@ -156,7 +207,7 @@ def invertible_schemes(draw, top=17):
     order = draw(st.permutations(range(n)))
     bits = tuple(sum(((rows[r] >> j) & 1) << cols[j] for j in range(n)) for r in order)
     enc = BitMatrix(n, n, bits)
-    return CodingScheme(n=n, k=1, encode_matrix=enc, decode_matrix=invert(enc), mode=MODE_DIRECT)
+    return CodingScheme(enc, MODE_DIRECT)
 
 
 @st.composite
@@ -187,7 +238,7 @@ def test_encode_matches_xor_oracle(scheme, data):
 def test_encode_every_row_weight(n):
     # row i = columns i..n-1: weights n, n-1, ..., 1, both sides of 2w = n + 1
     enc = BitMatrix(n, n, tuple(((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)))
-    scheme = CodingScheme(n=n, k=1, encode_matrix=enc, decode_matrix=invert(enc), mode=MODE_DIRECT)
+    scheme = CodingScheme(enc, MODE_DIRECT)
     block = SourceBlock.from_packets([bytes([j + 1, 0]) for j in range(n)])
     packets = encode(scheme, block)
     assert [p.payload for p in packets] == xor_encode(enc.row_bits, block.packets)
@@ -448,8 +499,7 @@ def test_join_inverts_split():
 
 
 def test_manifest_roundtrip():
-    s = make_scheme(EXAMPLE_RECT, MODE_BALANCED_DECODE)
-    text = format_manifest(s, EXAMPLE_RECT, 10)
+    text = format_manifest(EXAMPLE_RECT, MODE_BALANCED_DECODE, 10)
     n, k, mode, olen, rect = parse_manifest(text)
     assert (n, k, mode, olen) == (4, 3, MODE_BALANCED_DECODE, 10)
     assert rect == EXAMPLE_RECT

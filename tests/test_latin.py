@@ -9,6 +9,7 @@ from conftest import EXAMPLE_M_ROWS, EXAMPLE_SQUARE, INCIDENCE_SUPPORTS, L5X12
 from oracles import (
     bit_matrix,
     enumerate_latin_squares,
+    is_balanced,
     mat_mul,
     reference_jm_generate,
     transpose,
@@ -22,7 +23,6 @@ from xorcode import (
     determinant,
     find_nonsingular_rectangle,
     invert,
-    is_balanced,
     jm_generate,
     split_upper,
 )

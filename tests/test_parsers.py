@@ -1,7 +1,6 @@
 """Every text and wire parser raises ParseError or returns a value that round-trips
 through its writer (the network parser has no writer)."""
 
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from xorcode import (
     WireFormatError,
     build_schedule,
     deserialize_packet,
-    format_manifest,
     format_schedule,
     parse_manifest,
     parse_network,
@@ -40,7 +38,7 @@ MANIFEST = "4 3 direct 10\n" + RECT_TEXT
 
 
 def manifest_text(n, k, mode, original_len, rect):
-    return format_manifest(SimpleNamespace(n=n, k=k, mode=mode), rect, original_len)
+    return f"{n} {k} {mode} {original_len}\n" + rect.to_text()
 
 
 @pytest.mark.parametrize(
