@@ -45,10 +45,10 @@ NET
 xorcode simulate --network net.txt -n 12 --seed 5 --mode balanced_decode -o sim
 expect "summary sinks=2 decoded=2" tail -n 1 sim/report.txt
 
-expect "condition=false min_paths=2 witness_paths=1,2 exposed=2" \
+expect "condition=false min_paths=2 witness_paths=1,2 exposed=6,10" \
     xorcode audit -r design/rectangle.txt --mode balanced_decode \
     --schedule sim/schedule.txt --sink t1
-expect "condition=false min_paths=2 witness_paths=1,2 exposed=7" \
+expect "condition=false min_paths=2 witness_paths=1,2 exposed=2" \
     xorcode audit -r design/rectangle.txt --mode balanced_decode \
     --partition '3,10,7,2;8,4,11,9;1,6,5,12'
 echo "README CLI quick start: all outputs as expected"

@@ -8,6 +8,7 @@ invocations are byte-identical. Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import io
 import random
 import sys
 from pathlib import Path
@@ -159,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--moves",
         type=_positive_int,
-        help="accepted moves before the first sampled square (default n^3); "
-        "later samples follow moves//n more",
+        help="accepted moves before the first sampled square (default n^2); "
+        "each later sample follows one more walk of this length",
     )
     p.add_argument("--max-retries", type=_positive_int, default=64)
     p.add_argument("-o", "--out", default=".", help="output directory")
@@ -203,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # Printed text is UTF-8 like the files written, whatever the locale.
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "audit" and args.partition is not None and args.sink is not None:

@@ -105,23 +105,36 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
     is a random empty cell/symbol triple; from an improper state it is the
     defect, with the three paired lines resolved by coin flips. A move is
     accepted only when the step lands in a proper square; the square seen
-    after ``moves`` accepted moves (default n^3) is emitted. Stopping at the
+    after ``moves`` accepted moves (default n^2) is emitted. Stopping at the
     first proper state after a raw step count would instead over-sample
     squares that terminate long improper excursions.
+
+    No mixing-time bound is known for this walk (Jacobson & Matthews,
+    J. Combin. Des. 1996), so n^2 is a measured length: by then the share of
+    cells that keep their start symbol is within sampling error of 1/n at
+    n = 16 and 32, and exact chi-squared tests against full enumeration pass
+    at orders 3 and 4 (``scripts/walk_mixing.py``); order 4 fails at n^2/2.
+    Orders 1 and 2 are drawn directly: every move of the order-2 walk swaps
+    its two squares, so a fixed move count would fix the square.
     Output is deterministic for fixed (n, seed, moves).
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    return next(_jm_walk(n, seed, n ** 3 if moves is None else moves, 1))
+    if moves is None:
+        moves = n * n
+    if moves < 0:
+        raise ValueError(f"moves must be at least 0, got {moves}")
+    return next(_jm_walk(n, seed, moves))
 
 
-def _jm_walk(n: int, seed: int, moves: int, step: int) -> Iterator[LatinRectangle]:
-    """``jm_generate``'s walk, resumable: yield the square after ``moves``
-    accepted moves, then after every ``step`` more, on one random stream."""
-    if n == 1:
-        while True:
-            yield LatinRectangle(((1,),))
+def _jm_walk(n: int, seed: int, moves: int) -> Iterator[LatinRectangle]:
+    """``jm_generate``'s walk, resumable: yield the square after every
+    ``moves`` accepted moves, on one random stream."""
     rnd = random.Random(seed).random
+    if n <= 2:  # one draw per sample; the order-2 walk is periodic
+        squares = (((1, 2), (2, 1)), ((2, 1), (1, 2))) if n == 2 else (((1,),),)
+        while True:
+            yield LatinRectangle(squares[int(rnd() * n)])
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
     # row_at[c*n+s]: row of s in column c. Start from the cyclic square.
     sym_at = [0] * (n * n)
@@ -201,7 +214,6 @@ def _jm_walk(n: int, seed: int, moves: int, step: int) -> Iterator[LatinRectangl
             tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
         )
         yield LatinRectangle(cells)
-        moves = step
 
 
 def auto_rows(n: int) -> int:
@@ -224,10 +236,11 @@ def find_nonsingular_rectangle(
 
     One walk serves the whole search. It is seeded with the first
     ``getrandbits(63)`` of ``random.Random(seed)``, call it s0, and sample j
-    (from 0) is the square after ``moves + j * max(1, moves // n)`` accepted
-    moves, exactly ``jm_generate(n, s0, moves + j * max(1, moves // n))``;
-    ``moves`` defaults to n^3. The first sample whose upper k rows have a
-    nonsingular block incidence is returned, and ``max_retries`` bounds the
+    (from 0) is the square after ``(j + 1) * moves`` accepted moves, exactly
+    ``jm_generate(n, s0, (j + 1) * moves)``: after a singular sample the walk
+    runs one more full length. ``moves`` defaults to n^2, ``jm_generate``'s
+    length, and must be at least 1. The first sample whose upper k rows have
+    a nonsingular block incidence is returned, and ``max_retries`` bounds the
     samples tested. Even k is rejected outright: with an even number of ones
     in every row, the XOR of all columns is zero, so the matrix is singular
     over GF(2).
@@ -244,8 +257,10 @@ def find_nonsingular_rectangle(
             "rectangle is always singular over GF(2)"
         )
     if moves is None:
-        moves = n ** 3
-    walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves, max(1, moves // n))
+        moves = n * n
+    if moves < 1:
+        raise ValueError(f"moves must be at least 1, got {moves}")
+    walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves)
     for _ in range(max_retries):
         rect = split_upper(next(walk), k)
         m = block_incidence(rect)

@@ -219,11 +219,14 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
     """
     if n < 1:
         raise ValueError("order must be at least 1")
+    rnd = random.Random(seed).random
     if n == 1:
         return LatinRectangle(((1,),))
+    if n == 2:
+        # Every accepted move swaps the two order-2 squares; one fair draw instead.
+        return LatinRectangle(((2, 1), (1, 2)) if rnd() >= 0.5 else ((1, 2), (2, 1)))
     if moves is None:
-        moves = n ** 3
-    rnd = random.Random(seed).random
+        moves = n * n
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
     # row_at[c*n+s]: row of s in column c. Start from the cyclic square.
     sym_at = [0] * (n * n)

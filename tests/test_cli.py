@@ -161,16 +161,16 @@ def test_decode_inflated_manifest_length_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-# SHA-256 of the concatenated packet files and of the manifest, computed
-# before the encoder converted each source once and used the complement form.
+# SHA-256 of the concatenated packet files and of the manifest. The design
+# comes from the seeded walk, so a change of walk length re-pins them.
 GOLDEN_ENCODE = {
     "direct": (
-        "b4ebda6f0bb72072e834c771558bee5deebd3403ad1f5eea89dd047a9a073b3b",
-        "ec08a8bcb9934776e66ae42dbc112517283068fd6485e446652401b31872cf6b",
+        "c022d1e8132e6f37247add9c313b0a51f6c0730090a764f933a80bcc6e45dafa",
+        "e416e81facbedd99ccffd603cf2d5ccb526108a4886d123e0e998b6907568600",
     ),
     "balanced_decode": (
-        "69805eb6b5478b40493c4b21c21668b2217b3cba1cb895cd7ae6a8df3f398e36",
-        "82ef42c5420e0829d9a66355e44a864bc63450ed9031575ff764fd2ec6682b1c",
+        "0bb62bd530bd17c15b437644f526672d17fe2bcc0f7073ffb0cc001c3c08700a",
+        "8723dafdb842202b80cefa7822429eb60598e3764db7975d829f0e1956cd7309",
     ),
 }
 
@@ -383,18 +383,19 @@ def test_audit_all_on_one_path_leaks(tmp_path, capsys):
 
 def test_direct_mode_audit_uses_the_inverse(tmp_path, capsys):
     # The paper's column test holds for this design and partition, but in
-    # direct mode E^-1 is B^-1, and one tapped path exposes sources 8 and 10.
+    # direct mode E^-1 is B^-1, and one tapped path exposes source 3.
     code, _, _ = run(capsys, "gen", "-n", "12", "-k", "5", "--seed", "3", "-o", str(tmp_path))
     assert code == 0
     rect_file = tmp_path / "rectangle.txt"
-    partition = "1,2,3,4,5,6;7,8,9,10,11,12"
+    sets = ((1, 2, 3, 4, 5, 11), (6, 7, 8, 9, 10, 12))
+    partition = ";".join(",".join(map(str, s)) for s in sets)
     code, stdout, _ = run(
         capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
     )
     assert code == 0
-    assert stdout == "condition=false min_paths=1 witness_paths=1 exposed=8,10\n"
+    assert stdout == "condition=false min_paths=1 witness_paths=1 exposed=3\n"
     rect = LatinRectangle.from_text(rect_file.read_text())
-    assert check_condition(rect, PathPartition.from_sequences([range(1, 7), range(7, 13)]))
+    assert check_condition(rect, PathPartition.from_sequences(sets))
 
 
 def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
@@ -539,23 +540,38 @@ def test_bad_network_file_is_parse_error(tmp_path, capsys):
     assert code == 2 and "bad directive" in err
 
 
+def run_under_c_locale(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess under the C locale with UTF-8 mode off,
+    where the locale's encoding is ASCII."""
+    src = str(Path(xorcode.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "xorcode.cli", *args], env=env, capture_output=True, timeout=60
+    )
+
+
 def test_text_files_are_utf8_under_the_c_locale(tmp_path):
-    # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII;
-    # the CLI still reads a UTF-8 schedule whose first sink is named "t\u00e9".
+    # The CLI still reads a UTF-8 schedule whose first sink is named "t\u00e9".
     net = parse_network(FIG3_TEXT.replace("t1", "t\u00e9"))
     sched_file = tmp_path / "schedule.txt"
     sched_file.write_bytes(format_schedule(net, build_schedule(net, 12)).encode("utf-8"))
     rect_file = tmp_path / "l5x12.txt"
     rect_file.write_bytes(L5X12.to_text().encode("utf-8"))
-    src = str(Path(xorcode.__file__).parents[1])
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "xorcode.cli", "audit", "-r", str(rect_file),
-         "--mode", "balanced_decode", "--schedule", str(sched_file)],
-        env=env,
-        capture_output=True,
-        timeout=60,
+    proc = run_under_c_locale(
+        "audit", "-r", str(rect_file), "--mode", "balanced_decode", "--schedule", str(sched_file)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(b"condition=")
+
+
+def test_stdout_is_utf8_under_the_c_locale(tmp_path):
+    # simulate prints its report, which names the sink "t\u00e9", as UTF-8,
+    # the encoding of the report file it writes.
+    net_file = tmp_path / "net.txt"
+    net_file.write_bytes(FIG3_TEXT.replace("t1", "t\u00e9").encode("utf-8"))
+    out = tmp_path / "sim"
+    proc = run_under_c_locale("simulate", "--network", str(net_file), "-n", "12", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = (out / "report.txt").read_bytes()
+    assert "t\u00e9".encode("utf-8") in report and report in proc.stdout

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,52 @@ def test_jm_trivial_orders():
     assert jm_generate(2, seed=3).n == 2
     with pytest.raises(ValueError):
         jm_generate(0)
+    with pytest.raises(ValueError, match="moves must be at least 0"):
+        jm_generate(4, moves=-1)  # used to return the start square
+
+
+def test_order_two_draws_both_squares_evenly():
+    # Every accepted move of the order-2 walk swaps its two squares, so a walk
+    # of fixed length returned the same square for every seed.
+    samples = 4000
+    for moves in (None, 1, 8):
+        counts = Counter(jm_generate(2, seed, moves).cells for seed in range(samples))
+        assert set(counts) == {((1, 2), (2, 1)), ((2, 1), (1, 2))}
+        for count in counts.values():
+            assert abs(count - samples / 2) <= 4 * math.sqrt(samples / 4), (moves, counts)
+
+
+def start_agreement(n: int, moves: int | None, seeds: int) -> float:
+    """Share of cells, over seeds 0..seeds-1, that keep the cyclic start symbol."""
+    kept = 0
+    for seed in range(seeds):
+        cells = jm_generate(n, seed, moves).cells
+        kept += sum(cells[r][c] == (r + c) % n + 1 for r in range(n) for c in range(n))
+    return kept / (seeds * n * n)
+
+
+def test_default_walk_forgets_the_start_square():
+    # A uniform square keeps 1/n of its start symbols. Over 40 seeds at n=16
+    # one standard error is about 0.0025, so 0.2/n is about five of them; a
+    # walk of n moves is far outside it.
+    n = 16
+    assert abs(start_agreement(n, None, 40) - 1 / n) <= 0.2 / n
+    assert start_agreement(n, n, 40) - 1 / n > 0.2 / n
+
+
+def test_order_three_chi_squared_at_default_length():
+    # All 12 order-3 squares equally often; 31.26 is the 0.1 % point of
+    # chi-squared on 11 degrees of freedom. A 2-move walk fails the same test.
+    squares = enumerate_latin_squares(3)
+    samples = 6000
+
+    def chi2(moves):
+        counts = Counter(jm_generate(3, seed, moves).cells for seed in range(samples))
+        mean = samples / len(squares)
+        return sum((counts[sq] - mean) ** 2 for sq in squares) / mean
+
+    assert chi2(None) < 31.26
+    assert chi2(2) > 31.26
 
 
 def test_jm_always_valid():
@@ -186,7 +234,7 @@ def test_jm_deterministic_per_seed():
     assert jm_generate(8, seed=42) != jm_generate(8, seed=43)
 
 
-JM_GOLDEN_SHA256 = "e68cb6696b1d8f2a8593eb76ebee0670c89248aa7b2ac3152bcb83bc867c11e7"
+JM_GOLDEN_SHA256 = "51bd9356accf880e092fa4ebb32b83356d0ee68f87d9b006861019ae7aed4682"
 
 
 def test_jm_generate_golden():
@@ -256,30 +304,33 @@ def test_find_nonsingular_given_k():
 
 def test_find_nonsingular_continues_one_walk():
     # One walk per search, seeded like the first fresh walk used to be:
-    # sample j is the reference walk after M + j * max(1, M // n) accepted
-    # moves, and the search returns the first sample that passes.
+    # sample j is the reference walk after (j + 1) * M accepted moves, and the
+    # search returns the first sample that passes.
     samples_needed = {}
     for n, k in ((12, 5), (13, None), (9, 7), (16, 7), (5, 3)):
         rows = auto_rows(n) if k is None else k
         for seed in range(3):
             for moves in (None, 4 * n * n, n - 2):
-                total = n ** 3 if moves is None else moves
-                step = max(1, total // n)
+                length = n * n if moves is None else moves
                 s0 = random.Random(seed).getrandbits(63)
                 for j in range(64):
-                    rect = split_upper(reference_jm_generate(n, s0, total + j * step), rows)
+                    rect = split_upper(reference_jm_generate(n, s0, (j + 1) * length), rows)
                     if determinant(block_incidence(rect)):
                         break
                 assert find_nonsingular_rectangle(n, k, seed, moves=moves)[0] == rect
                 samples_needed[n, rows, seed, moves] = j
     assert max(samples_needed.values()) >= 2
-    # Below n moves the step floors at one move, and some search takes it.
-    assert any(j for (n, _, _, moves), j in samples_needed.items() if moves == n - 2)
 
 
 def test_find_nonsingular_rejects_even_k():
     with pytest.raises(ValueError, match="even"):
         find_nonsingular_rectangle(4, k=2)
+
+
+def test_find_nonsingular_rejects_an_empty_walk():
+    # Every sample of a zero-move walk would be the start square.
+    with pytest.raises(ValueError, match="moves must be at least 1"):
+        find_nonsingular_rectangle(5, moves=0)
 
 
 def test_find_nonsingular_search_failure():
