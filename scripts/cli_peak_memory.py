@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Peak memory of the CLI's bulk path, as a multiple of the file it codes.
+
+Writes a random file, then runs ``gen``, ``encode`` and ``decode`` each as
+its own ``python -m xorcode.cli`` process in a temporary directory, checks
+that the decoded file equals the input byte for byte, and prints each
+process's peak resident set size (from ``os.wait4``) in MiB. The multiple
+of the file size is taken above the footprint of the interpreter with
+xorcode imported (``python -m xorcode.cli --help``, about 17 MiB), so that
+it counts the bytes a command holds for the file.
+
+Usage, with xorcode importable (installed, or PYTHONPATH=src):
+
+    python scripts/cli_peak_memory.py           # a 64 MiB file
+    python scripts/cli_peak_memory.py --quick   # an 8 MiB file
+
+Exits non-zero if a command fails or the round trip differs; it sets no
+memory threshold.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PACKETS = 32
+MiB = 1 << 20
+
+
+def run(*args: str) -> int:
+    """Run one CLI command to completion; return its peak RSS in bytes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xorcode.cli", *args], stdout=subprocess.DEVNULL
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"{args[0]} exited {proc.returncode}")
+    # ru_maxrss is in KiB on Linux, in bytes on macOS.
+    return usage.ru_maxrss if sys.platform == "darwin" else usage.ru_maxrss * 1024
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="an 8 MiB file, not 64 MiB")
+    args = parser.parse_args()
+    size = (8 if args.quick else 64) * MiB
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        src, out = work / "input.bin", work / "output.bin"
+        # Written a MiB at a time: a child's peak starts from this process's
+        # own high-water mark, so this process must stay small.
+        rng = random.Random(0)
+        with src.open("wb") as f:
+            for _ in range(size // MiB):
+                f.write(rng.randbytes(MiB))
+        base = run("--help")
+        peaks = {
+            "gen": run("gen", "-n", str(PACKETS), "--seed", "0", "-o", str(work / "design")),
+            "encode": run(
+                "encode", "-r", str(work / "design" / "rectangle.txt"),
+                "-i", str(src), "-o", str(work / "coded"),
+            ),
+            "decode": run(
+                "decode", "-m", str(work / "coded" / "manifest.txt"), "-o", str(out),
+                *sorted(str(p) for p in (work / "coded").glob("packet_*.bin")),
+            ),
+        }
+        if not filecmp.cmp(src, out, shallow=False):
+            sys.exit("decoded file differs from the input")
+    print(f"round trip ok: {size // MiB} MiB file, n={PACKETS}")
+    print(f"interpreter with xorcode imported: {base / MiB:.1f} MiB")
+    for name, peak in peaks.items():
+        print(
+            f"{name:6} peak RSS {peak / MiB:7.1f} MiB = "
+            f"{(peak - base) / size:.2f}x the file above the interpreter"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

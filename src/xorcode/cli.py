@@ -58,6 +58,7 @@ def cmd_encode(args) -> int:
     if not data:
         raise ValueError(f"input file {args.input} is empty")
     block = codec.split_payload(data, scheme.n)
+    del data  # the block's packets are the only copy encode needs
     packets = codec.encode(scheme, block)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -84,6 +85,14 @@ def cmd_decode(args) -> int:
     n, _, _, original_len, _ = codec.parse_manifest(manifest)
     packets = [codec.deserialize_packet(Path(f).read_bytes()) for f in args.packets]
     block = codec.decode(packets, n, original_len=original_len)
+    # split_payload cuts original_len bytes into ceil(original_len / n) per
+    # packet; a shorter length would silently truncate the output.
+    low = (block.packet_len - 1) * n
+    if original_len <= low:
+        raise ValueError(
+            f"manifest original_len {original_len} is below the {low + 1}..{low + n} "
+            f"bytes that {n} packets of {block.packet_len} bytes carry"
+        )
     Path(args.output).write_bytes(codec.join_payload(block))
     print(f"recovered={original_len} bytes from {len(packets)} packets -> {args.output}")
     return 0

@@ -122,20 +122,33 @@ class CodedPacket:
 
 
 def split_payload(data: bytes, n: int) -> SourceBlock:
-    """Zero-pad data to a multiple of n and cut it into n equal packets."""
+    """Cut data into n equal packets, zero-padding those that come out short.
+
+    The packets are slices of data, and only the short ones (the last with
+    data, and any empty ones after it) are padded, so no padded copy of the
+    whole block is ever built.
+    """
     if n < 1:
         raise ValueError("packet count must be >= 1")
     if not data:
         raise ValueError("cannot split empty data")
     packet_len = -(-len(data) // n)
-    padded = data.ljust(packet_len * n, b"\x00")
-    packets = tuple(padded[i * packet_len:(i + 1) * packet_len] for i in range(n))
+    cuts = (data[i:i + packet_len] for i in range(0, n * packet_len, packet_len))
+    packets = tuple(p if len(p) == packet_len else p.ljust(packet_len, b"\x00") for p in cuts)
     return SourceBlock(packets, packet_len, len(data))
 
 
 def join_payload(block: SourceBlock) -> bytes:
-    """Concatenate the packets and drop the padding."""
-    return b"".join(block.packets)[: block.original_len]
+    """Concatenate the packets and drop the padding.
+
+    Only the full packets and the trimmed last one are joined, so the padded
+    block is never built and then cut.
+    """
+    if not block.packet_len:
+        return b""
+    full, rest = divmod(block.original_len, block.packet_len)
+    head = block.packets[:full]
+    return b"".join(head + (block.packets[full][:rest],) if rest else head)
 
 
 def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:

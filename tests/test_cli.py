@@ -161,6 +161,32 @@ def test_decode_inflated_manifest_length_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [10, 996])
+def test_decode_deflated_manifest_length_fails(tmp_path, capsys, length):
+    # 1000 bytes in 4 packets of 250 bytes: split_payload gives exactly that
+    # packet length for original_len 997..1000, so 996 and below would cut
+    # the output short.
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(250)) * 4)
+    coded = tmp_path / "coded"
+    run(capsys, "encode", "-r", str(rect_file), "-i", str(src), "-o", str(coded))
+    manifest = coded / "manifest.txt"
+    head, rest = manifest.read_text().split("\n", 1)
+    manifest.write_text(f"{head.rsplit(' ', 1)[0]} {length}\n{rest}")
+    out = tmp_path / "out.bin"
+    packets = sorted(str(p) for p in coded.glob("packet_*.bin"))
+    code, stdout, err = run(capsys, "decode", "-m", str(manifest), "-o", str(out), *packets)
+    assert code == 1 and "recovered" not in stdout
+    assert f"original_len {length} is below the 997..1000 bytes" in err
+    assert not out.exists()
+    # The shortest length the packets can carry still decodes.
+    manifest.write_text(f"{head.rsplit(' ', 1)[0]} 997\n{rest}")
+    code, stdout, _ = run(capsys, "decode", "-m", str(manifest), "-o", str(out), *packets)
+    assert code == 0 and out.read_bytes() == src.read_bytes()[:997]
+
+
 # SHA-256 of the concatenated packet files and of the manifest. The design
 # comes from the seeded walk, so a change of walk length re-pins them.
 GOLDEN_ENCODE = {

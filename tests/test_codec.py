@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -496,6 +497,62 @@ def test_join_inverts_split():
         data = rng.randbytes(rng.randint(1, 100))
         n = rng.randint(1, 12)
         assert join_payload(split_payload(data, n)) == data
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.binary(min_size=1, max_size=64), st.integers(1, 24))
+def test_split_payload_matches_pad_then_slice(data, n):
+    # The old construction: pad the whole block, then slice it. Many
+    # examples have len(data) < n, where the padding spans several packets.
+    packet_len = -(-len(data) // n)
+    padded = data.ljust(packet_len * n, b"\x00")
+    block = split_payload(data, n)
+    assert block.packets == tuple(padded[i * packet_len:(i + 1) * packet_len] for i in range(n))
+    assert (block.packet_len, block.original_len) == (packet_len, len(data))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.tuples(st.integers(1, 8), st.integers(0, 8)).flatmap(
+        lambda nl: st.lists(st.binary(min_size=nl[1], max_size=nl[1]), min_size=nl[0], max_size=nl[0])
+    )
+)
+def test_join_payload_is_join_then_trim(packets):
+    n, packet_len = len(packets), len(packets[0])
+    joined = b"".join(packets)
+    for m in range(n * packet_len + 1):
+        assert join_payload(SourceBlock(tuple(packets), packet_len, m)) == joined[:m]
+
+
+def test_zero_length_block_roundtrips():
+    scheme = make_scheme(EXAMPLE_RECT, MODE_DIRECT)
+    block = SourceBlock.from_packets([b""] * 4)
+    packets = encode(scheme, block)
+    assert [p.payload for p in packets] == [b""] * 4
+    decoded = decode(packets, 4)
+    assert decoded == block
+    assert join_payload(decoded) == b""
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_split_and_join_copy_the_block_once():
+    # A block just under 32 x 64 KiB, the stream workload's shape, so the
+    # last packet is padded and then trimmed. Pad-then-slice and
+    # join-then-trim each hold two copies of the block (a 2.0x peak).
+    n, packet_len = 32, 64 * 1024
+    size = n * packet_len
+    data = random.Random(5).randbytes(size - 1000)
+    assert _traced_peak(split_payload, data, n) <= 1.1 * size
+    block = split_payload(data, n)
+    assert _traced_peak(join_payload, block) <= 1.1 * size
 
 
 def test_manifest_roundtrip():
