@@ -29,9 +29,11 @@ xorcode decode -m coded/manifest.txt -o out.bin coded/packet_*.bin
 cmp msg.bin out.bin
 
 cat > net.txt <<'NET'
+# three relays, each feeding both sinks
 source s
 sink t1
 sink t2
+
 edge s u1
 edge s u2
 edge s u3

@@ -88,9 +88,7 @@ class SourceBlock:
     @classmethod
     def from_packets(cls, packets: Sequence[bytes], original_len: int | None = None) -> SourceBlock:
         packets = tuple(bytes(p) for p in packets)
-        if not packets:
-            raise ValueError("block must contain at least one packet")
-        plen = len(packets[0])
+        plen = len(packets[0]) if packets else 0  # an empty block fails in the constructor
         if original_len is None:
             original_len = plen * len(packets)
         return cls(packets, plen, original_len)
@@ -240,8 +238,9 @@ class Decoder:
     def add(self, packet: CodedPacket) -> bool:
         """Enter one packet; True if it raised the rank.
 
-        Raises ``PacketIntegrityError`` if the packet is dependent on earlier
-        ones but its payload disagrees with theirs.
+        Raises ``ValueError`` if its payload length differs from the first
+        packet's, and ``PacketIntegrityError`` if the packet is dependent on
+        earlier ones but its payload disagrees with theirs.
         """
         values = self._values
         if values and len(packet.payload) != self._length:
@@ -288,10 +287,6 @@ def decode(
     reported as recoverable.
     """
     decoder = Decoder(n)
-    # Checked for the whole list first, so a length mismatch is reported
-    # ahead of an integrity error in an earlier packet.
-    if len({len(p.payload) for p in packets}) > 1:
-        raise ValueError("received packets have unequal payload lengths")
     for p in packets:
         decoder.add(p)
     return decoder.block(original_len)

@@ -6,7 +6,8 @@ an edge carries one fixed packet index in each phase. A schedule assigns
 packet indexes to (sink, path, phase) slots such that every sink sees each
 packet exactly once and paths sharing an edge agree phase by phase.
 
-Network text format, one directive per line ('#' starts a comment):
+Both text formats take one directive per line; '#' starts a comment and
+blank lines are skipped. Network text format:
 
     node <name>
     edge <from> <to>      # repeat for parallel edges
@@ -89,39 +90,34 @@ class Network:
             raise TopologyError("network contains a cycle")
 
 
+def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, tokens) of each non-blank line, '#' comments cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+_NETWORK_TOKENS = {"node": 2, "edge": 3, "source": 2, "sink": 2}  # keyword included
+
+
 def parse_network(text: str) -> Network:
-    nodes: list[str] = []
-    seen: set[str] = set()
+    nodes: dict[str, None] = {}  # names in order of first mention
     edges: list[tuple[str, str]] = []
     source: str | None = None
     sinks: list[str] = []
-
-    def add_node(name: str):
-        if name not in seen:
-            seen.add(name)
-            nodes.append(name)
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "node" and len(toks) == 2:
-            add_node(toks[1])
-        elif toks[0] == "edge" and len(toks) == 3:
-            add_node(toks[1])
-            add_node(toks[2])
+    for lineno, line, toks in _directives(text):
+        if _NETWORK_TOKENS.get(toks[0]) != len(toks):
+            raise ParseError(f"line {lineno}: bad directive {line!r}")
+        if toks[0] == "edge":
             edges.append((toks[1], toks[2]))
-        elif toks[0] == "source" and len(toks) == 2:
+        elif toks[0] == "source":
             if source is not None:
                 raise ParseError(f"line {lineno}: second source directive")
-            add_node(toks[1])
             source = toks[1]
-        elif toks[0] == "sink" and len(toks) == 2:
-            add_node(toks[1])
+        elif toks[0] == "sink":
             sinks.append(toks[1])
-        else:
-            raise ParseError(f"line {lineno}: bad directive {line!r}")
+        nodes[toks[1]] = nodes[toks[-1]] = None  # toks[-1] is toks[1] except in an edge
     if source is None:
         raise ParseError("missing source directive")
     if not sinks:
@@ -444,20 +440,13 @@ _SCHEDULE_HEADERS = ("n", "requested_n", "phases", "maxflow")
 
 
 def _parse_schedule_lines(text: str) -> tuple[
-    dict[str, int],
-    dict[str, list[tuple[list[str], tuple[int, ...]]]],
-    dict[str, tuple[tuple[int, ...], ...]],
+    dict[str, int], dict[str, list[tuple[list[str], tuple[int, ...]]]]
 ]:
-    """Headers, each sink section's (node names, packets) rows, and each sink's
-    packet sequences, which with the headers pass ``_check_partitions``."""
+    """The four headers and each sink section's non-empty (node names, packets) rows."""
     header: dict[str, int] = {}
     sections: dict[str, list[tuple[list[str], tuple[int, ...]]]] = {}
     rows: list[tuple[list[str], tuple[int, ...]]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, line, toks in _directives(text):
         if toks[0] in _SCHEDULE_HEADERS:
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError(f"line {lineno}: bad header {line!r}")
@@ -494,25 +483,19 @@ def _parse_schedule_lines(text: str) -> tuple[
     for sink, rows in sections.items():
         if not rows:
             raise ParseError(f"sink {sink!r} section has no path lines")
-    parts = {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
-    try:
-        _check_partitions(partitions=parts.items(), **header)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return header, sections, parts
+    return header, sections
 
 
 def parse_schedule(net: Network, text: str) -> Schedule:
     """A schedule that is valid and fits ``net``; anything else is a ParseError."""
-    header, sections, parts = _parse_schedule_lines(text)
+    header, sections = _parse_schedule_lines(text)
     paths = []
     for rows in sections.values():
         taken: set[int] = set()
         paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
+    seqs = tuple(tuple(packets for _, packets in rows) for rows in sections.values())
     try:
-        sched = Schedule(
-            sinks=tuple(parts), paths=tuple(paths), assignment=tuple(parts.values()), **header
-        )
+        sched = Schedule(sinks=tuple(sections), paths=tuple(paths), assignment=seqs, **header)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     problems = validate_schedule(net, sched)
@@ -522,8 +505,15 @@ def parse_schedule(net: Network, text: str) -> Schedule:
 
 
 def parse_schedule_partitions(text: str) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Per-sink packet sequences from a schedule file, no network needed."""
-    return _parse_schedule_lines(text)[2]
+    """Per-sink packet sequences from a schedule file, no network needed; they
+    and the headers must pass ``_check_partitions``."""
+    header, sections = _parse_schedule_lines(text)
+    parts = {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
+    try:
+        _check_partitions(partitions=parts.items(), **header)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return parts
 
 
 @dataclass(frozen=True)
@@ -538,10 +528,7 @@ class SinkReport:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    n: int
-    requested_n: int
-    phases: int
-    maxflow: int
+    schedule: Schedule
     sinks: tuple[SinkReport, ...]
 
     @property
@@ -589,20 +576,14 @@ def simulate(
         )
         for sink, per_phase in zip(sched.sinks, received)
     ]
-    return SimulationReport(
-        n=sched.n,
-        requested_n=sched.requested_n,
-        phases=sched.phases,
-        maxflow=sched.maxflow,
-        sinks=tuple(reports),
-    )
+    return SimulationReport(schedule=sched, sinks=tuple(reports))
 
 
 def format_simulation_report(report: SimulationReport) -> str:
+    sched = report.schedule
     lines = [
-        f"n={report.n} requested_n={report.requested_n} "
-        f"phases={report.phases} maxflow={report.maxflow} "
-        f"padding={report.n - report.requested_n}"
+        f"n={sched.n} requested_n={sched.requested_n} phases={sched.phases} "
+        f"maxflow={sched.maxflow} padding={sched.padding}"
     ]
     for r in report.sinks:
         for phase, idxs in enumerate(r.received, start=1):

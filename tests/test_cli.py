@@ -396,6 +396,11 @@ def test_audit_from_schedule_file(tmp_path, capsys):
     )
     assert code == 0
     assert "min_paths=" in stdout
+    code, stdout, err = run(
+        capsys, "audit", "-r", str(rect_file), "--schedule", str(sim / "schedule.txt"),
+        "--sink", "nosuch",
+    )
+    assert (code, stdout) == (2, "") and "sink 'nosuch' not found in schedule" in err
 
 
 def test_audit_all_on_one_path_leaks(tmp_path, capsys):
@@ -521,6 +526,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args + ["-o", str(tmp_path)])
         assert exc.value.code == 2, args
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "-n", "abc", "-o", str(tmp_path)])
+    assert exc.value.code == 2 and "not an integer: 'abc'" in capsys.readouterr().err
 
 
 def test_empty_rectangle_file_is_parse_error(tmp_path, capsys):

@@ -176,6 +176,15 @@ def test_encode_size_mismatch():
         encode(s, SourceBlock.from_packets([b"a"] * 5))
     with pytest.raises(ValueError):
         SourceBlock.from_packets([b"aa", b"b", b"cc", b"dd"])
+    for build in (lambda: SourceBlock((), 0, 0), lambda: SourceBlock.from_packets([])):
+        with pytest.raises(ValueError, match="^block must contain at least one packet$"):
+            build()
+    # decode rejects a payload of another length, whether it would be kept or redundant
+    packets = encode(s, SourceBlock.from_packets([b"ab", b"cd", b"ef", b"gh"]))
+    short = CodedPacket(packets[0].index, packets[0].vector, b"a")
+    for received in ([packets[1], short], packets + [short]):
+        with pytest.raises(ValueError, match="received packets have unequal payload lengths"):
+            decode(received, 4)
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +261,8 @@ def test_source_block_rejects_oversized_original_len():
         SourceBlock((b"abc", b"def"), 3, 7)
     with pytest.raises(ValueError, match="exceeds"):
         SourceBlock.from_packets([b"ab"] * 4, original_len=9)
+    with pytest.raises(ValueError, match="original length cannot be negative"):
+        SourceBlock((b"abc", b"def"), 3, -1)
 
 
 def test_decode_rejects_oversized_original_len():
@@ -458,6 +469,8 @@ def test_packet_range_checks():
         CodedPacket(1, 0, b"x")
     with pytest.raises(ValueError, match="references source 5 > n=4"):
         decode([CodedPacket(1, 0b10001, b"x")], 4)
+    with pytest.raises(ValueError, match="packet count must be >= 1"):
+        Decoder(0)
     serialize_packet(CodedPacket(0xFFFF, 1 << 0xFFFE, b""))
     for index, vector in ((0x10000, 0b1), (1, 1 << 0xFFFF)):
         with pytest.raises(ValueError, match="does not fit the u16 wire format"):
@@ -473,6 +486,9 @@ def test_deserialize_errors():
         deserialize_packet(buf + b"\x00")
     with pytest.raises(WireFormatError):
         deserialize_packet(b"\x01")
+    with pytest.raises(WireFormatError, match=r"empty header \(at byte 2\)") as exc:
+        deserialize_packet(b"\x02\x00\x00\x00" + (3).to_bytes(4, "little") + b"xyz")
+    assert exc.value.offset == 2
     # header indexes out of order
     bad = bytearray(buf)
     bad[4:8] = (4).to_bytes(2, "little") + (1).to_bytes(2, "little")
@@ -489,6 +505,8 @@ def test_split_payload_examples():
     assert b.packets[3] == bytes([9, 0, 0])
     with pytest.raises(ValueError):
         split_payload(b"", 4)
+    with pytest.raises(ValueError, match="packet count must be >= 1"):
+        split_payload(b"abc", 0)
 
 
 def test_join_inverts_split():
@@ -564,3 +582,6 @@ def test_manifest_roundtrip():
         parse_manifest("not a manifest")
     with pytest.raises(ParseError):
         parse_manifest("4 3 sideways 10\n" + EXAMPLE_RECT.to_text())
+    for head in ("5 3", "4 1"):
+        with pytest.raises(ParseError, match="disagree with embedded rectangle 3x4"):
+            parse_manifest(f"{head} direct 10\n" + EXAMPLE_RECT.to_text())

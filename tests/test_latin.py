@@ -80,6 +80,8 @@ def test_constructor_rejects_non_int_cells():
 
 
 def test_rectangle_shape_errors():
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        LatinRectangle(())
     with pytest.raises(ValueError):
         LatinRectangle(((1, 2), (2, 1), (1, 2)))  # more rows than columns
     with pytest.raises(ValueError):
@@ -287,6 +289,8 @@ def test_auto_rows():
     assert auto_rows(4) == 3
     assert auto_rows(9) == 7
     assert auto_rows(12) == 11
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        auto_rows(0)
 
 
 def test_find_nonsingular_auto():
@@ -325,6 +329,11 @@ def test_find_nonsingular_continues_one_walk():
 def test_find_nonsingular_rejects_even_k():
     with pytest.raises(ValueError, match="even"):
         find_nonsingular_rectangle(4, k=2)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        find_nonsingular_rectangle(0)
+    for k in (0, -1, 6):
+        with pytest.raises(ValueError, match=f"row count must be in 1..5, got {k}"):
+            find_nonsingular_rectangle(5, k=k)
 
 
 def test_find_nonsingular_rejects_an_empty_walk():

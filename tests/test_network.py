@@ -62,6 +62,13 @@ def relay_ring(size: int) -> str:
 
 TRIANGLE = relay_ring(3)
 
+# The second augmenting path s->b->c must cancel the first path's a->c edge
+# and continue a->d->t, giving paths (0, 3, 6) and (1, 4, 5).
+CANCELS_FLOW = (
+    "source s\nsink t\n"
+    "edge s a\nedge s b\nedge a c\nedge a d\nedge b c\nedge c t\nedge d t\n"
+)
+
 # t2's first path s->a->t2 shares its s->a edge with t1's path s->a->t1 and
 # its a->t2 edge with t1's path s->a->t2->t1, so those two t1 paths would have
 # to carry the same packets.
@@ -79,6 +86,15 @@ def test_parse_errors():
         parse_network("source s\nedge s t\n")  # no sink
     with pytest.raises(ParseError):
         parse_network("source s\nsink t\nlink s t\n")
+    with pytest.raises(ParseError, match="line 3: second source directive"):
+        parse_network("source s\nsink t\nsource t\nedge s t\n")
+    with pytest.raises(TopologyError, match="self-loop on 't'"):
+        parse_network("source s\nsink t\nedge s t\nedge t t\n")
+    headers_only = "n 4\nrequested_n 4\nphases 2\nmaxflow 2\n"
+    with pytest.raises(ParseError, match="schedule lists no sinks"):
+        parse_schedule_partitions(headers_only)
+    with pytest.raises(ParseError, match="schedule lists no sinks"):
+        parse_schedule(parse_network(CHAIN), headers_only)
 
 
 def test_network_invariants():
@@ -86,6 +102,15 @@ def test_network_invariants():
         Network(("a", "b", "s", "t"), (("a", "b"), ("b", "a"), ("s", "t")), "s", ("t",))
     with pytest.raises(ValueError):
         Network(("s",), (), "s", ("s",))
+    for args, message in (
+        ((("s", "t", "s"), (), "s", ("t",)), "duplicate node names"),
+        ((("a", "t"), (), "s", ("t",)), "unknown source 's'"),
+        ((("s", "t"), (), "s", ("u",)), "unknown sink 'u'"),
+        ((("s", "t"), (("s", "x"),), "s", ("t",)), r"edge \('s', 'x'\) references unknown node"),
+        ((("s", "t"), (), "s", ()), "at least one sink is required"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Network(*args)
 
 
 def test_max_flow_examples(fig1, fig3):
@@ -116,6 +141,7 @@ def test_edge_disjoint_paths(fig1, fig3):
             seen |= set(path)
             nodes = path_nodes(net, path)
             assert nodes[0] == "s" and nodes[-1] == sink
+    assert edge_disjoint_paths(parse_network(CANCELS_FLOW), "t") == [(0, 3, 6), (1, 4, 5)]
 
 
 def test_edge_disjoint_paths_parallel_edges():
@@ -616,6 +642,7 @@ def outcome(build, net, n):
 @example(parse_network(CHAIN), 3)
 @example(parse_network(TRIANGLE), 6)
 @example(parse_network(JOINED_BY_OTHER_SINK), 4)
+@example(parse_network(CANCELS_FLOW), 4)
 def test_build_schedule_matches_exhaustive_oracle(net, n):
     # The class search returns the labelling search's schedule, or the same error.
     assert outcome(build_schedule, net, n) == outcome(exhaustive_schedule, net, n)
