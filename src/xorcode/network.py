@@ -23,7 +23,6 @@ Schedule text format:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -131,56 +130,64 @@ def parse_network(text: str) -> Network:
 def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
-    The flow is found by BFS augmenting paths and then decomposed.
+    The flow is found by BFS augmenting paths and then decomposed, both on
+    the sink's ancestor subgraph only, so a call costs about
+    O(f * ancestor edges) for max flow f, whatever the size of the network.
     """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
     edges = net.edges
-    out_, in_ = net.adjacency
-    # Only nodes that reach the sink can lie on an augmenting path. In a DAG
-    # every edge carrying flow lies on a source-sink path, so residual edges
-    # from the other nodes lead only to each other: leaving them out of the
-    # BFS keeps its order, its prev links and so the flow unchanged.
+    in_ = net.adjacency[1]
+    # Only the sink's ancestors lie on augmenting paths: an edge into one
+    # leaves one, and a residual edge reverses a flow edge, which joins two.
+    # So a BFS over the edges among them meets them in the whole network's
+    # order and gives them the same prev links, and so the same flow.
     reaches = {sink}
     stack = [sink]
+    sub: list[int] = []  # in-edges of the ancestors: the edges among them
     while stack:
-        for eid in in_[stack.pop()]:
+        ins = in_[stack.pop()]
+        sub += ins
+        for eid in ins:
             u = edges[eid][0]
             if u not in reaches:
                 reaches.add(u)
                 stack.append(u)
-    flow = [0] * len(edges)
-    value = 0
-    while True:
-        prev: dict[str, tuple[int, int] | None] = {net.source: None}
-        queue = deque([net.source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for eid in out_[u]:
-                v = edges[eid][1]
-                if not flow[eid] and v not in prev and v in reaches:
-                    prev[v] = (eid, 1)
+    if net.source not in reaches:
+        return []
+    out_: dict[str, list[tuple[int, str]]] = {}  # (edge, head) in edge order
+    for eid in sorted(sub):
+        u, v = edges[eid]
+        out_.setdefault(u, []).append((eid, v))
+    used: set[int] = set()  # the edges carrying flow
+    # The flow can fill no more than the sink's in-edges or the source's out-edges.
+    for _ in range(min(len(in_[sink]), len(out_[net.source]))):
+        prev: dict[str, tuple[int, str] | None] = {net.source: None}
+        queue = [net.source]  # first in, first out: the loop reads what it appends
+        for u in queue:
+            for eid, v in out_[u]:
+                if eid not in used and v not in prev:
+                    prev[v] = (eid, u)
                     queue.append(v)
             for eid in in_[u]:
                 v = edges[eid][0]
-                if flow[eid] and v not in prev:
-                    prev[v] = (eid, -1)
+                if eid in used and v not in prev:
+                    prev[v] = (eid, u)
                     queue.append(v)
+            if sink in prev:
+                break
         if sink not in prev:
             break
         node = sink
         while node != net.source:
-            eid, direction = prev[node]  # type: ignore[misc]
-            flow[eid] = 1 if direction == 1 else 0
-            node = edges[eid][0] if direction == 1 else edges[eid][1]
-        value += 1
+            eid, node = prev[node]  # type: ignore[misc]
+            used ^= {eid}  # a forward edge gains flow, a residual one loses it
     # Each node's flow-carrying out-edges in descending id order, so pop() takes the lowest.
-    available: dict[str, list[int]] = {v: [] for v in net.nodes}
-    for eid in range(len(flow) - 1, -1, -1):
-        if flow[eid]:
-            available[edges[eid][0]].append(eid)
+    available: dict[str, list[int]] = {}
+    for eid in sorted(used, reverse=True):
+        available.setdefault(edges[eid][0], []).append(eid)
     paths = []
-    for _ in range(value):
+    while available[net.source]:
         node = net.source
         path = []
         while node != sink:
@@ -208,13 +215,16 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     # build_schedule pads the request up to the next multiple of maxflow.
     if not n - maxflow < requested_n <= n:
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
+    every: list[int] = []  # 1..n, built once a sink has shown it holds n packets
     for sink, seqs in partitions:
         if len(seqs) != maxflow or any(len(seq) != phases for seq in seqs):
             raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
         packets = [x for seq in seqs for x in seq]
-        if any(type(x) is not int for x in packets):
+        if set(map(type, packets)) != {int}:
             raise ValueError(f"sink {sink}: packet indexes must be ints")
-        if sorted(packets) != list(range(1, n + 1)):
+        if not every:
+            every = list(range(1, n + 1))
+        if sorted(packets) != every:
             raise ValueError(f"sink {sink}: packet sets do not partition 1..{n}")
 
 
@@ -242,14 +252,15 @@ class Schedule:
             raise ValueError("per-sink path/assignment shape mismatch")
         header = (self.n, self.requested_n, self.phases, self.maxflow)
         _check_partitions(*header, zip(self.sinks, self.assignment))
-        carried: dict[int, tuple[str, tuple[int, ...]]] = {}  # edge -> first (sink, sequence)
+        carried: dict[int, tuple[int, ...]] = {}  # edge -> first sequence on it
         for sink, paths, seqs in zip(self.sinks, self.paths, self.assignment):
             if len(paths) != len(seqs) or not all(paths):
                 raise ValueError(f"sink {sink}: needs {len(seqs)} non-empty paths")
             for path, seq in zip(paths, seqs):
                 for e in path:
-                    t, carries = carried.setdefault(e, (sink, seq))
+                    carries = carried.setdefault(e, seq)
                     if carries != seq:
+                        t = next(t for t, ps in zip(self.sinks, self.paths) for q in ps if e in q)
                         raise ValueError(f"edge {e} carries {carries} for {t}, {seq} for {sink}")
 
     @property
@@ -343,7 +354,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
             if c not in neighbours:
                 order.append(c)
                 neighbours[c] = set()
-            neighbours[c].update(x for x in classes if x != c)
+            neighbours[c].update(classes)  # c too, but c is never in seqs when read
 
     # Depth-first search with one lazy candidate generator per class on the branch.
     # The assigned classes hold exactly packets 1..tops[k]: if they hold 1..m

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, permutations
 from types import SimpleNamespace
 from typing import Any, Sequence
@@ -327,6 +328,57 @@ def lowest_unused_subsets(
         for combo in combinations(list(plain) + unused, p)
         if [x for x in combo if x > top] == unused[: sum(x > top for x in combo)]
     ]
+
+
+def whole_graph_edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
+    """Unit-capacity max flow by BFS augmenting paths over every node and edge, then decomposed.
+
+    Each BFS visits out-edges, then residual in-edges, in ascending edge id;
+    the decomposition follows each node's lowest-id flow-carrying out-edge.
+    """
+    if sink not in net.sinks:
+        raise ValueError(f"{sink!r} is not a sink of this network")
+    edges = net.edges
+    out_, in_ = net.adjacency
+    flow = [0] * len(edges)
+    value = 0
+    while True:
+        prev: dict[str, tuple[int, int] | None] = {net.source: None}
+        queue = deque([net.source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for eid in out_[u]:
+                v = edges[eid][1]
+                if not flow[eid] and v not in prev:
+                    prev[v] = (eid, 1)
+                    queue.append(v)
+            for eid in in_[u]:
+                v = edges[eid][0]
+                if flow[eid] and v not in prev:
+                    prev[v] = (eid, -1)
+                    queue.append(v)
+        if sink not in prev:
+            break
+        node = sink
+        while node != net.source:
+            eid, direction = prev[node]  # type: ignore[misc]
+            flow[eid] = 1 if direction == 1 else 0
+            node = edges[eid][0] if direction == 1 else edges[eid][1]
+        value += 1
+    available: dict[str, list[int]] = {v: [] for v in net.nodes}
+    for eid in range(len(flow) - 1, -1, -1):
+        if flow[eid]:
+            available[edges[eid][0]].append(eid)
+    paths = []
+    for _ in range(value):
+        node = net.source
+        path = []
+        while node != sink:
+            eid = available[node].pop()
+            path.append(eid)
+            node = edges[eid][1]
+        paths.append(tuple(path))
+    return paths
 
 
 def exhaustive_schedule(net: Network, n: int) -> Schedule:

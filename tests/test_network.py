@@ -16,6 +16,7 @@ from oracles import (
     header_phases_to_decode,
     lowest_unused_subsets,
     schedule_problems,
+    whole_graph_edge_disjoint_paths,
 )
 from xorcode import (
     MODE_BALANCED_DECODE,
@@ -68,6 +69,20 @@ CANCELS_FLOW = (
     "source s\nsink t\n"
     "edge s a\nedge s b\nedge a c\nedge a d\nedge b c\nedge c t\nedge d t\n"
 )
+
+# CANCELS_FLOW inside a larger network: the source has an in-edge from z, x
+# lies on no source-sink path, and a's and c's out-edges to the other sink u
+# come before their edges towards t, so t's ancestors a and c have out-edges
+# that its flow never uses. t's paths are (2, 6, 10) and (3, 7, 9).
+CANCELS_FLOW_AMID_OTHERS = (
+    "source s\nsink t\nsink u\n"
+    "edge z s\nedge s x\nedge s a\nedge s b\nedge a u\nedge a c\nedge a d\n"
+    "edge b c\nedge c u\nedge c t\nedge d t\nedge b u\n"
+)
+
+# The reverse walk from t expands a before b, so it collects m's out-edges as
+# 2, then 1; the BFS must still try them in id order, which gives (0, 1, 3).
+DESCENDING_WALK = "source s\nsink t\nedge s m\nedge m b\nedge m a\nedge b t\nedge a t\n"
 
 # t2's first path s->a->t2 shares its s->a edge with t1's path s->a->t1 and
 # its a->t2 edge with t1's path s->a->t2->t1, so those two t1 paths would have
@@ -142,6 +157,43 @@ def test_edge_disjoint_paths(fig1, fig3):
             nodes = path_nodes(net, path)
             assert nodes[0] == "s" and nodes[-1] == sink
     assert edge_disjoint_paths(parse_network(CANCELS_FLOW), "t") == [(0, 3, 6), (1, 4, 5)]
+    assert edge_disjoint_paths(parse_network(CANCELS_FLOW_AMID_OTHERS), "t") == [(2, 6, 10), (3, 7, 9)]
+
+
+@st.composite
+def dag_multigraphs(draw):
+    """A DAG multigraph whose node and edge order do not follow its topology.
+
+    Edges run up the numbering of v0..vk, some of them parallel, and are
+    listed in a drawn order. The source is one of the lower half, so it may
+    have in-edges; nodes on no source-sink path and sinks the source cannot
+    reach are common.
+    """
+    k = draw(st.integers(2, 8))
+    names = [f"v{i}" for i in range(k)]
+    ends = st.integers(0, k - 1)
+    wired = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), min_size=2 * k, max_size=30))
+    edges = [
+        (names[min(u, v)], names[max(u, v)]) for u, v, copies in wired if u != v for _ in range(copies)
+    ]
+    source = names[draw(st.integers(0, k // 2))]
+    others = [x for x in names if x != source]
+    sinks = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(names)
+    rng.shuffle(edges)
+    return Network(tuple(names), tuple(edges), source, tuple(sinks))
+
+
+@settings(deadline=None, max_examples=400)
+@given(dag_multigraphs())
+@example(parse_network(CANCELS_FLOW))
+@example(parse_network(CANCELS_FLOW_AMID_OTHERS))
+@example(parse_network(DESCENDING_WALK))
+def test_edge_disjoint_paths_match_whole_graph_reference(net):
+    # The max flow on each sink's ancestors gives the whole-network flow's paths.
+    for t in net.sinks:
+        assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t)
 
 
 def test_edge_disjoint_paths_parallel_edges():
@@ -285,6 +337,26 @@ def test_validator_catches_problems(fig1):
         "sink t2 path 1: does not run source->sink",
         "sink t2 path 1: edges 2,3 do not connect",
     ]
+
+
+def test_schedule_names_the_first_carrier_of_a_conflicting_edge(fig1):
+    # The constructor keeps only each edge's first sequence and finds the sink
+    # that carried it when it raises.
+    sched = build_schedule(fig1, 4)  # t1: (0, 2), (1, 4); t2: (0, 3), (1, 5); both (1, 2), (3, 4)
+    (t1, t2), (a1, a2) = sched.paths, sched.assignment
+    cases = [
+        # t1's second path carries edge 1 first.
+        (dict(paths=(t1, t2[::-1])), "edge 1 carries (3, 4) for t1, (1, 2) for t2"),
+        # t2, not sinks[0] and not the sink that conflicts, carries edge 3 first.
+        (
+            dict(sinks=("t1", "t2", "t3"), paths=(t1, t2, ((3,), (1,))), assignment=(a1, a2, a2[::-1])),
+            "edge 3 carries (1, 2) for t2, (3, 4) for t3",
+        ),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(sched, **edit)
+        assert str(exc.value) == message
 
 
 def test_schedule_rejects_non_int_packets(fig1):
@@ -475,6 +547,34 @@ def test_build_schedule_backtracking_golden(n, digest):
     net = parse_network(SEVEN_RELAYS)
     text = format_schedule(net, build_schedule(net, n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def layered_network(rng: random.Random, f: int) -> str:
+    """f classes of 2-4 relays fed once from s; each of 4-12 sinks reads one relay per class."""
+    classes = [[f"r{c}_{i}" for i in range(rng.randint(2, 4))] for c in range(f)]
+    sinks = [f"t{j}" for j in range(rng.randint(4, 12))]
+    lines = ["source s"] + [f"sink {t}" for t in sinks]
+    lines += [f"edge s {r}" for relays in classes for r in relays]
+    lines += [f"edge {rng.choice(relays)} {t}" for t in sinks for relays in classes]
+    return "\n".join(lines) + "\n"
+
+
+def test_build_schedule_layered_golden():
+    # Twenty networks of the benchmark's multicast family, f = 2..6 with 2..4
+    # phases, then the triangle's error: any change in paths, packets or the
+    # message fails here.
+    rng = random.Random(20)
+    texts = []
+    for i in range(20):
+        f = 2 + i % 5
+        p = rng.randint(2, 4)
+        net = parse_network(layered_network(rng, f))
+        texts.append(format_schedule(net, build_schedule(net, rng.randint((p - 1) * f + 1, p * f))))
+    with pytest.raises(ScheduleError) as exc:
+        build_schedule(parse_network(TRIANGLE), 6)
+    texts.append(str(exc.value))
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "22a8e77bf028cc87a1db2b197e79160446aaeb5ab11c14951de2e53719f6609d"
 
 
 def mutant_fields(rng: random.Random, net: Network, sched: Schedule) -> dict:
