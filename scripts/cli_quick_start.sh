@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the README's CLI quick start with the `xorcode` command on PATH, in a
 # fresh temporary directory, and check what it prints and writes: the decoded
-# file equals the input, every sink decodes, and both audits print their
-# expected lines. Exits non-zero on the first difference.
+# file equals the input, each sink decodes after the expected phases, and both
+# audits print their expected lines. Exits non-zero on the first difference.
 #
 # Usage: bash scripts/cli_quick_start.sh
 set -euo pipefail
@@ -45,6 +45,9 @@ edge u3 t1
 edge u3 t2
 NET
 xorcode simulate --network net.txt -n 12 --seed 5 --mode balanced_decode -o sim
+for t in t1 t2; do
+    expect "sink=$t decode=ok phases_needed=4" grep "^sink=$t decode=" sim/report.txt
+done
 expect "summary sinks=2 decoded=2" tail -n 1 sim/report.txt
 
 expect "condition=false min_paths=2 witness_paths=1,2 exposed=6,10" \

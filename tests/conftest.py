@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from xorcode import LatinRectangle, parse_network
+from xorcode import LatinRectangle, network, parse_network
 
 # 4x4 square whose 3-row upper rectangle drives the small worked example.
 EXAMPLE_SQUARE = LatinRectangle(((2, 4, 1, 3), (1, 3, 2, 4), (3, 2, 4, 1), (4, 1, 3, 2)))
@@ -176,3 +177,16 @@ def fig2():
 @pytest.fixture
 def fig3():
     return parse_network(FIG3_TEXT)
+
+
+@pytest.fixture
+def corrupt_decode(monkeypatch):
+    """Make ``simulate``'s decode return its block with the first byte flipped."""
+    real = network.decode
+
+    def flipped(*args, **kwargs):
+        block = real(*args, **kwargs)
+        first = bytes([block.packets[0][0] ^ 1]) + block.packets[0][1:]
+        return dataclasses.replace(block, packets=(first, *block.packets[1:]))
+
+    monkeypatch.setattr(network, "decode", flipped)

@@ -296,6 +296,18 @@ def test_simulate_with_rectangle_file(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and "column 1 repeats" in err
 
 
+def test_simulate_wrong_decode_exits_1(tmp_path, capsys, corrupt_decode):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text(FIG3_TEXT)
+    out = tmp_path / "sim"
+    code, stdout, _ = run(capsys, "simulate", "--network", str(net_file), "-n", "12", "-o", str(out))
+    assert code == 1
+    report = (out / "report.txt").read_text()
+    assert report in stdout
+    assert "sink=t1 decode=fail phases_needed=4\n" in report
+    assert report.endswith("summary sinks=2 decoded=0\n")
+
+
 def test_simulate_fig2(tmp_path, capsys):
     net_file = tmp_path / "net.txt"
     net_file.write_text(FIG2_TEXT)

@@ -310,6 +310,10 @@ def test_decode_integrity_error():
     bad = CodedPacket(packets[0].index, packets[0].vector, b"!!")
     with pytest.raises(PacketIntegrityError):
         decode(packets + [bad], 4)
+    # Packets are checked in order, so a conflict ahead of a short payload wins.
+    short = CodedPacket(packets[1].index, packets[1].vector, b"a")
+    with pytest.raises(PacketIntegrityError, match=f"packet {bad.index} is linearly dependent"):
+        decode([packets[0], bad, short, *packets[1:]], 4)
     # a true duplicate is redundant, not inconsistent
     assert decode(packets + [packets[0]], 4).packets == block.packets
 

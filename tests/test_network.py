@@ -110,6 +110,12 @@ def test_parse_errors():
         parse_schedule_partitions(headers_only)
     with pytest.raises(ParseError, match="schedule lists no sinks"):
         parse_schedule(parse_network(CHAIN), headers_only)
+    # A path that names no edge is reported before the sink's bad partition.
+    lost = "n 2\nrequested_n 2\nphases 2\nmaxflow 1\nsink t\npath s b t : 1 1\n"
+    with pytest.raises(ParseError, match="^sink t: packet sets do not partition 1..2$"):
+        parse_schedule_partitions(lost)
+    with pytest.raises(ParseError, match="^no unused edge s->b available for path$"):
+        parse_schedule(parse_network(CHAIN), lost)
 
 
 def test_network_invariants():
@@ -160,6 +166,21 @@ def test_edge_disjoint_paths(fig1, fig3):
     assert edge_disjoint_paths(parse_network(CANCELS_FLOW_AMID_OTHERS), "t") == [(2, 6, 10), (3, 7, 9)]
 
 
+def embed_cancels_flow(draw, names, source, edges):
+    """Add CANCELS_FLOW on source and five new nodes; return its sink.
+
+    Its edges go among the others in their own order, and no other edge
+    touches its new nodes, so its sink's second path must cancel flow.
+    """
+    a, b, c, d, t = fresh = [f"v{len(names) + i}" for i in range(5)]
+    names += fresh
+    gadget = [(source, a), (source, b), (a, c), (a, d), (b, c), (c, t), (d, t)]
+    spots = sorted(draw(st.lists(st.integers(0, len(edges)), min_size=7, max_size=7)))
+    for offset, (spot, edge) in enumerate(zip(spots, gadget)):
+        edges.insert(spot + offset, edge)
+    return t
+
+
 @st.composite
 def dag_multigraphs(draw):
     """A DAG multigraph whose node and edge order do not follow its topology.
@@ -167,7 +188,8 @@ def dag_multigraphs(draw):
     Edges run up the numbering of v0..vk, some of them parallel, and are
     listed in a drawn order. The source is one of the lower half, so it may
     have in-edges; nodes on no source-sink path and sinks the source cannot
-    reach are common.
+    reach are common. Random edges almost never make a flow cancel, so half
+    the draws add CANCELS_FLOW on five new nodes, its end a sink.
     """
     k = draw(st.integers(2, 8))
     names = [f"v{i}" for i in range(k)]
@@ -180,8 +202,10 @@ def dag_multigraphs(draw):
     others = [x for x in names if x != source]
     sinks = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True))
     rng = draw(st.randoms(use_true_random=False))
-    rng.shuffle(names)
     rng.shuffle(edges)
+    if draw(st.booleans()):
+        sinks.append(embed_cancels_flow(draw, names, source, edges))
+    rng.shuffle(names)
     return Network(tuple(names), tuple(edges), source, tuple(sinks))
 
 
@@ -495,6 +519,18 @@ def test_report_format(fig1):
     assert text.endswith("summary sinks=2 decoded=2\n")
 
 
+def test_report_of_a_wrong_decode(fig1, corrupt_decode):
+    # The one decode's verdict is every sink's: a wrong block fails them all.
+    sched = build_schedule(fig1, 4)
+    scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3), MODE_DIRECT)
+    report = simulate(fig1, sched, scheme, SourceBlock.from_packets([b"hi"] * 4))
+    assert report.all_decoded is False
+    lines = format_simulation_report(report).splitlines()
+    verdicts = [line for line in lines if " decode=" in line]
+    assert verdicts == [f"sink={t} decode=fail phases_needed={sched.phases}" for t in fig1.sinks]
+    assert lines[-1] == "summary sinks=2 decoded=0"
+
+
 @pytest.mark.parametrize(
     ("text", "n"),
     [
@@ -707,7 +743,8 @@ def small_dags(draw):
     Either three or four relays fed once from s, with two to four sinks each
     reading f of them (f < relays, so odd rings of shared relays make some
     schedules infeasible), or up to three source edges plus arbitrary edges
-    with parallels on s, v1..vk, where sink max-flows often differ.
+    with parallels on s, v1..vk, where sink max-flows often differ. Half of
+    the latter add CANCELS_FLOW on five new nodes, its end a sink.
     """
     if draw(st.booleans()):
         relays = [f"r{i}" for i in range(draw(st.integers(3, 4)))]
@@ -724,6 +761,8 @@ def small_dags(draw):
     pairs = st.integers(1, k - 1).flatmap(lambda u: st.tuples(st.just(u), st.integers(u + 1, k)))
     edges += [(names[u], names[v]) for u, v in draw(st.lists(pairs, min_size=1, max_size=10))]
     sinks = draw(st.lists(st.sampled_from(names[1:]), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        sinks.append(embed_cancels_flow(draw, names, "s", edges))
     return Network(tuple(names), tuple(edges), "s", tuple(sinks))
 
 
@@ -758,8 +797,8 @@ def test_build_schedule_matches_exhaustive_oracle(net, n):
 @settings(deadline=None, max_examples=200)
 @given(small_dags(), st.integers(1, 6), st.data())
 def test_simulate_phases_match_header_rank(net, n, data):
-    # Every sink reaches full header rank in the last phase, and its outcome is
-    # what decoding its own buffer, in arrival order, gives. Checked on a
+    # Every sink reaches full header rank in the last phase, and decoding its
+    # own buffer, in arrival order, gives the report's one verdict. Checked on a
     # designed or a random invertible E: a singular E makes no scheme.
     try:
         sched = build_schedule(net, n)
@@ -780,8 +819,9 @@ def test_simulate_phases_match_header_rank(net, n, data):
     rng = random.Random(m)
     block = SourceBlock.from_packets([rng.randbytes(3) for _ in range(m)])
     coded = encode(scheme, block)
-    for r in simulate(net, sched, scheme, block).sinks:
+    report = simulate(net, sched, scheme, block)
+    for r in report.sinks:
         assert r.phases_to_decode == header_phases_to_decode(scheme, r.received) == sched.phases
         buffer = [coded[i - 1] for idxs in r.received for i in idxs]
         out = decode(buffer, m, original_len=block.original_len)
-        assert (r.decoded, r.correct, r.error) == (True, out.packets == block.packets, None)
+        assert (out.packets == block.packets) is report.all_decoded
