@@ -124,19 +124,22 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
         moves = n * n
     if moves < 0:
         raise ValueError(f"moves must be at least 0, got {moves}")
-    return next(_jm_walk(n, seed, moves))
+    return _rows(next(_jm_walk(n, seed, moves)), n, n)
 
 
-def _jm_walk(n: int, seed: int, moves: int) -> Iterator[LatinRectangle]:
-    """``jm_generate``'s walk, resumable: yield the square after every
-    ``moves`` accepted moves, on one random stream."""
+def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
+    """``jm_generate``'s walk, resumable: after every ``moves`` accepted moves
+    on one random stream, yield the square as its live, row-major list of
+    0-based symbols, valid until the walk resumes."""
     rnd = random.Random(seed).random
     if n <= 2:  # one draw per sample; the order-2 walk is periodic
-        squares = (((1, 2), (2, 1)), ((2, 1), (1, 2))) if n == 2 else (((1,),),)
+        squares = ([0, 1, 1, 0], [1, 0, 0, 1]) if n == 2 else ([0],)
         while True:
-            yield LatinRectangle(squares[int(rnd() * n)])
+            yield squares[int(rnd() * n)]
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
-    # row_at[c*n+s]: row of s in column c. Start from the cyclic square.
+    # row_at[c*n+s]: row of s in column c, stored as r*n. A row is only ever
+    # used as r*n, so rn and r2n stand for r and r2. Start from the cyclic
+    # square.
     sym_at = [0] * (n * n)
     col_at = [0] * (n * n)
     row_at = [0] * (n * n)
@@ -149,7 +152,7 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[LatinRectangle]:
     for c in range(n):
         cn = c * n
         for s in range(n):
-            row_at[cn + s] = (s - c) % n
+            row_at[cn + s] = (s - c) % n * n
     # One accepted move per pass of the for loop. It starts from a proper
     # pivot, a random empty (cell, symbol) triple, and steps until the far
     # corner (r2, c2, s2) closes. A corner that does not close becomes the
@@ -157,63 +160,89 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[LatinRectangle]:
     # a second entry (far, the column of s2 in row r2, the row of s2 in
     # column c2) besides the old (s, c, r); a coin flip per line picks which
     # entry the step moves. random() >= 0.5 is exactly int(random() * 2) == 1.
+    #
+    # A step flips nine cells, but an improper step writes only those the
+    # walk keeps. A closing step writes all nine. Otherwise each coin pairs
+    # with three cells, which it writes on heads and skips on tails:
+    #   symbol coin: col[r2,s]=c2, row[c2,s]=r2 and sym[r2,c2]=s;
+    #   column coin: sym[r2,c]=s2, row[c,s2]=r2 and col[r2,s2]=c;
+    #   row coin:    sym[r,c2]=s2, col[r,s2]=c2 and row[c2,s2]=r.
+    # The skip is exact. The last cell of each line is the next pivot's fill,
+    # and on tails it already holds it: the value just read (far, or t). The
+    # other two are flips the next step makes itself:
+    #   symbol tail: the next s2 is s, so the next row coin writes col[r2,s]
+    #     and the next column coin row[c2,s];
+    #   column tail: the next c2 is c, so the next row coin writes sym[r2,c]
+    #     and the next symbol coin row[c,s2];
+    #   row tail: the next r2 is r, so the next column coin writes sym[r,c2]
+    #     and the next symbol coin col[r,s2].
+    # A tail there hands the cell on to the step after by the same rule, and
+    # the closing step writes all it is handed, so each move ends with the
+    # arrays of the nine-write step. On the way no read meets a cell still
+    # owed: a step reads only sym[r2,c2], col[r2,s2] and row[c2,s2], and as
+    # r2 != r, c2 != c and s2 != s, none of them is one of its six flips.
     while True:
         for _ in range(moves):
             while True:
-                r = int(rnd() * n)
+                rn = int(rnd() * n) * n
                 c = int(rnd() * n)
                 s = int(rnd() * n)
-                rn = r * n
                 s2 = sym_at[rn + c]
                 if s2 != s:
                     break
             cn = c * n
             c2 = col_at[rn + s]
-            r2 = row_at[cn + s]
-            fill_sym, fill_col, fill_row = s, c, r
+            r2n = row_at[cn + s]
+            sym_at[rn + c] = s
+            col_at[rn + s] = c
+            row_at[cn + s] = rn
             while True:
-                r2n = r2 * n
                 c2n = c2 * n
-                sym_at[rn + c] = fill_sym
-                sym_at[rn + c2] = s2
-                sym_at[r2n + c] = s2
-                col_at[rn + s] = fill_col
-                col_at[rn + s2] = c2
-                col_at[r2n + s] = c2
-                row_at[cn + s] = fill_row
-                row_at[cn + s2] = r2
-                row_at[c2n + s] = r2
                 far = sym_at[r2n + c2]
                 if far == s2:
+                    sym_at[rn + c2] = s2
+                    sym_at[r2n + c] = s2
                     sym_at[r2n + c2] = s
+                    col_at[rn + s2] = c2
+                    col_at[r2n + s] = c2
                     col_at[r2n + s2] = c
-                    row_at[c2n + s2] = r
+                    row_at[cn + s2] = r2n
+                    row_at[c2n + s] = r2n
+                    row_at[c2n + s2] = rn
                     break
-                rn, cn = r2n, c2n
                 if rnd() >= 0.5:
-                    fill_sym = s
+                    col_at[r2n + s] = c2
+                    row_at[c2n + s] = r2n
+                    sym_at[r2n + c2] = s
                     s, s2 = s2, far
                 else:
-                    fill_sym = far
                     s, s2 = s2, s
-                t = col_at[rn + s]
+                # s is the old s2 from here on.
+                t = col_at[r2n + s]
                 if rnd() >= 0.5:
-                    fill_col = c
+                    sym_at[r2n + c] = s
+                    row_at[cn + s] = r2n
+                    col_at[r2n + s] = c
                     c, c2 = c2, t
                 else:
-                    fill_col = t
                     c, c2 = c2, c
+                cn = c2n
                 t = row_at[cn + s]
                 if rnd() >= 0.5:
-                    fill_row = r
-                    r, r2 = r2, t
+                    sym_at[rn + c] = s
+                    col_at[rn + s] = c
+                    row_at[cn + s] = rn
+                    rn, r2n = r2n, t
                 else:
-                    fill_row = t
-                    r, r2 = r2, r
-        cells = tuple(
-            tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
-        )
-        yield LatinRectangle(cells)
+                    rn, r2n = r2n, rn
+        yield sym_at
+
+
+def _rows(sym_at: list[int], n: int, k: int) -> LatinRectangle:
+    """The first k rows of a walk's square as a rectangle."""
+    return LatinRectangle(
+        tuple([tuple([v + 1 for v in sym_at[rn:rn + n]]) for rn in range(0, k * n, n)])
+    )
 
 
 def auto_rows(n: int) -> int:
@@ -240,10 +269,10 @@ def find_nonsingular_rectangle(
     ``jm_generate(n, s0, (j + 1) * moves)``: after a singular sample the walk
     runs one more full length. ``moves`` defaults to n^2, ``jm_generate``'s
     length, and must be at least 1. The first sample whose upper k rows have
-    a nonsingular block incidence is returned, and ``max_retries`` bounds the
-    samples tested. Even k is rejected outright: with an even number of ones
-    in every row, the XOR of all columns is zero, so the matrix is singular
-    over GF(2).
+    a nonsingular block incidence is returned, and ``max_retries``, at least
+    1, bounds the samples tested. Even k is rejected outright: with an even
+    number of ones in every row, the XOR of all columns is zero, so the
+    matrix is singular over GF(2).
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -260,12 +289,17 @@ def find_nonsingular_rectangle(
         moves = n * n
     if moves < 1:
         raise ValueError(f"moves must be at least 1, got {moves}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves)
+    kn = k * n
     for _ in range(max_retries):
-        rect = split_upper(next(walk), k)
-        m = block_incidence(rect)
+        # Row c of the incidence marks the (distinct) symbols of column c's
+        # first k cells; only the sample that passes becomes a rectangle.
+        sym_at = next(walk)
+        m = BitMatrix(n, n, tuple([sum([1 << v for v in sym_at[c:kn:n]]) for c in range(n)]))
         if determinant(m):
-            return rect, m
+            return _rows(sym_at, n, k), m
     raise DesignSearchError(
         f"no nonsingular {k}x{n} rectangle found in {max_retries} attempts",
         attempts=max_retries,

@@ -216,7 +216,9 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
 
     Same random draws in the same order as ``latin.jm_generate``, so the same
     square for every (n, seed, moves); that walk splits each accepted move
-    into a proper pivot and its improper excursion.
+    into a proper pivot and its improper excursion. Every step here writes
+    all nine cells it flips: this is the oracle for that walk, whose
+    improper steps write only the cells the next step does not rewrite.
     """
     if n < 1:
         raise ValueError("order must be at least 1")

@@ -256,6 +256,16 @@ def test_jm_generate_matches_reference_walk(n, seed, moves):
     assert jm_generate(n, seed, moves) == reference_jm_generate(n, seed, moves)
 
 
+def test_jm_generate_matches_reference_walk_at_larger_orders():
+    # The property above stops at n = 12; the walk's step is the same at
+    # every order, but its excursions grow with n.
+    rng = random.Random(22)
+    for n in range(13, 25):
+        for moves in (None, 1, 2 * n):
+            seed = rng.getrandbits(63)
+            assert jm_generate(n, seed, moves) == reference_jm_generate(n, seed, moves)
+
+
 def test_column_supports_match_square_columns():
     rng = random.Random(12)
     for _ in range(20):
@@ -326,6 +336,37 @@ def test_find_nonsingular_continues_one_walk():
     assert max(samples_needed.values()) >= 2
 
 
+def test_find_nonsingular_later_samples_at_odd_orders():
+    # Odd orders retry most, so these searches return a late sample of the
+    # walk: each is the reference walk after (j + 1) * n^2 moves.
+    for n, k, seed in ((17, None, 0), (19, 15, 2), (21, None, 1)):
+        rows = auto_rows(n) if k is None else k
+        s0 = random.Random(seed).getrandbits(63)
+        for j in range(64):
+            rect = split_upper(reference_jm_generate(n, s0, (j + 1) * n * n), rows)
+            if determinant(block_incidence(rect)):
+                break
+        assert j >= 2
+        assert find_nonsingular_rectangle(n, k, seed)[0] == rect
+
+
+def test_find_nonsingular_returns_the_rectangle_and_its_incidence():
+    # The search tests an incidence built from the walk's raw square and
+    # builds only the accepted rectangle, so the two must agree.
+    rng = random.Random(8)
+    for n in range(1, 15):
+        for k in range(1, n + 1, 2):
+            seed = rng.getrandbits(63)
+            if k == n > 1:  # a full square's incidence is all ones
+                with pytest.raises(DesignSearchError):
+                    find_nonsingular_rectangle(n, k, seed, max_retries=2)
+                continue
+            rect, m = find_nonsingular_rectangle(n, k, seed)
+            assert (rect.k, rect.n) == (k, n)
+            assert m == block_incidence(rect)
+            assert determinant(m) == 1
+
+
 def test_find_nonsingular_rejects_even_k():
     with pytest.raises(ValueError, match="even"):
         find_nonsingular_rectangle(4, k=2)
@@ -340,6 +381,13 @@ def test_find_nonsingular_rejects_an_empty_walk():
     # Every sample of a zero-move walk would be the start square.
     with pytest.raises(ValueError, match="moves must be at least 1"):
         find_nonsingular_rectangle(5, moves=0)
+
+
+def test_find_nonsingular_rejects_no_retries():
+    # Without a tested sample there is no failed search to report.
+    for max_retries in (0, -3):
+        with pytest.raises(ValueError, match=f"max_retries must be at least 1, got {max_retries}"):
+            find_nonsingular_rectangle(8, max_retries=max_retries)
 
 
 def test_find_nonsingular_search_failure():
