@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the README's CLI quick start with the `xorcode` command on PATH, in a
 # fresh temporary directory, and check what it prints and writes: the decoded
-# file equals the input, each sink decodes after the expected phases, and both
-# audits print their expected lines. Exits non-zero on the first difference.
+# file equals the input, simulate prints the design's n and k, each sink
+# decodes after the expected phases, and both audits print their expected
+# lines. Exits non-zero on the first difference.
 #
 # Usage: bash scripts/cli_quick_start.sh
 set -euo pipefail
@@ -44,7 +45,8 @@ edge u2 t2
 edge u3 t1
 edge u3 t2
 NET
-xorcode simulate --network net.txt -n 12 --seed 5 --mode balanced_decode -o sim
+xorcode simulate --network net.txt -n 12 --mode balanced_decode -o sim | tee sim.log
+expect "n=12 k=11 mode=balanced_decode" head -n 1 sim.log
 for t in t1 t2; do
     expect "sink=$t decode=ok phases_needed=4" grep "^sink=$t decode=" sim/report.txt
 done

@@ -19,7 +19,7 @@ checks, each run at several walk lengths:
 
 Usage, with xorcode importable (installed, or PYTHONPATH=src):
 
-    python scripts/walk_mixing.py           # the README tables, about 2 min
+    python scripts/walk_mixing.py           # the README tables, about 100 s
     python scripts/walk_mixing.py --quick   # a tenth of the seeds, about 20 s
 
 The quick run reproduces the pipeline, not the power: with fewer seeds a

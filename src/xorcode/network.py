@@ -199,8 +199,7 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
 
 
 def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
-    if not path:
-        return ()
+    """The nodes a non-empty path of edge ids visits, source first."""
     return (net.edges[path[0]][0],) + tuple(net.edges[eid][1] for eid in path)
 
 

@@ -16,12 +16,16 @@ from conftest import (
     TWO_PATH_SCHEDULE,
 )
 from xorcode import (
+    MODE_BALANCED_DECODE,
     LatinRectangle,
     PathPartition,
     build_schedule,
     check_condition,
     format_schedule,
+    make_scheme,
+    min_eavesdrop_paths,
     parse_network,
+    parse_schedule_partitions,
     split_upper,
 )
 import xorcode
@@ -234,7 +238,7 @@ def test_simulate_readme_golden_output(tmp_path, capsys):
     net_file.write_text(FIG3_TEXT)
     out = tmp_path / "sim"
     code, stdout, _ = run(
-        capsys, "simulate", "--network", str(net_file), "-n", "12", "--seed", "5",
+        capsys, "simulate", "--network", str(net_file), "-n", "12",
         "--mode", "balanced_decode", "-o", str(out),
     )
     assert code == 0
@@ -313,7 +317,7 @@ def test_simulate_fig2(tmp_path, capsys):
     net_file.write_text(FIG2_TEXT)
     out = tmp_path / "sim"
     code, stdout, _ = run(
-        capsys, "simulate", "--network", str(net_file), "-n", "4", "--seed", "7", "-o", str(out)
+        capsys, "simulate", "--network", str(net_file), "-n", "4", "-o", str(out)
     )
     assert code == 0
     assert "summary sinks=6 decoded=6" in stdout
@@ -329,7 +333,6 @@ def test_simulate_fig3_balanced_12(tmp_path, capsys):
         "simulate",
         "--network", str(net_file),
         "-n", "12",
-        "--seed", "5",
         "--mode", "balanced_decode",
         "-o", str(out),
     )
@@ -346,12 +349,29 @@ def test_simulate_chain_three_phases(tmp_path, capsys):
     assert code == 0 and "phases=3" in stdout
 
 
+def test_simulate_never_searches(tmp_path, capsys, monkeypatch):
+    # At odd n the search keeps about e/n of its samples, so at n = 101 its
+    # default 64 fail for about one seed in five; simulate needs no search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("simulate ran the design search")
+
+    monkeypatch.setattr("xorcode.latin.find_nonsingular_rectangle", no_search)
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("source s\nsink t\nedge s a\nedge a t\n")
+    code, stdout, _ = run(
+        capsys, "simulate", "--network", str(net_file), "-n", "101", "-o", str(tmp_path / "sim")
+    )
+    assert code == 0
+    assert stdout.splitlines()[0] == "n=101 k=99 mode=direct"
+    assert "sink=t decode=ok phases_needed=101\n" in stdout
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     net_file = tmp_path / "net.txt"
     net_file.write_text(FIG3_TEXT)
     a, b = tmp_path / "a", tmp_path / "b"
-    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "--seed", "9", "-o", str(a))
-    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "--seed", "9", "-o", str(b))
+    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "-o", str(a))
+    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "-o", str(b))
     for name in ("schedule.txt", "report.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -396,7 +416,7 @@ def test_audit_from_schedule_file(tmp_path, capsys):
     net_file = tmp_path / "net.txt"
     net_file.write_text(FIG3_TEXT)
     sim = tmp_path / "sim"
-    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "--seed", "2", "-o", str(sim))
+    run(capsys, "simulate", "--network", str(net_file), "-n", "12", "-o", str(sim))
     rect_file = tmp_path / "l5x12.txt"
     rect_file.write_text(L5X12.to_text())
     code, stdout, _ = run(
@@ -407,7 +427,12 @@ def test_audit_from_schedule_file(tmp_path, capsys):
         "--sink", "t1",
     )
     assert code == 0
-    assert "min_paths=" in stdout
+    seqs = parse_schedule_partitions((sim / "schedule.txt").read_text())["t1"]
+    partition = ";".join(",".join(map(str, seq)) for seq in seqs)
+    assert run(capsys, "audit", "-r", str(rect_file), "--partition", partition) == (0, stdout, "")
+    scheme = make_scheme(L5X12, MODE_BALANCED_DECODE)
+    report = min_eavesdrop_paths(scheme, PathPartition.from_sequences(seqs))
+    assert stdout == report.summary_line() + "\n"
     code, stdout, err = run(
         capsys, "audit", "-r", str(rect_file), "--schedule", str(sim / "schedule.txt"),
         "--sink", "nosuch",
@@ -533,7 +558,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["gen", "-n", "4", "--auto"],
         ["gen", "-n", "6", "--max-retries", "0"],
         ["gen", "-n", "6", "--moves", "0"],
-        ["simulate", "--network", "net.txt", "-n", "4", "--packet-len", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(args + ["-o", str(tmp_path)])

@@ -480,6 +480,15 @@ def test_packet_range_checks():
         with pytest.raises(ValueError, match="does not fit the u16 wire format"):
             serialize_packet(CodedPacket(index, vector, b""))
 
+    # A payload that reports a length it does not hold, so no 4 GiB buffer is built.
+    def claiming(length):
+        return type("Claiming", (bytes,), {"__len__": lambda self: length})(b"xy")
+
+    wire = serialize_packet(CodedPacket(1, 0b1, claiming(0xFFFFFFFF)))
+    assert wire == bytes.fromhex("0100 0100 0100 ffffffff 7879".replace(" ", ""))
+    with pytest.raises(ValueError, match="payload too large for the u32 wire format"):
+        serialize_packet(CodedPacket(1, 0b1, claiming(1 << 32)))
+
 
 def test_deserialize_errors():
     p = CodedPacket(index=2, vector=0b1001, payload=b"xyz")

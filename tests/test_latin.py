@@ -294,6 +294,14 @@ def test_even_order_top_rows_invert_in_closed_form(n, seed):
     assert invert(b) == mat_mul(j_plus_i, transpose(perm))
 
 
+def test_cyclic_square_top_rows_are_nonsingular():
+    # simulate's design. Even n leaves out one row, so B = J xor P; odd n
+    # leaves out rows n-2 and n-1, which differ by the shift by one, an n-cycle.
+    for n in range(1, 130):
+        rect = split_upper(jm_generate(n, moves=0), auto_rows(n))
+        assert determinant(block_incidence(rect)) == 1, n
+
+
 def test_auto_rows():
     assert auto_rows(1) == 1
     assert auto_rows(4) == 3
