@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         "each later sample follows one more walk of this length",
     )
     p.add_argument(
-        "--max-retries", type=_positive_int, default=64,
-        help="samples to test (default 64); at odd n the search keeps about e/n of them, "
-        "so 64 fails for about one seed in five at n = 101: grow it with n",
+        "--max-retries", type=_positive_int,
+        help="samples to test (default max(64, 4n)); at odd n the search keeps about "
+        "e/n of them, so 4n samples all fail for at most about one seed in 50 000",
     )
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(func=cmd_gen)

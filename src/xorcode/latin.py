@@ -258,7 +258,7 @@ def find_nonsingular_rectangle(
     n: int,
     k: int | None = None,
     seed: int = 0,
-    max_retries: int = 64,
+    max_retries: int | None = None,
     moves: int | None = None,
 ) -> tuple[LatinRectangle, BitMatrix]:
     """Search for a k x n Latin rectangle with nonsingular block incidence.
@@ -270,9 +270,11 @@ def find_nonsingular_rectangle(
     runs one more full length. ``moves`` defaults to n^2, ``jm_generate``'s
     length, and must be at least 1. The first sample whose upper k rows have
     a nonsingular block incidence is returned, and ``max_retries``, at least
-    1, bounds the samples tested. Even k is rejected outright: with an even
-    number of ones in every row, the XOR of all columns is zero, so the
-    matrix is singular over GF(2).
+    1, bounds the samples tested. It defaults to max(64, 4n): at odd n about
+    e/n of the samples pass, so a fixed bound fails more often as n grows,
+    while 4n samples all fail with chance about e^(-4e), 2 * 10^-5. Even k
+    is rejected outright: with an even number of ones in every row, the XOR
+    of all columns is zero, so the matrix is singular over GF(2).
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -289,6 +291,8 @@ def find_nonsingular_rectangle(
         moves = n * n
     if moves < 1:
         raise ValueError(f"moves must be at least 1, got {moves}")
+    if max_retries is None:
+        max_retries = max(64, 4 * n)
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves)

@@ -127,12 +127,51 @@ def parse_network(text: str) -> Network:
         raise ParseError(str(exc)) from None
 
 
+def _augmenting_flow(
+    net: Network, sink: str, out_: dict[str, list[tuple[int, str]]]
+) -> set[int]:
+    """The edges of a max flow to sink found by BFS augmenting paths over the
+    ancestor edges out_ lists, each node's (edge, head) pairs in edge order."""
+    edges = net.edges
+    in_ = net.adjacency[1]
+    used: set[int] = set()  # the edges carrying flow
+    # The flow can fill no more than the sink's in-edges or the source's out-edges.
+    for _ in range(min(len(in_[sink]), len(out_[net.source]))):
+        prev: dict[str, tuple[int, str] | None] = {net.source: None}
+        queue = [net.source]  # first in, first out: the loop reads what it appends
+        for u in queue:
+            for eid, v in out_[u]:
+                if eid not in used and v not in prev:
+                    prev[v] = (eid, u)
+                    queue.append(v)
+            for eid in in_[u]:
+                v = edges[eid][0]
+                if eid in used and v not in prev:
+                    prev[v] = (eid, u)
+                    queue.append(v)
+            if sink in prev:
+                break
+        if sink not in prev:
+            break
+        node = sink
+        while node != net.source:
+            eid, node = prev[node]  # type: ignore[misc]
+            used ^= {eid}  # a forward edge gains flow, a residual one loses it
+    return used
+
+
 def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
-    The flow is found by BFS augmenting paths and then decomposed, both on
-    the sink's ancestor subgraph only, so a call costs about
-    O(f * ancestor edges) for max flow f, whatever the size of the network.
+    The flow is found on the sink's ancestor subgraph alone and then
+    decomposed. When every ancestor other than the source and the sink has
+    as many in-edges as out-edges among the ancestor edges, those edges are
+    themselves a flow, and its value, the source's out-degree among them, is
+    the most any flow can carry. It is also the only max flow: another would
+    be a subset of it, and the difference, a circulation of nonnegative
+    flow, cannot exist in a DAG. So no search is needed and a call costs
+    O(ancestor edges). Otherwise BFS augmenting paths find the flow, at
+    about O(f * ancestor edges) for max flow f, whatever the network's size.
     """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
@@ -159,29 +198,20 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     for eid in sorted(sub):
         u, v = edges[eid]
         out_.setdefault(u, []).append((eid, v))
-    used: set[int] = set()  # the edges carrying flow
-    # The flow can fill no more than the sink's in-edges or the source's out-edges.
-    for _ in range(min(len(in_[sink]), len(out_[net.source]))):
-        prev: dict[str, tuple[int, str] | None] = {net.source: None}
-        queue = [net.source]  # first in, first out: the loop reads what it appends
-        for u in queue:
-            for eid, v in out_[u]:
-                if eid not in used and v not in prev:
-                    prev[v] = (eid, u)
-                    queue.append(v)
-            for eid in in_[u]:
-                v = edges[eid][0]
-                if eid in used and v not in prev:
-                    prev[v] = (eid, u)
-                    queue.append(v)
-            if sink in prev:
-                break
-        if sink not in prev:
-            break
-        node = sink
-        while node != net.source:
-            eid, node = prev[node]  # type: ignore[misc]
-            used ^= {eid}  # a forward edge gains flow, a residual one loses it
+    # out_ holds every ancestor but the sink, so the last test is the balance
+    # rule. The first two follow from it, and reject most unbalanced sinks
+    # at once: the source's out-degree is the flow into the sink, and the
+    # source has no in-edge, since walking in-edges back from one would end
+    # at another ancestor with none.
+    source = net.source
+    if (
+        not in_[source]
+        and len(out_[source]) == len(in_[sink])
+        and all(len(in_[u]) == len(outs) for u, outs in out_.items() if u != source)
+    ):
+        used = set(sub)
+    else:
+        used = _augmenting_flow(net, sink, out_)
     # Each node's flow-carrying out-edges in descending id order, so pop() takes the lowest.
     available: dict[str, list[int]] = {}
     for eid in sorted(used, reverse=True):
@@ -404,7 +434,7 @@ def validate_schedule(net: Network, sched: Schedule) -> list[str]:
     problems = []
     for sink, paths in zip(sched.sinks, sched.paths):
         for j, path in enumerate(paths, 1):
-            if any(not 0 <= e < len(net.edges) for e in path):
+            if min(path) < 0 or max(path) >= len(net.edges):
                 problems.append(f"sink {sink} path {j}: unknown edge id")
                 continue
             if net.edges[path[0]][0] != net.source or net.edges[path[-1]][1] != sink:

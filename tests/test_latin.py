@@ -403,6 +403,11 @@ def test_find_nonsingular_search_failure():
     with pytest.raises(DesignSearchError) as exc:
         find_nonsingular_rectangle(3, k=3, max_retries=5)
     assert exc.value.attempts == 5
+    # By default the search tests max(64, 4n) samples.
+    for n, attempts in ((5, 64), (21, 84)):
+        with pytest.raises(DesignSearchError) as exc:
+            find_nonsingular_rectangle(n, k=n)
+        assert exc.value.attempts == attempts
 
 
 def test_rectangle_text_roundtrip():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -46,6 +47,7 @@ from xorcode import (
     split_upper,
     validate_schedule,
 )
+from xorcode import network
 from xorcode.network import _canonical_subsets
 
 CHAIN = "source s\nsink t\nedge s a\nedge a t\n"
@@ -218,6 +220,49 @@ def test_edge_disjoint_paths_match_whole_graph_reference(net):
     # The max flow on each sink's ancestors gives the whole-network flow's paths.
     for t in net.sinks:
         assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t)
+
+
+@st.composite
+def balanced_networks(draw):
+    """A union of source-sink paths through shared relays, plus decoy edges.
+
+    Each relay is fed once, by s or by an earlier relay, so the children of
+    s root branches of relays. A sink reads one relay in each of some
+    branches, or none, and may have edges straight from s: among a sink's
+    ancestor edges every relay then feeds as often as it is fed. Relays that
+    feed no sink and decoy nodes hung from any node add edges that reach no
+    sink. Edges and nodes are listed in a drawn order.
+    """
+    relays = [f"r{i}" for i in range(draw(st.integers(1, 8)))]
+    edges = []
+    branch: dict[str, str] = {}
+    for i, r in enumerate(relays):
+        feed = draw(st.sampled_from(["s"] + relays[:i]))
+        edges.append((feed, r))
+        branch[r] = r if feed == "s" else branch[feed]
+    sinks = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    for t in sinks:
+        for root in draw(st.lists(st.sampled_from(sorted(set(branch.values()))), unique=True)):
+            edges.append((draw(st.sampled_from([r for r in relays if branch[r] == root])), t))
+        edges += [("s", t)] * draw(st.integers(0, 2))
+    names = ["s"] + relays + sinks
+    for i in range(draw(st.integers(0, 4))):
+        tails = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        edges += [(u, f"d{i}") for u in tails]
+        names.append(f"d{i}")
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(edges)
+    rng.shuffle(names)
+    return Network(tuple(names), tuple(edges), "s", tuple(sinks))
+
+
+@settings(deadline=None, max_examples=200)
+@given(balanced_networks())
+def test_balanced_sinks_match_whole_graph_reference_without_search(net):
+    # A balanced sink's ancestor edges are the whole-network flow's edges.
+    with mock.patch.object(network, "_augmenting_flow", side_effect=AssertionError("searched")):
+        for t in net.sinks:
+            assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t)
 
 
 def test_edge_disjoint_paths_parallel_edges():
@@ -611,6 +656,25 @@ def test_build_schedule_layered_golden():
     texts.append(str(exc.value))
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == "22a8e77bf028cc87a1db2b197e79160446aaeb5ab11c14951de2e53719f6609d"
+
+
+def test_only_unbalanced_sinks_search(fig1, fig2, fig3):
+    # Relay networks skip the search; a flow that must cancel needs it.
+    nets = [fig1, fig2, fig3, parse_network(relay_ring(4)), parse_network(SEVEN_RELAYS)]
+    rng = random.Random(20)  # the networks of test_build_schedule_layered_golden
+    for i in range(20):
+        f = 2 + i % 5
+        p = rng.randint(2, 4)
+        nets.append(parse_network(layered_network(rng, f)))
+        rng.randint((p - 1) * f + 1, p * f)
+    with mock.patch.object(network, "_augmenting_flow", side_effect=AssertionError("searched")):
+        for net in nets:
+            for t in net.sinks:
+                assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t) != []
+    with mock.patch.object(network, "_augmenting_flow", wraps=network._augmenting_flow) as search:
+        for calls, text in enumerate((CANCELS_FLOW, CANCELS_FLOW_AMID_OTHERS), 1):
+            edge_disjoint_paths(parse_network(text), "t")
+            assert search.call_count == calls
 
 
 def mutant_fields(rng: random.Random, net: Network, sched: Schedule) -> dict:
