@@ -130,7 +130,7 @@ def cmd_audit(args) -> int:
             toks = chunk.replace(",", " ").split()
             if not toks:
                 raise ParseError(f"empty partition chunk in {args.partition!r}")
-            if not all(t.isdecimal() and int(t) > 0 for t in toks):
+            if not all(t.isascii() and t.isdecimal() and int(t) > 0 for t in toks):
                 raise ParseError(f"bad partition chunk {chunk!r}, packet indexes start at 1")
             seqs.append(tuple(int(t) for t in toks))
         part = security.PathPartition.from_sequences(seqs)

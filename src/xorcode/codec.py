@@ -350,7 +350,7 @@ def parse_manifest(text: str) -> tuple[int, int, str, int, LatinRectangle]:
     toks = lines[0].split()
     if len(toks) != 4:
         raise ParseError(f"bad manifest header {lines[0]!r}, expected 'n k mode original_len'")
-    if not all(toks[i].isdecimal() for i in (0, 1, 3)):
+    if not all(toks[i].isascii() and toks[i].isdecimal() for i in (0, 1, 3)):
         raise ParseError(f"non-integer field in manifest header {lines[0]!r}")
     n, k, original_len = int(toks[0]), int(toks[1]), int(toks[3])
     mode = toks[2]

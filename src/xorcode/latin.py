@@ -56,7 +56,7 @@ class LatinRectangle:
         if not lines:
             raise ParseError("empty rectangle text")
         head = lines[0].split()
-        if len(head) != 2 or not all(t.isdecimal() for t in head):
+        if len(head) != 2 or not all(t.isascii() and t.isdecimal() for t in head):
             raise ParseError(f"bad rectangle header {lines[0]!r}, expected 'k n'")
         k, n = int(head[0]), int(head[1])
         if not 1 <= k <= n:
@@ -68,7 +68,7 @@ class LatinRectangle:
             toks = line.split()
             if len(toks) != n:
                 raise ParseError(f"row {i + 1} has {len(toks)} entries, expected {n}")
-            if not all(t.isdecimal() for t in toks):
+            if not all(t.isascii() and t.isdecimal() for t in toks):
                 raise ParseError(f"non-integer entry in row {i + 1}: {line!r}")
             rows.append(tuple(int(t) for t in toks))
         try:

@@ -44,6 +44,9 @@ class Network:
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise ValueError("duplicate node names")
+        for v in self.nodes:  # the text formats split on whitespace and cut '#' comments
+            if v.split() != [v] or "#" in v:
+                raise ValueError(f"node name {v!r} is empty or holds whitespace or '#'")
         if self.source not in known:
             raise ValueError(f"unknown source {self.source!r}")
         if not self.sinks:
@@ -127,20 +130,19 @@ def parse_network(text: str) -> Network:
         raise ParseError(str(exc)) from None
 
 
-def _augmenting_flow(
-    net: Network, sink: str, out_: dict[str, list[tuple[int, str]]]
-) -> set[int]:
-    """The edges of a max flow to sink found by BFS augmenting paths over the
-    ancestor edges out_ lists, each node's (edge, head) pairs in edge order."""
+def _augmenting_flow(net: Network, sink: str, outs: dict[str, list[int]]) -> set[int]:
+    """The edges of a max flow to sink found by BFS augmenting paths; outs holds
+    each ancestor's out-edges among the ancestor edges, in ascending id."""
     edges = net.edges
     in_ = net.adjacency[1]
     used: set[int] = set()  # the edges carrying flow
     # The flow can fill no more than the sink's in-edges or the source's out-edges.
-    for _ in range(min(len(in_[sink]), len(out_[net.source]))):
+    for _ in range(min(len(in_[sink]), len(outs[net.source]))):
         prev: dict[str, tuple[int, str] | None] = {net.source: None}
         queue = [net.source]  # first in, first out: the loop reads what it appends
         for u in queue:
-            for eid, v in out_[u]:
+            for eid in outs[u]:
+                v = edges[eid][1]
                 if eid not in used and v not in prev:
                     prev[v] = (eid, u)
                     queue.append(v)
@@ -163,15 +165,18 @@ def _augmenting_flow(
 def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
-    The flow is found on the sink's ancestor subgraph alone and then
-    decomposed. When every ancestor other than the source and the sink has
-    as many in-edges as out-edges among the ancestor edges, those edges are
-    themselves a flow, and its value, the source's out-degree among them, is
-    the most any flow can carry. It is also the only max flow: another would
-    be a subset of it, and the difference, a circulation of nonnegative
-    flow, cannot exist in a DAG. So no search is needed and a call costs
-    O(ancestor edges). Otherwise BFS augmenting paths find the flow, at
-    about O(f * ancestor edges) for max flow f, whatever the network's size.
+    The flow is found on the sink's ancestor subgraph alone. Its edges are
+    grouped once by tail, in ascending id, for the balance test, the search
+    and the decomposition. When every ancestor other than the source and
+    the sink has as many in-edges as out-edges among them, those edges are
+    themselves a flow, and its value, the source's out-degree among them,
+    is the most any flow can carry. It is also the only max flow: another
+    would be a subset of it, and the difference, a circulation of
+    nonnegative flow, cannot exist in a DAG. So no search is needed and a
+    call costs O(ancestor edges) beside the one sort. Otherwise BFS
+    augmenting paths find the flow, at about O(f * ancestor edges) for max
+    flow f, and only its edges are regrouped. Each path leaves a node by
+    its lowest flow edge not yet taken.
     """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
@@ -194,36 +199,30 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
                 stack.append(u)
     if net.source not in reaches:
         return []
-    out_: dict[str, list[tuple[int, str]]] = {}  # (edge, head) in edge order
+    outs: dict[str, list[int]] = {}  # every ancestor but the sink has out-edges
     for eid in sorted(sub):
-        u, v = edges[eid]
-        out_.setdefault(u, []).append((eid, v))
-    # out_ holds every ancestor but the sink, so the last test is the balance
-    # rule. The first two follow from it, and reject most unbalanced sinks
-    # at once: the source's out-degree is the flow into the sink, and the
-    # source has no in-edge, since walking in-edges back from one would end
-    # at another ancestor with none.
+        outs.setdefault(edges[eid][0], []).append(eid)
+    # The last test is the balance rule, on every ancestor but the sink. The
+    # first two follow from it, and catch most unbalanced sinks at once: the
+    # source's out-degree is the flow into the sink, and the source has no
+    # in-edge, since walking in-edges back from one ends at an ancestor with none.
     source = net.source
     if (
-        not in_[source]
-        and len(out_[source]) == len(in_[sink])
-        and all(len(in_[u]) == len(outs) for u, outs in out_.items() if u != source)
+        in_[source]
+        or len(outs[source]) != len(in_[sink])
+        or any(len(in_[u]) != len(out) for u, out in outs.items() if u != source)
     ):
-        used = set(sub)
-    else:
-        used = _augmenting_flow(net, sink, out_)
-    # Each node's flow-carrying out-edges in descending id order, so pop() takes the lowest.
-    available: dict[str, list[int]] = {}
-    for eid in sorted(used, reverse=True):
-        available.setdefault(edges[eid][0], []).append(eid)
+        used = _augmenting_flow(net, sink, outs)
+        outs = {}  # regrouped: each node's flow edges
+        for eid in sorted(used):
+            outs.setdefault(edges[eid][0], []).append(eid)
+    untaken = {u: iter(out) for u, out in outs.items()}
     paths = []
-    while available[net.source]:
-        node = net.source
-        path = []
-        while node != sink:
-            eid = available[node].pop()
+    for eid in untaken[source]:
+        path = [eid]
+        while edges[eid][1] != sink:
+            eid = next(untaken[edges[eid][1]])
             path.append(eid)
-            node = edges[eid][1]
         paths.append(tuple(path))
     return paths
 
@@ -488,7 +487,7 @@ def _parse_schedule_lines(text: str) -> tuple[
     rows: list[tuple[list[str], tuple[int, ...]]] | None = None
     for lineno, line, toks in _directives(text):
         if toks[0] in _SCHEDULE_HEADERS:
-            if len(toks) != 2 or not toks[1].isdecimal():
+            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdecimal()):
                 raise ParseError(f"line {lineno}: bad header {line!r}")
             if toks[0] in header:
                 raise ParseError(f"line {lineno}: second {toks[0]!r} header")
@@ -510,7 +509,7 @@ def _parse_schedule_lines(text: str) -> tuple[
             names = toks[1:sep]
             if len(names) < 2:
                 raise ParseError(f"line {lineno}: path needs at least two nodes: {names!r}")
-            if not all(t.isdecimal() and int(t) > 0 for t in toks[sep + 1:]):
+            if not all(t.isascii() and t.isdecimal() and int(t) > 0 for t in toks[sep + 1:]):
                 raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
             rows.append((names, tuple(int(t) for t in toks[sep + 1:])))
         else:

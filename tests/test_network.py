@@ -136,6 +136,14 @@ def test_network_invariants():
             Network(*args)
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\u2028b", "#x", "x#"])
+def test_network_rejects_names_the_text_formats_cannot_write(name):
+    # Both formats split on whitespace and cut '#' comments: for a relay
+    # "a b", format_schedule would write "path s a b t : 1 2".
+    with pytest.raises(ValueError, match="is empty or holds whitespace or '#'"):
+        Network(("s", name, "t"), (("s", name), (name, "t")), "s", ("t",))
+
+
 def test_max_flow_examples(fig1, fig3):
     assert len(edge_disjoint_paths(fig1, "t1")) == 2
     assert len(edge_disjoint_paths(fig1, "t2")) == 2

@@ -30,6 +30,7 @@ from xorcode import (
     serialize_packet,
     split_upper,
 )
+from xorcode.cli import build_parser
 
 FIG3 = parse_network(FIG3_TEXT)
 FIG3_SCHEDULE = format_schedule(FIG3, build_schedule(FIG3, 6))
@@ -185,6 +186,43 @@ def manifest_text(n, k, mode, original_len, rect):
 def test_malformed_text_raises_parse_error(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def audit_partition(text):
+    """`xorcode audit --partition text` on rectangle.txt in the working directory."""
+    args = build_parser().parse_args(["audit", "-r", "rectangle.txt", "--partition", text])
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    ("read", "text", "foreign"),
+    [
+        pytest.param(LatinRectangle.from_text, "1 3\n1 2 3\n", "1 ３\n1 2 3\n", id="rectangle-header"),
+        pytest.param(LatinRectangle.from_text, "1 3\n1 2 3\n", "1 3\n١ 2 3\n", id="rectangle-row"),
+        pytest.param(parse_manifest, MANIFEST, "４" + MANIFEST[1:], id="manifest-header"),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE,
+            FIG3_SCHEDULE.replace("phases 2", "phases ٢"),
+            id="schedule-header",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            FIG3_SCHEDULE,
+            FIG3_SCHEDULE.replace("path s u1 t1 : 1", "path s u1 t1 : １"),
+            id="schedule-packet",
+        ),
+        pytest.param(audit_partition, "1,2;3,4", "1,2;3,٤", id="audit-partition"),
+    ],
+)
+def test_readers_take_only_ascii_digits(read, text, foreign, tmp_path, monkeypatch):
+    # Full-width and Arabic-Indic digits pass str.isdecimal() and int() reads
+    # them, but the file formats hold plain ASCII digits.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rectangle.txt").write_text(RECT_TEXT, encoding="utf-8")
+    read(text)
+    with pytest.raises(ParseError):
+        read(foreign)
 
 
 def test_packet_index_zero_is_wire_format_error():
