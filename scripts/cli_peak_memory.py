@@ -7,12 +7,15 @@ that the decoded file equals the input byte for byte, and prints each
 process's peak resident set size (from ``os.wait4``) in MiB. The multiple
 of the file size is taken above the footprint of the interpreter with
 xorcode imported (``python -m xorcode.cli --help``, about 17 MiB), so that
-it counts the bytes a command holds for the file.
+it counts the bytes a command holds for the file. It then runs ``simulate``
+on a one-edge chain at a large packet count, where the default design, an
+(n-1)- or (n-2)-row rectangle, is what the process holds, and prints that
+peak too.
 
 Usage, with xorcode importable (installed, or PYTHONPATH=src):
 
-    python scripts/cli_peak_memory.py           # a 64 MiB file
-    python scripts/cli_peak_memory.py --quick   # an 8 MiB file
+    python scripts/cli_peak_memory.py           # a 64 MiB file; simulate at n=2000
+    python scripts/cli_peak_memory.py --quick   # an 8 MiB file; simulate at n=1000
 
 Exits non-zero if a command fails or the round trip differs; it sets no
 memory threshold.
@@ -31,6 +34,7 @@ from pathlib import Path
 
 PACKETS = 32
 MiB = 1 << 20
+CHAIN = "source s\nsink t\nedge s t\n"
 
 
 def run(*args: str) -> int:
@@ -48,9 +52,13 @@ def run(*args: str) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--quick", action="store_true", help="an 8 MiB file, not 64 MiB")
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="an 8 MiB file, not 64 MiB; simulate at n=1000, not 2000",
+    )
     args = parser.parse_args()
     size = (8 if args.quick else 64) * MiB
+    chain_n = 1000 if args.quick else 2000
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         src, out = work / "input.bin", work / "output.bin"
@@ -74,6 +82,11 @@ def main() -> int:
         }
         if not filecmp.cmp(src, out, shallow=False):
             sys.exit("decoded file differs from the input")
+        (work / "chain.txt").write_text(CHAIN, encoding="utf-8")
+        chain_peak = run(
+            "simulate", "--network", str(work / "chain.txt"), "-n", str(chain_n),
+            "-o", str(work / "sim"),
+        )
     print(f"round trip ok: {size // MiB} MiB file, n={PACKETS}")
     print(f"interpreter with xorcode imported: {base / MiB:.1f} MiB")
     for name, peak in peaks.items():
@@ -81,6 +94,7 @@ def main() -> int:
             f"{name:6} peak RSS {peak / MiB:7.1f} MiB = "
             f"{(peak - base) / size:.2f}x the file above the interpreter"
         )
+    print(f"simulate peak RSS {chain_peak / MiB:7.1f} MiB on a one-edge chain at n={chain_n}")
     return 0
 
 

@@ -29,6 +29,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _packet_count(text: str) -> int:
+    """-n: a positive int that fits the packet wire format's u16 index."""
+    value = _positive_int(text)
+    if value > 0xFFFF:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {0xFFFF}, the u16 packet index limit, got {value}"
+        )
+    return value
+
+
 def _load_rectangle(path: str) -> latin.LatinRectangle:
     return latin.LatinRectangle.from_text(Path(path).read_text(encoding="utf-8"))
 
@@ -102,7 +112,10 @@ def cmd_simulate(args) -> int:
     else:
         # The cyclic square's top rows are nonsingular at the default k for
         # every n. No output depends on the design or the payload.
-        rect = latin.split_upper(latin.jm_generate(sched.n, moves=0), latin.auto_rows(sched.n))
+        symbols = tuple(range(1, sched.n + 1))
+        rect = latin.LatinRectangle(
+            tuple([symbols[r:] + symbols[:r] for r in range(latin.auto_rows(sched.n))])
+        )
     scheme = codec.make_scheme(rect, args.mode)
     rng = random.Random(0)
     block = codec.SourceBlock.from_packets([rng.randbytes(8) for _ in range(sched.n)])
@@ -155,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="search for a nonsingular Latin-rectangle design")
     p.add_argument(
-        "-n", "--packets", type=_positive_int, required=True, help="design order / packet count"
+        "-n", "--packets", type=_packet_count, required=True, help="design order / packet count"
     )
     p.add_argument(
         "-k", "--rows", type=_positive_int, help="rectangle rows (odd, at most n); default auto"
@@ -190,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="build a phase schedule and replay delivery")
     p.add_argument("--network", required=True, help="network file")
-    p.add_argument("-n", "--packets", type=_positive_int, required=True)
+    p.add_argument("-n", "--packets", type=_packet_count, required=True)
     p.add_argument("--mode", choices=codec.MODES, default=codec.MODE_DIRECT)
     p.add_argument("--rectangle", help="design to test (default: cyclic square's top rows)")
     p.add_argument("-o", "--out", default=".", help="output directory")

@@ -23,7 +23,7 @@ Schedule text format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -93,11 +93,16 @@ class Network:
 
 
 def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, line, tokens) of each non-blank line, '#' comments cut."""
+    """(line number, raw line, tokens) of each line with a token, '#' comments cut."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, raw, toks
+
+
+def _quoted(raw: str) -> str:
+    """A directive's text as error messages quote it: comment cut, ends stripped."""
+    return repr(raw.split("#", 1)[0].strip())
 
 
 _NETWORK_TOKENS = {"node": 2, "edge": 3, "source": 2, "sink": 2}  # keyword included
@@ -108,9 +113,9 @@ def parse_network(text: str) -> Network:
     edges: list[tuple[str, str]] = []
     source: str | None = None
     sinks: list[str] = []
-    for lineno, line, toks in _directives(text):
+    for lineno, raw, toks in _directives(text):
         if _NETWORK_TOKENS.get(toks[0]) != len(toks):
-            raise ParseError(f"line {lineno}: bad directive {line!r}")
+            raise ParseError(f"line {lineno}: bad directive {_quoted(raw)}")
         if toks[0] == "edge":
             edges.append((toks[1], toks[2]))
         elif toks[0] == "source":
@@ -274,6 +279,9 @@ class Schedule:
     sinks: tuple[str, ...]
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     assignment: tuple[tuple[tuple[int, ...], ...], ...]
+    # The Network object this schedule is known to fit: set only by
+    # build_schedule and parse_schedule, and reset by dataclasses.replace.
+    _fits: Network | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.paths) == len(self.assignment) == len(self.sinks):
@@ -287,7 +295,7 @@ class Schedule:
             for path, seq in zip(paths, seqs):
                 for e in path:
                     carries = carried.setdefault(e, seq)
-                    if carries != seq:
+                    if carries is not seq and carries != seq:
                         t = next(t for t, ps in zip(self.sinks, self.paths) for q in ps if e in q)
                         raise ValueError(f"edge {e} carries {carries} for {t}, {seq} for {sink}")
 
@@ -414,7 +422,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
         seqs[c] = seq
         tops.append(max(tops[k], seq[-1]))
         k += 1
-    return Schedule(
+    sched = Schedule(
         n=padded,
         requested_n=n,
         phases=p,
@@ -423,11 +431,21 @@ def build_schedule(net: Network, n: int) -> Schedule:
         paths=tuple([tuple(paths) for paths in sink_paths]),
         assignment=tuple([tuple([seqs[c] for c in classes]) for classes in sink_classes]),
     )
+    # Its sinks are net's and each path is a flow path from net's source to
+    # its sink over net's edges, so it fits net by construction.
+    object.__setattr__(sched, "_fits", net)
+    return sched
 
 
 def validate_schedule(net: Network, sched: Schedule) -> list[str]:
     """Why a schedule does not fit a network (empty if it does): its sinks must be
-    the network's and each path must run source->sink along existing edges."""
+    the network's and each path must run source->sink along existing edges.
+
+    A schedule that build_schedule or parse_schedule returned for this very
+    ``net`` object fits it by construction and is not walked again; any other
+    pair, an equal but distinct network included, gets the full check."""
+    if sched._fits is net:
+        return []
     if sorted(sched.sinks) != sorted(net.sinks):
         return ["schedule sinks do not match network sinks"]
     problems = []
@@ -485,10 +503,10 @@ def _parse_schedule_lines(text: str) -> tuple[
     header: dict[str, int] = {}
     sections: dict[str, list[tuple[list[str], tuple[int, ...]]]] = {}
     rows: list[tuple[list[str], tuple[int, ...]]] | None = None
-    for lineno, line, toks in _directives(text):
+    for lineno, raw, toks in _directives(text):
         if toks[0] in _SCHEDULE_HEADERS:
             if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdecimal()):
-                raise ParseError(f"line {lineno}: bad header {line!r}")
+                raise ParseError(f"line {lineno}: bad header {_quoted(raw)}")
             if toks[0] in header:
                 raise ParseError(f"line {lineno}: second {toks[0]!r} header")
             header[toks[0]] = int(toks[1])
@@ -513,7 +531,7 @@ def _parse_schedule_lines(text: str) -> tuple[
                 raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
             rows.append((names, tuple(int(t) for t in toks[sep + 1:])))
         else:
-            raise ParseError(f"line {lineno}: bad directive {line!r}")
+            raise ParseError(f"line {lineno}: bad directive {_quoted(raw)}")
     for key in _SCHEDULE_HEADERS:
         if key not in header:
             raise ParseError(f"schedule missing '{key}' header")
@@ -540,6 +558,7 @@ def parse_schedule(net: Network, text: str) -> Schedule:
     problems = validate_schedule(net, sched)
     if problems:
         raise ParseError("; ".join(problems))
+    object.__setattr__(sched, "_fits", net)
     return sched
 
 

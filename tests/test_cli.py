@@ -29,7 +29,7 @@ from xorcode import (
     split_upper,
 )
 import xorcode
-from xorcode.cli import main
+from xorcode.cli import build_parser, main
 
 EXAMPLE_RECT = split_upper(EXAMPLE_SQUARE, 3)
 
@@ -566,6 +566,29 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "-n", "abc", "-o", str(tmp_path)])
     assert exc.value.code == 2 and "not an integer: 'abc'" in capsys.readouterr().err
+
+
+def test_packet_count_above_u16_is_usage_error(tmp_path, capsys, monkeypatch):
+    # A packet index is a u16 on the wire, so -n above 65535 stops at the
+    # argument parser, before any walk or schedule.
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the argument parser")
+
+    monkeypatch.setattr("xorcode.latin.find_nonsingular_rectangle", never)
+    monkeypatch.setattr("xorcode.network.build_schedule", never)
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("source s\nsink t\nedge s t\n")
+    for args in (
+        ["gen", "-n", "65536", "-o", str(tmp_path)],
+        ["simulate", "--network", str(net_file), "-n", "65536", "-o", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "must be at most 65535, the u16 packet" in err, args
+    # 65535 itself parses; -k keeps the plain positive-int check.
+    args = build_parser().parse_args(["gen", "-n", "65535", "-k", "70001"])
+    assert (args.packets, args.rows) == (65535, 70001)
 
 
 def test_empty_rectangle_file_is_parse_error(tmp_path, capsys):

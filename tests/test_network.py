@@ -897,3 +897,40 @@ def test_simulate_phases_match_header_rank(net, n, data):
         buffer = [coded[i - 1] for idxs in r.received for i in idxs]
         out = decode(buffer, m, original_len=block.original_len)
         assert (out.packets == block.packets) is report.all_decoded
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(small_dags(), dag_multigraphs()), st.integers(1, 6))
+def test_built_schedules_pass_the_full_fit_check(net, n):
+    # validate_schedule takes a built schedule's fit on trust only for the very
+    # Network object it was built on, so check that fit without the shortcut:
+    # by the whole-schedule oracle, and by the full check on an equal copy.
+    try:
+        sched = build_schedule(net, n)
+    except (ScheduleError, TopologyError):
+        return
+    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.init}
+    assert schedule_problems(net, fields) == []
+    twin = dataclasses.replace(net)
+    assert twin == net and twin is not net
+    assert validate_schedule(twin, sched) == []
+
+
+def test_simulate_rejects_a_built_schedule_on_another_network(fig1):
+    # fig1 with its edges listed backwards has the same sinks, but the schedule's
+    # edge ids name other edges there.
+    sched = build_schedule(fig1, 4)
+    backwards = Network(fig1.nodes, fig1.edges[::-1], fig1.source, fig1.sinks)
+    problems = validate_schedule(backwards, sched)
+    assert problems and "sink t1 path 1: does not run source->sink" in problems
+    # A copy made by replace, or by hand, is not known to fit anything.
+    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.init}
+    for copy in (dataclasses.replace(sched), Schedule(**fields)):
+        assert copy == sched
+        assert validate_schedule(backwards, copy) == problems
+        assert validate_schedule(fig1, copy) == []
+    scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3))
+    block = SourceBlock.from_packets([bytes([i]) for i in range(4)])
+    with pytest.raises(ScheduleError, match="schedule does not fit the network: sink t1 path 1"):
+        simulate(backwards, sched, scheme, block)
+    assert simulate(fig1, sched, scheme, block).all_decoded

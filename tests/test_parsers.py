@@ -188,6 +188,42 @@ def test_malformed_text_raises_parse_error(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    ("parse", "text", "message"),
+    [
+        pytest.param(
+            parse_network,
+            "source s\nsink t\n  \twormhole   s\t\tt  # a tunnel\n",
+            "line 3: bad directive 'wormhole   s\\t\\tt'",
+            id="network-directive",
+        ),
+        pytest.param(
+            parse_network,
+            "source s\n\t edge  s \t t  extra\t# four tokens\nsink t\n",
+            "line 2: bad directive 'edge  s \\t t  extra'",
+            id="network-token-count",
+        ),
+        pytest.param(
+            parse_schedule_partitions,
+            FIG3_SCHEDULE.replace("phases 2", " phases \t 2   x\t # three tokens"),
+            "line 3: bad header 'phases \\t 2   x'",
+            id="schedule-header",
+        ),
+        pytest.param(
+            lambda text: parse_schedule(FIG3, text),
+            "\t \tfrob  a\t b   #  c d\n" + FIG3_SCHEDULE,
+            "line 1: bad directive 'frob  a\\t b'",
+            id="schedule-directive",
+        ),
+    ],
+)
+def test_parse_errors_quote_the_comment_cut_stripped_line(parse, text, message):
+    # Inner runs of spaces and tabs stay as written; the ends and the comment go.
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def audit_partition(text):
     """`xorcode audit --partition text` on rectangle.txt in the working directory."""
     args = build_parser().parse_args(["audit", "-r", "rectangle.txt", "--partition", text])
