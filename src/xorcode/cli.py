@@ -107,6 +107,14 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     net = network.parse_network(Path(args.network).read_text(encoding="utf-8"))
     sched = network.build_schedule(net, args.packets)
+    if sched.n > 0xFFFF:
+        # -n passed _packet_count, but padding to phases * maxflow can cross it.
+        print(
+            f"error: -n/--packets {args.packets} pads to {sched.n} packets, "
+            f"above {0xFFFF}, the u16 packet index limit",
+            file=sys.stderr,
+        )
+        return 2
     if args.rectangle:
         rect = _load_rectangle(args.rectangle)
     else:

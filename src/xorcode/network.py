@@ -23,7 +23,7 @@ Schedule text format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -93,16 +93,14 @@ class Network:
 
 
 def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, raw line, tokens) of each line with a token, '#' comments cut."""
+    """(line number, line, tokens) of each non-blank line, '#' comments cut.
+
+    The line is not stripped; only error messages quote it, as ``line.strip()``."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        toks = raw.split("#", 1)[0].split()
+        line = raw.split("#", 1)[0]
+        toks = line.split()
         if toks:
-            yield lineno, raw, toks
-
-
-def _quoted(raw: str) -> str:
-    """A directive's text as error messages quote it: comment cut, ends stripped."""
-    return repr(raw.split("#", 1)[0].strip())
+            yield lineno, line, toks
 
 
 _NETWORK_TOKENS = {"node": 2, "edge": 3, "source": 2, "sink": 2}  # keyword included
@@ -113,9 +111,9 @@ def parse_network(text: str) -> Network:
     edges: list[tuple[str, str]] = []
     source: str | None = None
     sinks: list[str] = []
-    for lineno, raw, toks in _directives(text):
+    for lineno, line, toks in _directives(text):
         if _NETWORK_TOKENS.get(toks[0]) != len(toks):
-            raise ParseError(f"line {lineno}: bad directive {_quoted(raw)}")
+            raise ParseError(f"line {lineno}: bad directive {line.strip()!r}")
         if toks[0] == "edge":
             edges.append((toks[1], toks[2]))
         elif toks[0] == "source":
@@ -279,9 +277,6 @@ class Schedule:
     sinks: tuple[str, ...]
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     assignment: tuple[tuple[tuple[int, ...], ...], ...]
-    # The Network object this schedule is known to fit: set only by
-    # build_schedule and parse_schedule, and reset by dataclasses.replace.
-    _fits: Network | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.paths) == len(self.assignment) == len(self.sinks):
@@ -432,7 +427,9 @@ def build_schedule(net: Network, n: int) -> Schedule:
         assignment=tuple([tuple([seqs[c] for c in classes]) for classes in sink_classes]),
     )
     # Its sinks are net's and each path is a flow path from net's source to
-    # its sink over net's edges, so it fits net by construction.
+    # its sink over net's edges, so it fits net by construction. A plain
+    # attribute, not a field: it takes no part in init, eq, repr or asdict,
+    # and a dataclasses.replace copy does not carry it.
     object.__setattr__(sched, "_fits", net)
     return sched
 
@@ -441,10 +438,10 @@ def validate_schedule(net: Network, sched: Schedule) -> list[str]:
     """Why a schedule does not fit a network (empty if it does): its sinks must be
     the network's and each path must run source->sink along existing edges.
 
-    A schedule that build_schedule or parse_schedule returned for this very
-    ``net`` object fits it by construction and is not walked again; any other
-    pair, an equal but distinct network included, gets the full check."""
-    if sched._fits is net:
+    A schedule that build_schedule returned for this very ``net`` object fits
+    it by construction and is not walked again; any other pair, an equal but
+    distinct network included, gets the full check."""
+    if getattr(sched, "_fits", None) is net:
         return []
     if sorted(sched.sinks) != sorted(net.sinks):
         return ["schedule sinks do not match network sinks"]
@@ -503,10 +500,10 @@ def _parse_schedule_lines(text: str) -> tuple[
     header: dict[str, int] = {}
     sections: dict[str, list[tuple[list[str], tuple[int, ...]]]] = {}
     rows: list[tuple[list[str], tuple[int, ...]]] | None = None
-    for lineno, raw, toks in _directives(text):
+    for lineno, line, toks in _directives(text):
         if toks[0] in _SCHEDULE_HEADERS:
             if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdecimal()):
-                raise ParseError(f"line {lineno}: bad header {_quoted(raw)}")
+                raise ParseError(f"line {lineno}: bad header {line.strip()!r}")
             if toks[0] in header:
                 raise ParseError(f"line {lineno}: second {toks[0]!r} header")
             header[toks[0]] = int(toks[1])
@@ -531,7 +528,7 @@ def _parse_schedule_lines(text: str) -> tuple[
                 raise ParseError(f"line {lineno}: packet indexes must be integers from 1")
             rows.append((names, tuple(int(t) for t in toks[sep + 1:])))
         else:
-            raise ParseError(f"line {lineno}: bad directive {_quoted(raw)}")
+            raise ParseError(f"line {lineno}: bad directive {line.strip()!r}")
     for key in _SCHEDULE_HEADERS:
         if key not in header:
             raise ParseError(f"schedule missing '{key}' header")
@@ -558,7 +555,6 @@ def parse_schedule(net: Network, text: str) -> Schedule:
     problems = validate_schedule(net, sched)
     if problems:
         raise ParseError("; ".join(problems))
-    object.__setattr__(sched, "_fits", net)
     return sched
 
 

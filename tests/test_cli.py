@@ -586,6 +586,15 @@ def test_packet_count_above_u16_is_usage_error(tmp_path, capsys, monkeypatch):
             main(args)
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "must be at most 65535, the u16 packet" in err, args
+    # With maxflow 2, simulate pads n=65535 up to 65536 packets: still a usage
+    # error, caught once the schedule is built and before any design or scheme.
+    monkeypatch.undo()
+    monkeypatch.setattr("xorcode.codec.make_scheme", never)
+    net_file.write_text("source s\nsink t\nedge s t\nedge s t\n")
+    code = main(["simulate", "--network", str(net_file), "-n", "65535", "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "-n/--packets 65535 pads to 65536 packets, above 65535" in err
+    assert not (tmp_path / "schedule.txt").exists()
     # 65535 itself parses; -k keeps the plain positive-int check.
     args = build_parser().parse_args(["gen", "-n", "65535", "-k", "70001"])
     assert (args.packets, args.rows) == (65535, 70001)

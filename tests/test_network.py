@@ -909,7 +909,7 @@ def test_built_schedules_pass_the_full_fit_check(net, n):
         sched = build_schedule(net, n)
     except (ScheduleError, TopologyError):
         return
-    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.init}
+    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched)}
     assert schedule_problems(net, fields) == []
     twin = dataclasses.replace(net)
     assert twin == net and twin is not net
@@ -924,7 +924,7 @@ def test_simulate_rejects_a_built_schedule_on_another_network(fig1):
     problems = validate_schedule(backwards, sched)
     assert problems and "sink t1 path 1: does not run source->sink" in problems
     # A copy made by replace, or by hand, is not known to fit anything.
-    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.init}
+    fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched)}
     for copy in (dataclasses.replace(sched), Schedule(**fields)):
         assert copy == sched
         assert validate_schedule(backwards, copy) == problems
