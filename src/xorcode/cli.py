@@ -32,9 +32,9 @@ def _positive_int(text: str) -> int:
 def _packet_count(text: str) -> int:
     """-n: a positive int that fits the packet wire format's u16 index."""
     value = _positive_int(text)
-    if value > 0xFFFF:
+    if value > codec._U16_MAX:
         raise argparse.ArgumentTypeError(
-            f"must be at most {0xFFFF}, the u16 packet index limit, got {value}"
+            f"must be at most {codec._U16_MAX}, the u16 packet index limit, got {value}"
         )
     return value
 
@@ -59,6 +59,10 @@ def cmd_gen(args) -> int:
 
 def cmd_encode(args) -> int:
     rect = _load_rectangle(args.rectangle)
+    if rect.n > codec._U16_MAX:
+        raise ParseError(
+            f"rectangle n={rect.n} is above {codec._U16_MAX}, the u16 packet index limit"
+        )
     scheme = codec.make_scheme(rect, args.mode)
     data = Path(args.input).read_bytes()
     if not data:
@@ -107,11 +111,11 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     net = network.parse_network(Path(args.network).read_text(encoding="utf-8"))
     sched = network.build_schedule(net, args.packets)
-    if sched.n > 0xFFFF:
+    if sched.n > codec._U16_MAX:
         # -n passed _packet_count, but padding to phases * maxflow can cross it.
         print(
             f"error: -n/--packets {args.packets} pads to {sched.n} packets, "
-            f"above {0xFFFF}, the u16 packet index limit",
+            f"above {codec._U16_MAX}, the u16 packet index limit",
             file=sys.stderr,
         )
         return 2
@@ -131,7 +135,7 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sched_path = outdir / "schedule.txt"
-    sched_path.write_text(network.format_schedule(net, sched), encoding="utf-8")
+    sched_path.write_text(network.format_schedule(sched), encoding="utf-8")
     report_text = network.format_simulation_report(report)
     (outdir / "report.txt").write_text(report_text, encoding="utf-8")
     print(f"n={sched.n} k={rect.k} mode={args.mode}")

@@ -31,6 +31,8 @@ from .latin import LatinRectangle, block_incidence
 MODE_DIRECT = "direct"
 MODE_BALANCED_DECODE = "balanced_decode"
 MODES = (MODE_DIRECT, MODE_BALANCED_DECODE)
+# The wire's u16 fields bound a packet index and a source index, and so n.
+_U16_MAX = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ _PLEN = struct.Struct("<I")
 
 
 def serialize_packet(packet: CodedPacket) -> bytes:
-    if packet.index > 0xFFFF or packet.vector.bit_length() > 0xFFFF:
+    if packet.index > _U16_MAX or packet.vector.bit_length() > _U16_MAX:
         raise ValueError("index does not fit the u16 wire format")
     if len(packet.payload) > 0xFFFFFFFF:
         raise ValueError("payload too large for the u32 wire format")

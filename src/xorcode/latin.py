@@ -31,7 +31,7 @@ class LatinRectangle:
         for i, row in enumerate(self.cells, 1):
             if len(row) != n or set(row) != symbols:
                 raise ValueError(f"not a Latin rectangle: row {i} is not a permutation of 1..{n}")
-            if any(type(v) is not int for v in row):
+            if set(map(type, row)) != {int}:
                 raise ValueError(f"not a Latin rectangle: row {i} holds a non-int entry")
         for j, col in enumerate(zip(*self.cells), 1):
             if len(set(col)) != len(col):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
@@ -248,9 +249,9 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
     every: list[int] = []  # 1..n, built once a sink has shown it holds n packets
     for sink, seqs in partitions:
-        if len(seqs) != maxflow or any(len(seq) != phases for seq in seqs):
+        if len(seqs) != maxflow or set(map(len, seqs)) != {phases}:
             raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-        packets = [x for seq in seqs for x in seq]
+        packets = list(chain.from_iterable(seqs))
         if set(map(type, packets)) != {int}:
             raise ValueError(f"sink {sink}: packet indexes must be ints")
         if not every:
@@ -261,15 +262,18 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-sink edge-disjoint paths with one packet index per path per phase.
+    """Per-sink edge-disjoint paths of ``network`` with one packet index per path per phase.
 
     ``n`` is the delivered packet count; when the requested count is not a
     multiple of the max flow it is padded up, and ``requested_n`` keeps the
-    original value. Valid by construction: the headers and sequences pass
-    ``_check_partitions``, each sink's paths are non-empty, and paths through
-    one edge carry one sequence, so a sink's paths are edge-disjoint.
+    original value. Valid and fitting its network by construction: the
+    headers and sequences pass ``_check_partitions``, the sinks are the
+    network's, each sink's paths are non-empty and run from the source to
+    that sink along the network's edges, and paths through one edge carry
+    one sequence, so a sink's paths are edge-disjoint.
     """
 
+    network: Network
     n: int
     requested_n: int
     phases: int
@@ -283,16 +287,31 @@ class Schedule:
             raise ValueError("per-sink path/assignment shape mismatch")
         header = (self.n, self.requested_n, self.phases, self.maxflow)
         _check_partitions(*header, zip(self.sinks, self.assignment))
+        net = self.network
+        if sorted(self.sinks) != sorted(net.sinks):
+            raise ValueError("schedule sinks do not match network sinks")
+        edges, size, source = net.edges, len(net.edges), net.source
         carried: dict[int, tuple[int, ...]] = {}  # edge -> first sequence on it
         for sink, paths, seqs in zip(self.sinks, self.paths, self.assignment):
             if len(paths) != len(seqs) or not all(paths):
                 raise ValueError(f"sink {sink}: needs {len(seqs)} non-empty paths")
-            for path, seq in zip(paths, seqs):
+            for j, (path, seq) in enumerate(zip(paths, seqs), 1):
+                at, last = source, None  # the node the path has reached, by edge last
                 for e in path:
+                    if not 0 <= e < size:
+                        raise ValueError(f"sink {sink} path {j}: unknown edge id")
+                    tail, head = edges[e]
+                    if tail != at:
+                        if last is None:
+                            raise ValueError(f"sink {sink} path {j}: does not run source->sink")
+                        raise ValueError(f"sink {sink} path {j}: edges {last},{e} do not connect")
                     carries = carried.setdefault(e, seq)
                     if carries is not seq and carries != seq:
                         t = next(t for t, ps in zip(self.sinks, self.paths) for q in ps if e in q)
                         raise ValueError(f"edge {e} carries {carries} for {t}, {seq} for {sink}")
+                    at, last = head, e
+                if at != sink:
+                    raise ValueError(f"sink {sink} path {j}: does not run source->sink")
 
     @property
     def padding(self) -> int:
@@ -417,7 +436,8 @@ def build_schedule(net: Network, n: int) -> Schedule:
         seqs[c] = seq
         tops.append(max(tops[k], seq[-1]))
         k += 1
-    sched = Schedule(
+    return Schedule(
+        network=net,
         n=padded,
         requested_n=n,
         phases=p,
@@ -426,40 +446,15 @@ def build_schedule(net: Network, n: int) -> Schedule:
         paths=tuple([tuple(paths) for paths in sink_paths]),
         assignment=tuple([tuple([seqs[c] for c in classes]) for classes in sink_classes]),
     )
-    # Its sinks are net's and each path is a flow path from net's source to
-    # its sink over net's edges, so it fits net by construction. A plain
-    # attribute, not a field: it takes no part in init, eq, repr or asdict,
-    # and a dataclasses.replace copy does not carry it.
-    object.__setattr__(sched, "_fits", net)
-    return sched
 
 
 def validate_schedule(net: Network, sched: Schedule) -> list[str]:
-    """Why a schedule does not fit a network (empty if it does): its sinks must be
-    the network's and each path must run source->sink along existing edges.
-
-    A schedule that build_schedule returned for this very ``net`` object fits
-    it by construction and is not walked again; any other pair, an equal but
-    distinct network included, gets the full check."""
-    if getattr(sched, "_fits", None) is net:
-        return []
-    if sorted(sched.sinks) != sorted(net.sinks):
-        return ["schedule sinks do not match network sinks"]
-    problems = []
-    for sink, paths in zip(sched.sinks, sched.paths):
-        for j, path in enumerate(paths, 1):
-            if min(path) < 0 or max(path) >= len(net.edges):
-                problems.append(f"sink {sink} path {j}: unknown edge id")
-                continue
-            if net.edges[path[0]][0] != net.source or net.edges[path[-1]][1] != sink:
-                problems.append(f"sink {sink} path {j}: does not run source->sink")
-            for a, b in zip(path, path[1:]):
-                if net.edges[a][1] != net.edges[b][0]:
-                    problems.append(f"sink {sink} path {j}: edges {a},{b} do not connect")
-    return problems
+    """Why a schedule does not fit a network (empty if it does). A ``Schedule``
+    fits its own ``network`` by construction, so this compares the two."""
+    return [] if sched.network == net else ["schedule was made for another network"]
 
 
-def format_schedule(net: Network, sched: Schedule) -> str:
+def format_schedule(sched: Schedule) -> str:
     lines = [
         f"n {sched.n}",
         f"requested_n {sched.requested_n}",
@@ -469,7 +464,7 @@ def format_schedule(net: Network, sched: Schedule) -> str:
     for si, sink in enumerate(sched.sinks):
         lines.append(f"sink {sink}")
         for path, seq in zip(sched.paths[si], sched.assignment[si]):
-            nodes = " ".join(path_nodes(net, path))
+            nodes = " ".join(path_nodes(sched.network, path))
             packets = " ".join(str(x) for x in seq)
             lines.append(f"path {nodes} : {packets}")
     return "\n".join(lines) + "\n"
@@ -549,13 +544,9 @@ def parse_schedule(net: Network, text: str) -> Schedule:
         paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
     seqs = tuple(tuple(packets for _, packets in rows) for rows in sections.values())
     try:
-        sched = Schedule(sinks=tuple(sections), paths=tuple(paths), assignment=seqs, **header)
+        return Schedule(net, sinks=tuple(sections), paths=tuple(paths), assignment=seqs, **header)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    problems = validate_schedule(net, sched)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return sched
 
 
 def parse_schedule_partitions(text: str) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -600,7 +591,7 @@ def simulate(
     """
     problems = validate_schedule(net, sched)
     if problems:
-        raise ScheduleError("schedule does not fit the network: " + "; ".join(problems))
+        raise ScheduleError("; ".join(problems))
     if scheme.n != sched.n:
         raise ValueError(f"scheme carries {scheme.n} packets, schedule delivers {sched.n}")
     coded = encode(scheme, block)

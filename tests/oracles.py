@@ -467,6 +467,7 @@ def exhaustive_schedule(net: Network, n: int) -> Schedule:
             "shared edges impose conflicting packet sets"
         )
     return Schedule(
+        network=net,
         n=padded,
         requested_n=n,
         phases=p,

@@ -280,7 +280,7 @@ GOLDEN_SCHEDULES = {
 def test_format_schedule_golden(name):
     text, n, expected = GOLDEN_SCHEDULES[name]
     net = parse_network(text)
-    assert format_schedule(net, build_schedule(net, n)) == expected
+    assert format_schedule(build_schedule(net, n)) == expected
 
 
 def test_simulate_with_rectangle_file(tmp_path, capsys):
@@ -540,7 +540,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and "File exists" in err
     sched_file = tmp_path / "schedule.txt"
     fig3 = parse_network(FIG3_TEXT)
-    sched_file.write_text(format_schedule(fig3, build_schedule(fig3, 12)))
+    sched_file.write_text(format_schedule(build_schedule(fig3, 12)))
     partition = ["--partition", "3,10,7,2;8,4,11,9;1,6,5,12"]
     for extra in (
         [],  # neither schedule nor partition
@@ -598,6 +598,25 @@ def test_packet_count_above_u16_is_usage_error(tmp_path, capsys, monkeypatch):
     # 65535 itself parses; -k keeps the plain positive-int check.
     args = build_parser().parse_args(["gen", "-n", "65535", "-k", "70001"])
     assert (args.packets, args.rows) == (65535, 70001)
+
+
+def test_encode_rejects_a_rectangle_above_u16(tmp_path, capsys, monkeypatch):
+    # encode takes n from its rectangle file, so it checks the u16 limit once
+    # the rectangle loads, before any scheme, and writes nothing.
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the rectangle check")
+
+    monkeypatch.setattr("xorcode.codec.make_scheme", never)
+    rect_file, data_file = tmp_path / "rect.txt", tmp_path / "data.bin"
+    rect_file.write_text("1 65536\n" + " ".join(map(str, range(1, 65537))) + "\n")
+    data_file.write_bytes(b"payload")
+    out = tmp_path / "coded"
+    code, stdout, err = run(
+        capsys, "encode", "-r", str(rect_file), "-i", str(data_file), "-o", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: rectangle n=65536 is above 65535, the u16 packet index limit\n"
+    assert not out.exists()
 
 
 def test_empty_rectangle_file_is_parse_error(tmp_path, capsys):
@@ -658,7 +677,7 @@ def test_text_files_are_utf8_under_the_c_locale(tmp_path):
     # The CLI still reads a UTF-8 schedule whose first sink is named "t\u00e9".
     net = parse_network(FIG3_TEXT.replace("t1", "t\u00e9"))
     sched_file = tmp_path / "schedule.txt"
-    sched_file.write_bytes(format_schedule(net, build_schedule(net, 12)).encode("utf-8"))
+    sched_file.write_bytes(format_schedule(build_schedule(net, 12)).encode("utf-8"))
     rect_file = tmp_path / "l5x12.txt"
     rect_file.write_bytes(L5X12.to_text().encode("utf-8"))
     proc = run_under_c_locale(

@@ -381,9 +381,8 @@ def test_validator_rejects_inconsistent_shared_relay(fig2):
 
 
 def test_validator_catches_problems(fig1):
-    # Each invariant of Schedule has a field edit that breaks it, and the
-    # constructor names it; a valid schedule that does not fit the network is
-    # validate_schedule's finding.
+    # Each invariant of Schedule, its fit to its network included, has a field
+    # edit that breaks it, and the constructor names the first problem.
     sched = build_schedule(fig1, 4)  # t1: paths (0, 2), (1, 4) carry (1, 2), (3, 4)
     t1, t2 = sched.assignment
     cases = [
@@ -400,39 +399,68 @@ def test_validator_catches_problems(fig1):
         # Paths of one sink that share an edge carry two of its disjoint sequences.
         (dict(paths=(((0, 2), (0, 4)), sched.paths[1])), "carries (1, 2) for t1, (3, 4) for t1"),
         (dict(assignment=(((3, 4), (1, 2)), t2)), "edge 0 carries (3, 4) for t1, (1, 2) for t2"),
+        (dict(sinks=("t1", "t3")), "schedule sinks do not match network sinks"),
+        # Three fit problems; the first in sink and path order is named.
+        (dict(paths=(((0, 2), (9, 4)), ((2, 3), (1, 5)))), "sink t1 path 2: unknown edge id"),
+        (dict(paths=(sched.paths[0], ((2, 3), (1, 5)))), "sink t2 path 1: does not run source->sink"),
     ]
     for edit, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(sched, **edit)
     # Swapping every class's packets keeps the schedule valid.
     assert dataclasses.replace(sched, assignment=((t1[1], t1[0]), (t2[1], t2[0])))
-    renamed = dataclasses.replace(sched, sinks=("t1", "t3"))
-    assert validate_schedule(fig1, renamed) == ["schedule sinks do not match network sinks"]
-    shifted = dataclasses.replace(sched, paths=(((0, 2), (9, 4)), ((2, 3), (1, 5))))
-    assert validate_schedule(fig1, shifted) == [
-        "sink t1 path 2: unknown edge id",
-        "sink t2 path 1: does not run source->sink",
-        "sink t2 path 1: edges 2,3 do not connect",
+
+
+def test_schedule_paths_fit_the_network():
+    # Edge 3 runs s->u, so (-1,) would be a valid path of u if -1 indexed
+    # from the end; edge ids are 0..3, and a path must run from s to its own
+    # sink along connected edges. Each case breaks only that rule.
+    net = parse_network("source s\nsink t\nsink u\nedge s a\nedge a t\nedge a u\nedge s u\n")
+    header = dict(n=2, requested_n=2, phases=2, maxflow=1)
+    fields = dict(header, sinks=("t", "u"), assignment=(((1, 2),), ((1, 2),)))
+    assert Schedule(net, paths=(((0, 1),), ((3,),)), **fields).network is net
+    cases = [
+        ((-1,), "sink u path 1: unknown edge id"),
+        ((4,), "sink u path 1: unknown edge id"),
+        ((0, 1), "sink u path 1: does not run source->sink"),
+        ((3, 1), "sink u path 1: edges 3,1 do not connect"),
     ]
+    for path, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Schedule(net, paths=(((0, 1),), (path,)), **fields)
+        assert str(exc.value) == message
+    # The reader builds the same Schedule, so it names the same problem.
+    text = "n 2\nrequested_n 2\nphases 2\nmaxflow 1\nsink t\npath s a t : 1 2\nsink u\n"
+    assert parse_schedule(net, text + "path s u : 1 2\n").paths == (((0, 1),), ((3,),))
+    with pytest.raises(ParseError, match="^sink u path 1: does not run source->sink$"):
+        parse_schedule(net, text + "path s a t : 1 2\n")
 
 
 def test_schedule_names_the_first_carrier_of_a_conflicting_edge(fig1):
     # The constructor keeps only each edge's first sequence and finds the sink
     # that carried it when it raises.
     sched = build_schedule(fig1, 4)  # t1: (0, 2), (1, 4); t2: (0, 3), (1, 5); both (1, 2), (3, 4)
-    (t1, t2), (a1, a2) = sched.paths, sched.assignment
+    # t1 reads relays a, b; t2 and t3 both read c, d, whose feeds are edges 2, 3.
+    net = parse_network(
+        "source s\nsink t1\nsink t2\nsink t3\n"
+        + "".join(f"edge s {r}\n" for r in "abcd")
+        + "".join(f"edge {r} {t}\n" for t, rs in (("t1", "ab"), ("t2", "cd"), ("t3", "cd")) for r in rs)
+    )
+    three = build_schedule(net, 4)  # every sink carries (1, 2), (3, 4)
+    a1, a2, a3 = three.assignment
     cases = [
         # t1's second path carries edge 1 first.
-        (dict(paths=(t1, t2[::-1])), "edge 1 carries (3, 4) for t1, (1, 2) for t2"),
-        # t2, not sinks[0] and not the sink that conflicts, carries edge 3 first.
         (
-            dict(sinks=("t1", "t2", "t3"), paths=(t1, t2, ((3,), (1,))), assignment=(a1, a2, a2[::-1])),
-            "edge 3 carries (1, 2) for t2, (3, 4) for t3",
+            sched,
+            dict(paths=(sched.paths[0], sched.paths[1][::-1])),
+            "edge 1 carries (3, 4) for t1, (1, 2) for t2",
         ),
+        # t2, not sinks[0] and not the sink that conflicts, carries edge 2 first.
+        (three, dict(assignment=(a1, a2, a3[::-1])), "edge 2 carries (1, 2) for t2, (3, 4) for t3"),
     ]
-    for edit, message in cases:
+    for built, edit, message in cases:
         with pytest.raises(ValueError) as exc:
-            dataclasses.replace(sched, **edit)
+            dataclasses.replace(built, **edit)
         assert str(exc.value) == message
 
 
@@ -448,7 +476,7 @@ def test_schedule_rejects_non_int_packets(fig1):
 def test_validator_checks_requested_n(fig3):
     # build_schedule pads a request for 10..12 packets on 3 paths up to 12.
     sched = build_schedule(fig3, 12)
-    text = format_schedule(fig3, sched)
+    text = format_schedule(sched)
     for requested_n, flagged in ((40, True), (9, True), (10, False), (12, False)):
         edited = text.replace("requested_n 12", f"requested_n {requested_n}")
         if flagged:
@@ -478,7 +506,7 @@ def test_validator_cost_follows_the_schedule_not_its_n_header():
         readers = [
             (ParseError, lambda: parse_schedule(net, text)),
             (ParseError, lambda: parse_schedule_partitions(text)),
-            (ValueError, lambda: Schedule(**header, **one_path)),
+            (ValueError, lambda: Schedule(net, **header, **one_path)),
         ]
         for error, read in readers:
             tracemalloc.start()
@@ -493,19 +521,15 @@ def test_validator_cost_follows_the_schedule_not_its_n_header():
 
 def test_simulate_rejects_invalid_schedule(fig1, fig2):
     # simulate decodes one sink's packets for all sinks, which is sound only
-    # for a schedule that fits the network: a fig1 schedule names two of
+    # on the network the schedule was made for: a fig1 schedule names two of
     # fig2's six sinks, and on fig1 with its edges reversed its edge ids name
     # other edges.
     sched = build_schedule(fig1, 4)
     scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3), MODE_DIRECT)
     block = SourceBlock.from_packets([bytes([i]) * 3 for i in range(4)])
     reversed_edges = Network(fig1.nodes, fig1.edges[::-1], fig1.source, fig1.sinks)
-    cases = (
-        (fig2, "schedule sinks do not match network sinks"),
-        (reversed_edges, "sink t1 path 1: does not run source->sink"),
-    )
-    for net, message in cases:
-        with pytest.raises(ScheduleError, match=f"schedule does not fit the network: {message}"):
+    for net in (fig2, reversed_edges):
+        with pytest.raises(ScheduleError, match="^schedule was made for another network$"):
             simulate(net, sched, scheme, block)
     assert simulate(fig1, sched, scheme, block).all_decoded
 
@@ -515,7 +539,7 @@ def test_schedule_text_roundtrip(fig3):
     colon = parse_network(FIG1_TEXT.replace("u1", ":"))
     for net, n in ((fig3, 12), (colon, 4)):
         sched = build_schedule(net, n)
-        text = format_schedule(net, sched)
+        text = format_schedule(sched)
         assert parse_schedule(net, text) == sched
         parts = parse_schedule_partitions(text)
         assert set(parts) == {"t1", "t2"}
@@ -634,7 +658,7 @@ SEVEN_RELAYS = (
 def test_build_schedule_backtracking_golden(n, digest):
     # Beyond the exhaustive oracle's reach; any change in candidate order fails here.
     net = parse_network(SEVEN_RELAYS)
-    text = format_schedule(net, build_schedule(net, n))
+    text = format_schedule(build_schedule(net, n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -658,7 +682,7 @@ def test_build_schedule_layered_golden():
         f = 2 + i % 5
         p = rng.randint(2, 4)
         net = parse_network(layered_network(rng, f))
-        texts.append(format_schedule(net, build_schedule(net, rng.randint((p - 1) * f + 1, p * f))))
+        texts.append(format_schedule(build_schedule(net, rng.randint((p - 1) * f + 1, p * f))))
     with pytest.raises(ScheduleError) as exc:
         build_schedule(parse_network(TRIANGLE), 6)
     texts.append(str(exc.value))
@@ -791,7 +815,7 @@ def test_constructor_and_fit_match_whole_schedule_oracle():
         net, sched = rng.choice(pool)
         fields = mutant_fields(rng, net, sched)
         try:
-            fits = validate_schedule(net, Schedule(**fields)) == []
+            fits = Schedule(net, **fields).network is net
         except ValueError:
             fits = False
         assert fits == (schedule_problems(net, fields) == []), (seed, fields)
@@ -902,13 +926,13 @@ def test_simulate_phases_match_header_rank(net, n, data):
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(small_dags(), dag_multigraphs()), st.integers(1, 6))
 def test_built_schedules_pass_the_full_fit_check(net, n):
-    # validate_schedule takes a built schedule's fit on trust only for the very
-    # Network object it was built on, so check that fit without the shortcut:
-    # by the whole-schedule oracle, and by the full check on an equal copy.
+    # The constructor checks a built schedule's fit to the network it holds;
+    # the whole-schedule oracle agrees, and an equal network is fit too.
     try:
         sched = build_schedule(net, n)
     except (ScheduleError, TopologyError):
         return
+    assert sched.network is net
     fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched)}
     assert schedule_problems(net, fields) == []
     twin = dataclasses.replace(net)
@@ -921,16 +945,17 @@ def test_simulate_rejects_a_built_schedule_on_another_network(fig1):
     # edge ids name other edges there.
     sched = build_schedule(fig1, 4)
     backwards = Network(fig1.nodes, fig1.edges[::-1], fig1.source, fig1.sinks)
-    problems = validate_schedule(backwards, sched)
-    assert problems and "sink t1 path 1: does not run source->sink" in problems
-    # A copy made by replace, or by hand, is not known to fit anything.
+    assert validate_schedule(backwards, sched) == ["schedule was made for another network"]
+    # A copy made by replace, or by hand, holds the same network; moving it to
+    # the other one fails the fit check.
     fields = {f.name: getattr(sched, f.name) for f in dataclasses.fields(sched)}
     for copy in (dataclasses.replace(sched), Schedule(**fields)):
-        assert copy == sched
-        assert validate_schedule(backwards, copy) == problems
+        assert copy == sched and copy.network is fig1
         assert validate_schedule(fig1, copy) == []
+    with pytest.raises(ValueError, match="^sink t1 path 1: does not run source->sink$"):
+        dataclasses.replace(sched, network=backwards)
     scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3))
     block = SourceBlock.from_packets([bytes([i]) for i in range(4)])
-    with pytest.raises(ScheduleError, match="schedule does not fit the network: sink t1 path 1"):
+    with pytest.raises(ScheduleError, match="^schedule was made for another network$"):
         simulate(backwards, sched, scheme, block)
     assert simulate(fig1, sched, scheme, block).all_decoded

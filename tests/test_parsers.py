@@ -33,7 +33,7 @@ from xorcode import (
 from xorcode.cli import build_parser
 
 FIG3 = parse_network(FIG3_TEXT)
-FIG3_SCHEDULE = format_schedule(FIG3, build_schedule(FIG3, 6))
+FIG3_SCHEDULE = format_schedule(build_schedule(FIG3, 6))
 RECT_TEXT = split_upper(EXAMPLE_SQUARE, 3).to_text()
 MANIFEST = "4 3 direct 10\n" + RECT_TEXT
 
@@ -332,7 +332,7 @@ def test_fuzz_schedule_text(text):
         sched = parse_schedule(FIG3, text)
     except ParseError:
         return
-    assert parse_schedule(FIG3, format_schedule(FIG3, sched)) == sched
+    assert parse_schedule(FIG3, format_schedule(sched)) == sched
 
 
 VALID_PACKET = serialize_packet(CodedPacket(index=3, vector=0b100001001, payload=b"payload"))
