@@ -9,9 +9,9 @@ system, both from ``os.wait4``. The multiple
 of the file size is taken above the footprint of the interpreter with
 xorcode imported (``python -m xorcode.cli --help``, about 17 MiB), so that
 it counts the bytes a command holds for the file. It then runs ``simulate``
-on a one-edge chain at a large packet count, where the default design, an
-(n-1)- or (n-2)-row rectangle, is what the process holds, and prints that
-peak and CPU time too.
+on a one-edge chain at a large packet count, once in each mode, where the
+default design, an (n-1)- or (n-2)-row rectangle, is what the process holds,
+and prints each mode's peak and CPU time too.
 
 Usage, with xorcode importable (installed, or PYTHONPATH=src):
 
@@ -85,10 +85,13 @@ def main() -> int:
         if not filecmp.cmp(src, out, shallow=False):
             sys.exit("decoded file differs from the input")
         (work / "chain.txt").write_text(CHAIN, encoding="utf-8")
-        chain_peak, chain_cpu = run(
-            "simulate", "--network", str(work / "chain.txt"), "-n", str(chain_n),
-            "-o", str(work / "sim"),
-        )
+        chain = {
+            mode: run(
+                "simulate", "--network", str(work / "chain.txt"), "-n", str(chain_n),
+                "--mode", mode, "-o", str(work / "sim"),
+            )
+            for mode in ("direct", "balanced_decode")
+        }
     print(f"round trip ok: {size // MiB} MiB file, n={PACKETS}")
     print(f"interpreter with xorcode imported: {base / MiB:.1f} MiB")
     for name, (peak, cpu) in peaks.items():
@@ -96,10 +99,11 @@ def main() -> int:
             f"{name:6} peak RSS {peak / MiB:7.1f} MiB = "
             f"{(peak - base) / size:.2f}x the file above the interpreter, CPU {cpu:.2f} s"
         )
-    print(
-        f"simulate peak RSS {chain_peak / MiB:7.1f} MiB, CPU {chain_cpu:.2f} s "
-        f"on a one-edge chain at n={chain_n}"
-    )
+    for mode, (peak, cpu) in chain.items():
+        print(
+            f"simulate peak RSS {peak / MiB:7.1f} MiB, CPU {cpu:.2f} s "
+            f"on a one-edge chain at n={chain_n}, --mode {mode}"
+        )
     return 0
 
 

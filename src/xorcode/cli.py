@@ -113,12 +113,10 @@ def cmd_simulate(args) -> int:
     sched = network.build_schedule(net, args.packets)
     if sched.n > codec._U16_MAX:
         # -n passed _packet_count, but padding to phases * maxflow can cross it.
-        print(
-            f"error: -n/--packets {args.packets} pads to {sched.n} packets, "
-            f"above {codec._U16_MAX}, the u16 packet index limit",
-            file=sys.stderr,
+        raise ParseError(
+            f"-n/--packets {args.packets} pads to {sched.n} packets, "
+            f"above {codec._U16_MAX}, the u16 packet index limit"
         )
-        return 2
     if args.rectangle:
         rect = _load_rectangle(args.rectangle)
     else:

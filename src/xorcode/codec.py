@@ -37,29 +37,33 @@ _U16_MAX = 0xFFFF
 
 @dataclass(frozen=True)
 class CodingScheme:
-    """An encoding matrix E and its mode; ``decode_matrix`` is E^-1, derived once.
+    """A design matrix B and its mode; B^-1 is derived once, and the mode orders the pair.
 
-    In ``direct`` mode the balanced incidence matrix encodes (each coded
-    packet XORs exactly k sources) and its inverse decodes. In
-    ``balanced_decode`` mode the roles swap so that every source packet is
-    recovered from exactly k coded packets instead. Valid by construction:
-    the mode is one of ``MODES`` and E is invertible (``gf2.invert`` raises
-    ``ValueError`` for a non-square E, ``SingularMatrixError`` for a singular one).
+    In ``direct`` mode B encodes (each coded packet XORs exactly k sources
+    when B is a balanced incidence matrix) and B^-1 decodes. In
+    ``balanced_decode`` mode B decodes, so every source packet is recovered
+    from exactly k coded packets, and B^-1 encodes. Valid by construction:
+    the mode is one of ``MODES`` and B is invertible (``gf2.invert`` raises
+    ``ValueError`` for a non-square B, ``SingularMatrixError`` for a singular one).
     """
 
-    encode_matrix: BitMatrix
+    matrix: BitMatrix
     mode: str
+    encode_matrix: BitMatrix = field(init=False)
     decode_matrix: BitMatrix = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        object.__setattr__(self, "decode_matrix", invert(self.encode_matrix))
+        b, inverse = self.matrix, invert(self.matrix)
+        enc, dec = (b, inverse) if self.mode == MODE_DIRECT else (inverse, b)
+        object.__setattr__(self, "encode_matrix", enc)
+        object.__setattr__(self, "decode_matrix", dec)
 
     @property
     def n(self) -> int:
-        """The order of E: source and coded packets per block."""
-        return self.encode_matrix.rows
+        """The order of B: source and coded packets per block."""
+        return self.matrix.rows
 
 
 @dataclass(frozen=True)
@@ -152,14 +156,13 @@ def join_payload(block: SourceBlock) -> bytes:
 
 
 def make_scheme(rect: LatinRectangle, mode: str = MODE_DIRECT) -> CodingScheme:
-    """Build a scheme from a rectangle's incidence matrix B: E = B, or B^-1 if balanced_decode."""
+    """The scheme whose design matrix is the rectangle's incidence matrix B, in ``mode``."""
     if rect.k % 2 == 0:
         raise SingularMatrixError(
             f"incidence matrix of a {rect.k}x{rect.n} rectangle with even "
             "row count is always singular over GF(2)"
         )
-    b = block_incidence(rect)
-    return CodingScheme(b if mode == MODE_DIRECT else invert(b), mode)
+    return CodingScheme(block_incidence(rect), mode)
 
 
 def encode(scheme: CodingScheme, block: SourceBlock) -> list[CodedPacket]:

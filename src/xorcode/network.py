@@ -126,8 +126,6 @@ def parse_network(text: str) -> Network:
         nodes[toks[1]] = nodes[toks[-1]] = None  # toks[-1] is toks[1] except in an edge
     if source is None:
         raise ParseError("missing source directive")
-    if not sinks:
-        raise ParseError("missing sink directive")
     try:
         return Network(tuple(nodes), tuple(edges), source, tuple(sinks))
     except ValueError as exc:
@@ -298,7 +296,7 @@ class Schedule:
             for j, (path, seq) in enumerate(zip(paths, seqs), 1):
                 at, last = source, None  # the node the path has reached, by edge last
                 for e in path:
-                    if not 0 <= e < size:
+                    if type(e) is not int or not 0 <= e < size:  # no bool, float or negative id
                         raise ValueError(f"sink {sink} path {j}: unknown edge id")
                     tail, head = edges[e]
                     if tail != at:

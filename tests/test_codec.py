@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from functools import lru_cache
@@ -20,9 +21,11 @@ from xorcode import (
     PacketIntegrityError,
     ParseError,
     PartialDecodeError,
+    PathPartition,
     SingularMatrixError,
     SourceBlock,
     WireFormatError,
+    block_incidence,
     decode,
     deserialize_packet,
     encode,
@@ -31,6 +34,7 @@ from xorcode import (
     invert,
     join_payload,
     make_scheme,
+    min_eavesdrop_paths,
     parse_manifest,
     serialize_packet,
     split_payload,
@@ -73,7 +77,9 @@ def test_scheme_constructs_exactly_for_invertible_e_and_known_mode(rows, mode):
             CodingScheme(enc, mode)
     else:
         s = CodingScheme(enc, mode)
-        assert mat_mul(enc, s.decode_matrix) == BitMatrix(n, n, tuple(1 << i for i in range(n)))
+        identity = BitMatrix(n, n, tuple(1 << i for i in range(n)))
+        assert mat_mul(s.encode_matrix, s.decode_matrix) == identity
+        assert (s.encode_matrix if mode == MODE_DIRECT else s.decode_matrix) == enc
         assert s.n == enc.rows == n
 
 
@@ -113,6 +119,31 @@ def test_make_scheme_balanced_swaps_roles():
     assert dec == INCIDENCE_SUPPORTS
     assert enc == INVERSE_SUPPORTS
     assert enc[0] == {2, 5, 10, 11, 12}
+
+
+def test_make_scheme_inverts_the_design_once_in_either_mode(monkeypatch):
+    calls = []
+    monkeypatch.setattr("xorcode.codec.invert", lambda m: calls.append(m) or invert(m))
+    for mode in MODES:
+        calls.clear()
+        make_scheme(L5X12, mode)
+        assert calls == [block_incidence(L5X12)], mode
+
+
+def test_mode_orders_the_design_matrix_and_its_inverse():
+    # The mode alone names B's side, so replacing it swaps encode and decode.
+    rect, _ = find_nonsingular_rectangle(12, 5, seed=3)  # the README design
+    for mode, other in (MODES, MODES[::-1]):
+        assert dataclasses.replace(make_scheme(rect, mode), mode=other) == make_scheme(rect, other)
+    swapped = dataclasses.replace(make_scheme(rect, MODE_DIRECT), mode=MODE_BALANCED_DECODE)
+    part = PathPartition.from_sequences([(3, 10, 7, 2), (8, 4, 11, 9), (1, 6, 5, 12)])
+    assert min_eavesdrop_paths(swapped, part).summary_line() == (
+        "condition=false min_paths=2 witness_paths=1,2 exposed=2"
+    )
+    # A hand-built balanced_decode scheme decodes with the matrix it is given.
+    b = block_incidence(EXAMPLE_RECT)
+    hand = CodingScheme(b, MODE_BALANCED_DECODE)
+    assert (hand.decode_matrix, hand.encode_matrix) == (b, invert(b))
 
 
 def test_make_scheme_trivial_order():

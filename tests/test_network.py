@@ -436,6 +436,23 @@ def test_schedule_paths_fit_the_network():
         parse_schedule(net, text + "path s a t : 1 2\n")
 
 
+def test_schedule_edge_ids_are_ints():
+    # False and True index edges 0 and 1, and 0.0 is no tuple index; each is
+    # rejected as an unknown edge id of the path that holds it.
+    net = parse_network("source s\nsink t\nedge s a\nedge a t\n")
+    sched = build_schedule(net, 2)
+    for path in ((False, True), (0.0, 1)):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(sched, paths=((path,),))
+        assert str(exc.value) == "sink t path 1: unknown edge id"
+
+
+def test_network_without_a_sink_is_a_parse_error():
+    # The constructor's check is the only one, and the reader reports it.
+    with pytest.raises(ParseError, match="^at least one sink is required$"):
+        parse_network("source s\nedge s t\n")
+
+
 def test_schedule_names_the_first_carrier_of_a_conflicting_edge(fig1):
     # The constructor keeps only each edge's first sequence and finds the sink
     # that carried it when it raises.
