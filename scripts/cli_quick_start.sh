@@ -2,8 +2,9 @@
 # Run the README's CLI quick start with the `xorcode` command on PATH, in a
 # fresh temporary directory, and check what it prints and writes: the decoded
 # file equals the input, simulate prints the design's n and k, each sink
-# decodes after the expected phases, and both audits print their expected
-# lines. Exits non-zero on the first difference.
+# decodes after the expected phases, both audits print their expected lines,
+# and a malformed audit partition exits 2 with nothing on stdout.
+# Exits non-zero on the first difference.
 #
 # Usage: bash scripts/cli_quick_start.sh
 set -euo pipefail
@@ -58,4 +59,12 @@ expect "condition=false min_paths=2 witness_paths=1,2 exposed=6,10" \
 expect "condition=false min_paths=2 witness_paths=1,2 exposed=2" \
     xorcode audit -r design/rectangle.txt --mode balanced_decode \
     --partition '3,10,7,2;8,4,11,9;1,6,5,12'
+# A ',' with no packet index on one side is a parse error: exit 2, stdout empty.
+status=0
+xorcode audit -r design/rectangle.txt --partition '3,,10,7,2;8,4,11,9;1,6,5,12' \
+    > bad.out 2> bad.err || status=$?
+if [ "$status" != 2 ] || [ -s bad.out ] || ! grep -q '^error: ' bad.err; then
+    echo "malformed --partition: exit $status, stdout $(wc -c < bad.out) bytes" >&2
+    exit 1
+fi
 echo "README CLI quick start: all outputs as expected"

@@ -40,6 +40,7 @@ from .latin import (
 )
 from .network import (
     Network,
+    PathPartition,
     Schedule,
     SimulationReport,
     SinkReport,
@@ -56,7 +57,6 @@ from .network import (
 )
 from .security import (
     EavesdropReport,
-    PathPartition,
     audit,
     check_condition,
     min_eavesdrop_paths,

@@ -148,22 +148,22 @@ def cmd_audit(args) -> int:
     rect = _load_rectangle(args.rectangle)
     scheme = codec.make_scheme(rect, args.mode)
     if args.partition is not None:
+        if not all(map(str.split, args.partition.replace(";", ",").split(","))):
+            raise ParseError(f"empty partition chunk or field in {args.partition!r}")
         seqs = []
         for chunk in args.partition.split(";"):
             toks = chunk.replace(",", " ").split()
-            if not toks:
-                raise ParseError(f"empty partition chunk in {args.partition!r}")
             if not all(t.isascii() and t.isdecimal() and int(t) > 0 for t in toks):
                 raise ParseError(f"bad partition chunk {chunk!r}, packet indexes start at 1")
             seqs.append(tuple(int(t) for t in toks))
-        part = security.PathPartition.from_sequences(seqs)
     else:
         text = Path(args.schedule).read_text(encoding="utf-8")
         partitions = network.parse_schedule_partitions(text)
         sink = args.sink or next(iter(partitions))
         if sink not in partitions:
             raise ParseError(f"sink {sink!r} not found in schedule")
-        part = security.PathPartition.from_sequences(partitions[sink])
+        seqs = partitions[sink]
+    part = security.PathPartition.from_sequences(seqs)
     print(security.min_eavesdrop_paths(scheme, part).summary_line())
     return 0
 
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--schedule", help="schedule file to take the path partition from")
     source.add_argument(
-        "--partition", help="explicit partition, e.g. '3,10,7,2;8,4,11,9;1,6,5,12'"
+        "--partition", help="explicit partition: paths separated by ';', packet indexes by ',', "
+        "e.g. '3,10,7,2;8,4,11,9;1,6,5,12'; an empty path or field is a parse error (exit 2)"
     )
     p.add_argument("--sink", help="which sink's partition to audit (default: first)")
     p.set_defaults(func=cmd_audit)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import ParseError, ScheduleError, TopologyError
@@ -234,10 +234,23 @@ def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
     return (net.edges[path[0]][0],) + tuple(net.edges[eid][1] for eid in path)
 
 
+def _check_path_sets(sets: Sequence[Collection[int]]) -> None:
+    """The path-partition rule: raise ValueError unless sets are one or more
+    non-empty collections of one size whose ints (no bool or float) hold 1..n
+    once each, n their total size. Its cost follows the sets, not a header."""
+    if not sets or not sets[0] or set(map(len, sets)) != {len(sets[0])}:
+        raise ValueError("partition needs one or more non-empty path sets of equal size")
+    packets = list(chain.from_iterable(sets))
+    if set(map(type, packets)) != {int}:  # 1.0 and True sort and compare as 1
+        raise ValueError("packet indexes must be ints")
+    packets.sort()
+    if packets != list(range(1, len(packets) + 1)):
+        raise ValueError(f"packet sets do not partition 1..{len(packets)}")
+
+
 def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions) -> None:
     """Raise ValueError unless the headers agree and each (sink, sequences) pair
-    has maxflow sequences of phases packets, checked before they are ints
-    that partition 1..n."""
+    passes ``_check_path_sets`` with maxflow sequences of phases packets."""
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -245,17 +258,38 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     # build_schedule pads the request up to the next multiple of maxflow.
     if not n - maxflow < requested_n <= n:
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
-    every: list[int] = []  # 1..n, built once a sink has shown it holds n packets
     for sink, seqs in partitions:
-        if len(seqs) != maxflow or set(map(len, seqs)) != {phases}:
+        try:
+            _check_path_sets(seqs)
+        except ValueError as exc:
+            raise ValueError(f"sink {sink}: {exc}") from None
+        if len(seqs) != maxflow or len(seqs[0]) != phases:
             raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-        packets = list(chain.from_iterable(seqs))
-        if set(map(type, packets)) != {int}:
-            raise ValueError(f"sink {sink}: packet indexes must be ints")
-        if not every:
-            every = list(range(1, n + 1))
-        if sorted(packets) != every:
-            raise ValueError(f"sink {sink}: packet sets do not partition 1..{n}")
+
+
+@dataclass(frozen=True)
+class PathPartition:
+    """Coded-packet index sets S_i, one per path, valid by construction (``_check_path_sets``)."""
+
+    sets: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        _check_path_sets(self.sets)
+
+    @property
+    def maxflow(self) -> int:
+        return len(self.sets)
+
+    @property
+    def n(self) -> int:
+        return len(self.sets) * len(self.sets[0])
+
+    @classmethod
+    def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
+        """Checked as sequences first, before a frozenset merges a repeat, or True with 1."""
+        seqs = list(seqs)
+        _check_path_sets(seqs)
+        return cls(tuple([frozenset(seq) for seq in seqs]))
 
 
 @dataclass(frozen=True)

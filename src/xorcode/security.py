@@ -19,47 +19,11 @@ rule applied to the block-incidence matrix B, which is E^-1 only in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .codec import CodingScheme
 from .latin import LatinRectangle, block_incidence
-
-
-@dataclass(frozen=True)
-class PathPartition:
-    """Coded-packet index sets S_i, one per edge-disjoint path.
-
-    Valid by construction: at least one set, all non-empty and of equal size,
-    holding ints that together partition 1..n, where n is their total size.
-    """
-
-    sets: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if not self.sets:
-            raise ValueError("partition needs at least one path")
-        if not self.sets[0] or any(len(s) != len(self.sets[0]) for s in self.sets):
-            raise ValueError("path sets must be non-empty and of equal size")
-        if any(type(x) is not int for s in self.sets for x in s):
-            raise ValueError("path sets must hold int packet indexes")
-        if frozenset().union(*self.sets) != set(range(1, self.n + 1)):
-            raise ValueError(f"path sets do not partition 1..{self.n}")
-
-    @property
-    def maxflow(self) -> int:
-        return len(self.sets)
-
-    @property
-    def n(self) -> int:
-        return len(self.sets) * len(self.sets[0])
-
-    @classmethod
-    def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
-        sets = [(frozenset(seq), len(seq)) for seq in seqs]
-        for i, (s, size) in enumerate(sets):
-            if len(s) != size:
-                raise ValueError(f"path {i + 1} carries a packet more than once")
-        return cls(tuple([s for s, _ in sets]))
+from .network import PathPartition
 
 
 @dataclass(frozen=True)

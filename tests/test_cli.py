@@ -490,13 +490,34 @@ def test_malformed_audit_partition_is_parse_error(tmp_path, capsys):
     assert code == 2 and "line 6: path needs at least two nodes" in err
 
 
+def test_audit_partition_field_without_an_index_is_parse_error(tmp_path, capsys):
+    # Paths are separated by ';' and packet indexes by ','; a ',' needs an
+    # index on each side, as a ';' does. Whitespace still separates indexes.
+    rect_file = tmp_path / "l5x12.txt"
+    rect_file.write_text(L5X12.to_text())
+    audit = ("audit", "-r", str(rect_file), "--partition")
+    good = run(capsys, *audit, "3,10,7,2;8,4,11,9;1,6,5,12")
+    assert good[0] == 0
+    for partition in ("3 10 7 2;8 4 11 9;1 6 5 12", "3, 10 ,7,2;8,4,11,9 ; 1,6,5,12"):
+        assert run(capsys, *audit, partition) == good, partition
+    for partition in (
+        "3,,10,7,2;8,4,11,9;1,6,5,12",
+        ",3,10,7,2;8,4,11,9;1,6,5,12",
+        "3,10,7,2,;8,4,11,9;1,6,5,12",
+        "3,10,7,2;8,4, ,11,9;1,6,5,12",
+    ):
+        code, stdout, err = run(capsys, *audit, partition)
+        assert (code, stdout) == (2, ""), partition
+        assert err == f"error: empty partition chunk or field in {partition!r}\n"
+
+
 def test_audit_repeated_packet_in_path_is_domain_error(tmp_path, capsys):
     rect_file = tmp_path / "rect.txt"
     rect_file.write_text(EXAMPLE_RECT.to_text())
     code, _, err = run(
         capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", "1,1,2,2;3,3,4,4"
     )
-    assert code == 1 and "path 1 carries a packet more than once" in err
+    assert (code, err) == (1, "error: packet sets do not partition 1..8\n")
     sched_file = tmp_path / "schedule.txt"
     sched_file.write_text(
         "n 4\nrequested_n 4\nphases 4\nmaxflow 2\nsink t1\n"

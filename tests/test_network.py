@@ -392,7 +392,10 @@ def test_validator_catches_problems(fig1):
         (dict(requested_n=2), "requested_n=2 is not in 3..4"),
         (dict(sinks=("t1",)), "per-sink path/assignment shape mismatch"),
         (dict(assignment=(t1[:1], t2)), "sink t1: needs 2 paths of 2 packets each"),
-        (dict(assignment=(((1, 2, 3), (4,)), t2)), "sink t1: needs 2 paths of 2 packets each"),
+        (
+            dict(assignment=(((1, 2, 3), (4,)), t2)),
+            "sink t1: partition needs one or more non-empty path sets of equal size",
+        ),
         (dict(assignment=(((1, 2), (1, 4)), t2)), "sink t1: packet sets do not partition 1..4"),
         (dict(paths=(((0, 2), ()), sched.paths[1])), "sink t1: needs 2 non-empty paths"),
         (dict(paths=(sched.paths[0][:1], sched.paths[1])), "sink t1: needs 2 non-empty paths"),

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_SQUARE, L5X12, ROUTING_PATHS
@@ -23,6 +23,7 @@ from xorcode import (
     make_scheme,
     min_eavesdrop_paths,
 )
+from xorcode.network import _check_partitions
 
 FIG3_PARTITION = PathPartition.from_sequences(ROUTING_PATHS)
 
@@ -48,13 +49,14 @@ def test_partition_validation():
     part = PathPartition.from_sequences([(1, 2), (3, 4)])
     assert (part.n, part.maxflow) == (4, 2)
     cases = [
-        ([], "at least one path"),
-        ([(1, 2), ()], "non-empty and of equal size"),
-        ([(1, 2), (3,)], "non-empty and of equal size"),
+        ([], "one or more non-empty path sets of equal size"),
+        ([(1, 2), ()], "one or more non-empty path sets of equal size"),
+        ([(1, 2), (3,)], "one or more non-empty path sets of equal size"),
         ([(1, 2), (2, 3)], "do not partition 1..4"),
         ([(1, 2), (3, 5)], "do not partition 1..4"),
         # a packet repeated within one path is not merged into one entry
-        ([(1, 2), (3, 3, 4)], "path 2 carries a packet more than once"),
+        ([(1, 2), (3, 3, 4)], "one or more non-empty path sets of equal size"),
+        ([(1, 1), (3, 4)], "do not partition 1..4"),
     ]
     for seqs, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -69,7 +71,7 @@ def test_partition_validation():
 def test_partition_rejects_non_int_packets():
     # 1.0 and True equal 1 and hash alike, so only the type check stops them.
     for bad in (1.0, True):
-        with pytest.raises(ValueError, match="path sets must hold int packet indexes"):
+        with pytest.raises(ValueError, match="packet indexes must be ints"):
             PathPartition.from_sequences([(bad, 2), (3, 4)])
 
 
@@ -90,6 +92,66 @@ def split_permutations(draw):
         else:
             seq[draw(st.integers(0, len(seq) - 1))] = draw(st.integers(0, f * p + 1))
     return seqs
+
+
+@st.composite
+def mutated_partitions(draw):
+    """(n, p, f, kind, seqs): f sequences of p packets that partition 1..n,
+    then one mutation of the named kind, or none."""
+    f, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = f * p
+    idxs = draw(st.permutations(range(1, n + 1)))
+    seqs = [list(idxs[i * p:(i + 1) * p]) for i in range(f)]
+    kinds = ["none", "gap", "zero", "above", "empty", "True", "1.0"]
+    kinds += ["repeat within"] * (p > 1) + ["repeat across", "unequal"] * (f > 1)
+    kind = draw(st.sampled_from(kinds))
+    i, j = draw(st.integers(0, f - 1)), draw(st.integers(0, p - 1))
+    other = draw(st.sampled_from([k for k in range(f) if k != i] or [i]))
+    if kind == "repeat within":
+        seqs[i][j] = seqs[i][(j + draw(st.integers(1, p - 1))) % p]
+    elif kind == "repeat across":
+        seqs[i][j] = draw(st.sampled_from(seqs[other]))
+    elif kind in ("gap", "zero", "above"):
+        seqs[i][j] = {"gap": n + draw(st.integers(2, n + 2)), "zero": 0, "above": n + 1}[kind]
+    elif kind == "unequal":
+        move = draw(st.sampled_from(["move", "drop", "add"]))
+        packet = seqs[i].pop(j) if move != "add" else n + 1
+        if move != "drop":
+            seqs[other].append(packet)
+    elif kind == "empty":
+        if draw(st.booleans()):
+            seqs[i] = []
+        else:
+            seqs.insert(i, [])
+    elif kind != "none":  # True or 1.0 beside its int twin 1, when n > 1
+        twin = True if kind == "True" else 1.0
+        others = [(a, b) for a, seq in enumerate(seqs) for b, x in enumerate(seq) if x != 1]
+        i, j = draw(st.sampled_from(others or [(i, j)]))
+        seqs[i][j] = twin
+    return n, p, f, kind, [tuple(seq) for seq in seqs]
+
+
+@settings(max_examples=500)
+@example((4, 2, 2, "True", [(1, True), (3, 4)]))
+@example((4, 2, 2, "1.0", [(1, 1.0), (3, 4)]))
+@given(mutated_partitions())
+def test_partition_and_schedule_check_sequences_alike(case):
+    # PathPartition and a Schedule's sink check sequences with one rule, so
+    # they raise on the same input with the same text, after "sink t: ".
+    n, p, f, kind, seqs = case
+    try:
+        PathPartition.from_sequences(seqs)
+    except ValueError as exc:
+        expected = f"sink t: {exc}"
+    else:
+        expected = None
+    assert (expected is None) == (kind == "none")
+    try:
+        _check_partitions(n, n, p, f, [("t", seqs)])
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 ANY_SEQUENCES = st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=4)
