@@ -168,8 +168,9 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     #   column coin: sym[r2,c]=s2, row[c,s2]=r2 and col[r2,s2]=c;
     #   row coin:    sym[r,c2]=s2, col[r,s2]=c2 and row[c2,s2]=r.
     # The skip is exact. The last cell of each line is the next pivot's fill,
-    # and on tails it already holds it: the value just read (far, or t). The
-    # other two are flips the next step makes itself:
+    # and on tails it already holds it: far for the symbol line, and for the
+    # column and row lines the entry that heads reads into t, so tails reads
+    # no line at all. The other two are flips the next step makes itself:
     #   symbol tail: the next s2 is s, so the next row coin writes col[r2,s]
     #     and the next column coin row[c2,s];
     #   column tail: the next c2 is c, so the next row coin writes sym[r2,c]
@@ -179,8 +180,9 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     # A tail there hands the cell on to the step after by the same rule, and
     # the closing step writes all it is handed, so each move ends with the
     # arrays of the nine-write step. On the way no read meets a cell still
-    # owed: a step reads only sym[r2,c2], col[r2,s2] and row[c2,s2], and as
-    # r2 != r, c2 != c and s2 != s, none of them is one of its six flips.
+    # owed: a step reads only sym[r2,c2], and on heads col[r2,s2] and
+    # row[c2,s2], and as r2 != r, c2 != c and s2 != s, none of them is one of
+    # its six flips.
     while True:
         for _ in range(moves):
             while True:
@@ -218,8 +220,8 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                 else:
                     s, s2 = s2, s
                 # s is the old s2 from here on.
-                t = col_at[r2n + s]
                 if rnd() >= 0.5:
+                    t = col_at[r2n + s]
                     sym_at[r2n + c] = s
                     row_at[cn + s] = r2n
                     col_at[r2n + s] = c
@@ -227,8 +229,8 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                 else:
                     c, c2 = c2, c
                 cn = c2n
-                t = row_at[cn + s]
                 if rnd() >= 0.5:
+                    t = row_at[cn + s]
                     sym_at[rn + c] = s
                     col_at[rn + s] = c
                     row_at[cn + s] = rn
