@@ -53,10 +53,10 @@ for t in t1 t2; do
 done
 expect "summary sinks=2 decoded=2" tail -n 1 sim/report.txt
 
-expect "condition=false min_paths=2 witness_paths=1,2 exposed=6,10" \
+expect "condition=false min_paths=2 witness_paths=1,2 exposed=2" \
     xorcode audit -r design/rectangle.txt --mode balanced_decode \
     --schedule sim/schedule.txt --sink t1
-expect "condition=false min_paths=2 witness_paths=1,2 exposed=2" \
+expect "condition=false min_paths=2 witness_paths=1,2 exposed=4" \
     xorcode audit -r design/rectangle.txt --mode balanced_decode \
     --partition '3,10,7,2;8,4,11,9;1,6,5,12'
 # A ',' with no packet index on one side is a parse error: exit 2, stdout empty.

@@ -17,12 +17,17 @@ checks, each run at several walk lengths:
   start square, that is, whose every pair of rows differs by a 5-cycle,
   against its exact share 17280/161280 from full enumeration (1 df).
 
+The script exits 1 when an exact check fails at n^2 or 2n^2 accepted moves,
+the default length and twice it: a chi2 z above 3.09, or a start-class |z|
+above 3.09 (two-sided, p < 0.002). At n^2/2 a failure is expected at order
+4 and only printed.
+
 Usage, with xorcode importable (installed, or PYTHONPATH=src):
 
-    python scripts/walk_mixing.py           # the README tables, about 100 s
-    python scripts/walk_mixing.py --quick   # a tenth of the seeds, about 20 s
+    python scripts/walk_mixing.py           # the README tables, about 60 s
+    python scripts/walk_mixing.py --quick   # a tenth of the seeds, about 10 s
 
-The quick run reproduces the pipeline, not the power: with fewer seeds a
+The quick run applies the same gate with less power: with fewer seeds a
 short walk's bias can pass unseen.
 """
 
@@ -42,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import enumerate_latin_squares  # noqa: E402  (stdlib + xorcode only)
 
 squares_of_order = cache(enumerate_latin_squares)
+Z_FAIL = 3.09  # the normal score of p = 0.001, one-sided
 
 
 def agreement(n: int, moves: int, seeds: int) -> tuple[float, float]:
@@ -121,20 +127,27 @@ def main(argv=None) -> int:
     print("\nExact checks against full enumeration, by accepted moves (z > 3.09: p < 0.001):\n")
     print("| order | check | seeds | n²/2 | n² | 2n² |")
     print("|---|---|---|---|---|---|")
+    failed = []
     for n, seeds in ((3, 60_000), (4, 100_000)):
         seeds //= scale
         cells = []
-        for moves in (n * n // 2, n * n, 2 * n * n):
+        for label, moves in (("n²/2", n * n // 2), ("n²", n * n), ("2n²", 2 * n * n)):
             chi2, df, z, worst = chi2_uniform(n, moves, seeds)
             cells.append(f"χ² {chi2:.1f}, z {z:+.2f}, worst {worst:.2f}σ")
+            if label != "n²/2" and z > Z_FAIL:
+                failed.append(f"order {n} χ² at {label}: z {z:+.2f}")
         print(f"| {n} | χ², {df} df | {seeds} | {' | '.join(cells)} |")
     n, seeds = 5, 50_000 // scale
     cells = []
-    for moves in (n * n // 2, n * n, 2 * n * n):
+    for label, moves in (("n²/2", n * n // 2), ("n²", n * n), ("2n²", 2 * n * n)):
         share, exact, z = start_class(n, moves, seeds)
         cells.append(f"{share:.4f}, z {z:+.2f}")
+        if label != "n²/2" and abs(z) > Z_FAIL:
+            failed.append(f"order {n} start-class share at {label}: z {z:+.2f}")
     print(f"| {n} | start-class share, exact {exact:.4f} | {seeds} | {' | '.join(cells)} |")
-    return 0
+    for line in failed:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -130,12 +130,21 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
 def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     """``jm_generate``'s walk, resumable: after every ``moves`` accepted moves
     on one random stream, yield the square as its live, row-major list of
-    0-based symbols, valid until the walk resumes."""
-    rnd = random.Random(seed).random
+    0-based symbols, valid until the walk resumes.
+
+    Every raw step makes one draw. A pivot try is one ``random()``: x =
+    int(random() * n^3) gives r = x // n^2 and (c, s) = divmod(x % n^2, n).
+    An improper step is one ``getrandbits(3)``: bit 2 is the symbol coin,
+    bit 1 the column coin and bit 0 the row coin, each heads when set.
+    Orders 1 and 2 draw one ``random()`` per sample instead."""
+    gen = random.Random(seed)
+    rnd = gen.random
     if n <= 2:  # one draw per sample; the order-2 walk is periodic
         squares = ([0, 1, 1, 0], [1, 0, 0, 1]) if n == 2 else ([0],)
         while True:
             yield squares[int(rnd() * n)]
+    getrandbits = gen.getrandbits
+    n3 = n * n * n
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
     # row_at[c*n+s]: row of s in column c, stored as r*n. A row is only ever
     # used as r*n, so rn and r2n stand for r and r2. Start from the cyclic
@@ -159,7 +168,12 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     # defect: the next pivot, whose cell, row line and column line each hold
     # a second entry (far, the column of s2 in row r2, the row of s2 in
     # column c2) besides the old (s, c, r); a coin flip per line picks which
-    # entry the step moves. random() >= 0.5 is exactly int(random() * 2) == 1.
+    # entry the step moves. One draw per raw step has the law of one
+    # random() per coordinate and per coin: getrandbits(3) is three fair,
+    # independent bits, and x = int(random() * n^3) is uniform on 0..n^3-1
+    # up to the 2^-53 grain that int(random() * n) has too (n^3 < 2^53 for
+    # every n up to the u16 limit), so its base-n digits r, c, s are
+    # independent and uniform. divmod(x, n) is (r*n + c, s).
     #
     # A step flips nine cells, but an improper step writes only those the
     # walk keeps. A closing step writes all nine. Otherwise each coin pairs
@@ -186,16 +200,16 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     while True:
         for _ in range(moves):
             while True:
-                rn = int(rnd() * n) * n
-                c = int(rnd() * n)
-                s = int(rnd() * n)
-                s2 = sym_at[rn + c]
+                rc, s = divmod(int(rnd() * n3), n)
+                s2 = sym_at[rc]
                 if s2 != s:
                     break
+            c = rc % n
+            rn = rc - c
             cn = c * n
             c2 = col_at[rn + s]
             r2n = row_at[cn + s]
-            sym_at[rn + c] = s
+            sym_at[rc] = s
             col_at[rn + s] = c
             row_at[cn + s] = rn
             while True:
@@ -212,7 +226,8 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                     row_at[c2n + s] = r2n
                     row_at[c2n + s2] = rn
                     break
-                if rnd() >= 0.5:
+                coins = getrandbits(3)
+                if coins & 4:
                     col_at[r2n + s] = c2
                     row_at[c2n + s] = r2n
                     sym_at[r2n + c2] = s
@@ -220,7 +235,7 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                 else:
                     s, s2 = s2, s
                 # s is the old s2 from here on.
-                if rnd() >= 0.5:
+                if coins & 2:
                     t = col_at[r2n + s]
                     sym_at[r2n + c] = s
                     row_at[cn + s] = r2n
@@ -229,7 +244,7 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                 else:
                     c, c2 = c2, c
                 cn = c2n
-                if rnd() >= 0.5:
+                if coins & 1:
                     t = row_at[cn + s]
                     sym_at[rn + c] = s
                     col_at[rn + s] = c

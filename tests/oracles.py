@@ -211,7 +211,9 @@ def enumerate_latin_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return squares
 
 
-def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectangle:
+def reference_jm_generate(
+    n: int, seed: int = 0, moves: int | None = None, counts: dict[str, int] | None = None
+) -> LatinRectangle:
     """The Jacobson-Matthews walk as one flat loop with a proper/improper flag.
 
     Same random draws in the same order as ``latin.jm_generate``, so the same
@@ -219,10 +221,19 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
     into a proper pivot and its improper excursion. Every step here writes
     all nine cells it flips: this is the oracle for that walk, whose
     improper steps write only the cells the next step does not rewrite.
+
+    The draws: each try of a proper pivot is one ``random()``, x = int(random()
+    * n^3), read as r = x // n^2 and (c, s) = divmod(x % n^2, n); each improper
+    step is one ``getrandbits(3)``, whose bit 2 is the symbol coin, bit 1 the
+    column coin and bit 0 the row coin, heads when set. Order 2 draws one
+    ``random()`` and order 1 none. For n >= 3, a ``counts`` dict gets the
+    number of pivot tries under "pivot_tries" and of improper steps under
+    "improper_steps".
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    rnd = random.Random(seed).random
+    gen = random.Random(seed)
+    rnd = gen.random
     if n == 1:
         return LatinRectangle(((1,),))
     if n == 2:
@@ -248,13 +259,14 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
     proper = True
     nr = nc = ns = 0          # defect triple when improper
     x_sym = x_col = x_row = 0  # second entries of the defect's three lines
-    accepted = 0
+    accepted = pivot_tries = improper_steps = 0
     while accepted < moves:
         if proper:
             while True:
-                r = int(rnd() * n)
-                c = int(rnd() * n)
-                s = int(rnd() * n)
+                x = int(rnd() * n**3)
+                r = x // (n * n)
+                c, s = divmod(x % (n * n), n)
+                pivot_tries += 1
                 if sym_at[r * n + c] != s:
                     break
             rn = r * n
@@ -267,15 +279,17 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
             r, c, s = nr, nc, ns
             rn = r * n
             cn = c * n
-            if int(rnd() * 2):
+            coins = gen.getrandbits(3)
+            improper_steps += 1
+            if coins >> 2 & 1:
                 s2, fill_sym = sym_at[rn + c], x_sym
             else:
                 s2, fill_sym = x_sym, sym_at[rn + c]
-            if int(rnd() * 2):
+            if coins >> 1 & 1:
                 c2, fill_col = col_at[rn + s], x_col
             else:
                 c2, fill_col = x_col, col_at[rn + s]
-            if int(rnd() * 2):
+            if coins & 1:
                 r2, fill_row = row_at[cn + s], x_row
             else:
                 r2, fill_row = x_row, row_at[cn + s]
@@ -302,6 +316,9 @@ def reference_jm_generate(n: int, seed: int = 0, moves: int | None = None) -> La
             nr, nc, ns = r2, c2, s2
             x_sym, x_col, x_row = s, c, r
             proper = False
+    if counts is not None:
+        counts["pivot_tries"] = pivot_tries
+        counts["improper_steps"] = improper_steps
     cells = tuple(
         tuple(sym_at[r * n + c] + 1 for c in range(n)) for r in range(n)
     )

@@ -192,15 +192,15 @@ def test_decode_deflated_manifest_length_fails(tmp_path, capsys, length):
 
 
 # SHA-256 of the concatenated packet files and of the manifest. The design
-# comes from the seeded walk, so a change of walk length re-pins them.
+# comes from the seeded walk, so a change of its length or its draws re-pins them.
 GOLDEN_ENCODE = {
     "direct": (
-        "c022d1e8132e6f37247add9c313b0a51f6c0730090a764f933a80bcc6e45dafa",
-        "e416e81facbedd99ccffd603cf2d5ccb526108a4886d123e0e998b6907568600",
+        "71ece3cbb49e4a48ccee2e638df60292ef1fcdcdcf93b85f97f27baf75691cb6",
+        "88588cf003e37be138078e6e6b9f00ffebbcbefa14bf563da05a3452ac45ea96",
     ),
     "balanced_decode": (
-        "0bb62bd530bd17c15b437644f526672d17fe2bcc0f7073ffb0cc001c3c08700a",
-        "8723dafdb842202b80cefa7822429eb60598e3764db7975d829f0e1956cd7309",
+        "b1b5a9c0c1d6829cc8d303fbfddcb71e735b166e248351bb255160f38cb02334",
+        "2a293c3f519c820b13e166bc88832746b12c4a994726c3024b46f183846d1b1e",
     ),
 }
 
@@ -451,17 +451,17 @@ def test_audit_all_on_one_path_leaks(tmp_path, capsys):
 
 def test_direct_mode_audit_uses_the_inverse(tmp_path, capsys):
     # The paper's column test holds for this design and partition, but in
-    # direct mode E^-1 is B^-1, and one tapped path exposes source 3.
+    # direct mode E^-1 is B^-1, and one tapped path exposes source 7.
     code, _, _ = run(capsys, "gen", "-n", "12", "-k", "5", "--seed", "3", "-o", str(tmp_path))
     assert code == 0
     rect_file = tmp_path / "rectangle.txt"
-    sets = ((1, 2, 3, 4, 5, 11), (6, 7, 8, 9, 10, 12))
+    sets = ((1, 2, 3, 4, 6, 9), (5, 7, 8, 10, 11, 12))
     partition = ";".join(",".join(map(str, s)) for s in sets)
     code, stdout, _ = run(
         capsys, "audit", "-r", str(rect_file), "--mode", "direct", "--partition", partition
     )
     assert code == 0
-    assert stdout == "condition=false min_paths=1 witness_paths=1 exposed=3\n"
+    assert stdout == "condition=false min_paths=1 witness_paths=1 exposed=7\n"
     rect = LatinRectangle.from_text(rect_file.read_text())
     assert check_condition(rect, PathPartition.from_sequences(sets))
 

@@ -138,7 +138,7 @@ def test_mode_orders_the_design_matrix_and_its_inverse():
     swapped = dataclasses.replace(make_scheme(rect, MODE_DIRECT), mode=MODE_BALANCED_DECODE)
     part = PathPartition.from_sequences([(3, 10, 7, 2), (8, 4, 11, 9), (1, 6, 5, 12)])
     assert min_eavesdrop_paths(swapped, part).summary_line() == (
-        "condition=false min_paths=2 witness_paths=1,2 exposed=2"
+        "condition=false min_paths=2 witness_paths=1,2 exposed=4"
     )
     # A hand-built balanced_decode scheme decodes with the matrix it is given.
     b = block_incidence(EXAMPLE_RECT)
