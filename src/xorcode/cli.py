@@ -156,14 +156,14 @@ def cmd_audit(args) -> int:
             if not all(t.isascii() and t.isdecimal() and int(t) > 0 for t in toks):
                 raise ParseError(f"bad partition chunk {chunk!r}, packet indexes start at 1")
             seqs.append(tuple(int(t) for t in toks))
+        part = security.PathPartition(seqs)
     else:
         text = Path(args.schedule).read_text(encoding="utf-8")
         partitions = network.parse_schedule_partitions(text)
         sink = args.sink or next(iter(partitions))
         if sink not in partitions:
             raise ParseError(f"sink {sink!r} not found in schedule")
-        seqs = partitions[sink]
-    part = security.PathPartition.from_sequences(seqs)
+        part = partitions[sink]  # already checked by the reader
     print(security.min_eavesdrop_paths(scheme, part).summary_line())
     return 0
 

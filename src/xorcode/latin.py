@@ -291,7 +291,9 @@ def find_nonsingular_rectangle(
     e/n of the samples pass, so a fixed bound fails more often as n grows,
     while 4n samples all fail with chance about e^(-4e), 2 * 10^-5. Even k
     is rejected outright: with an even number of ones in every row, the XOR
-    of all columns is zero, so the matrix is singular over GF(2).
+    of all columns is zero, so the matrix is singular over GF(2). So is
+    k = n > 1: every column of a full square holds every symbol, so the
+    incidence is all ones, of rank 1.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -303,6 +305,11 @@ def find_nonsingular_rectangle(
         raise ValueError(
             f"row count {k} is even; the incidence matrix of an even-row "
             "rectangle is always singular over GF(2)"
+        )
+    if k == n > 1:
+        raise ValueError(
+            f"row count {k} fills the square; the incidence matrix of a full "
+            "Latin square is all ones, always singular over GF(2)"
         )
     if moves is None:
         moves = n * n

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import ParseError, ScheduleError, TopologyError
@@ -234,23 +234,41 @@ def path_nodes(net: Network, path: Sequence[int]) -> tuple[str, ...]:
     return (net.edges[path[0]][0],) + tuple(net.edges[eid][1] for eid in path)
 
 
-def _check_path_sets(sets: Sequence[Collection[int]]) -> None:
-    """The path-partition rule: raise ValueError unless sets are one or more
-    non-empty collections of one size whose ints (no bool or float) hold 1..n
-    once each, n their total size. Its cost follows the sets, not a header."""
-    if not sets or not sets[0] or set(map(len, sets)) != {len(sets[0])}:
-        raise ValueError("partition needs one or more non-empty path sets of equal size")
-    packets = list(chain.from_iterable(sets))
-    if set(map(type, packets)) != {int}:  # 1.0 and True sort and compare as 1
-        raise ValueError("packet indexes must be ints")
-    packets.sort()
-    if packets != list(range(1, len(packets) + 1)):
-        raise ValueError(f"packet sets do not partition 1..{len(packets)}")
+class PathPartition(tuple):
+    """Packet-index tuples S_i, one per path, equal to the plain tuple of tuples.
+    Built once under the path-partition rule: one or more non-empty paths of one size
+    whose ints (no bool or float) hold 1..n once each. A PathPartition comes back as is."""
+
+    __slots__ = ()
+
+    def __new__(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
+        if type(seqs) is cls:
+            return seqs
+        self = super().__new__(cls, [tuple(seq) for seq in seqs])
+        if not self or not self[0] or set(map(len, self)) != {len(self[0])}:
+            raise ValueError("partition needs one or more non-empty path sets of equal size")
+        packets = list(chain.from_iterable(self))
+        if set(map(type, packets)) != {int}:  # 1.0 and True sort and compare as 1
+            raise ValueError("packet indexes must be ints")
+        packets.sort()
+        if packets != list(range(1, len(packets) + 1)):
+            raise ValueError(f"packet sets do not partition 1..{len(packets)}")
+        return self
+
+    from_sequences = classmethod(__new__)
+
+    @property
+    def maxflow(self) -> int:
+        return len(self)
+
+    @property
+    def n(self) -> int:
+        return len(self) * len(self[0])
 
 
-def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions) -> None:
-    """Raise ValueError unless the headers agree and each (sink, sequences) pair
-    passes ``_check_path_sets`` with maxflow sequences of phases packets."""
+def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions):
+    """The list of each (sink, sequences) pair's ``PathPartition``, of maxflow paths
+    of phases packets; raise ValueError unless the headers agree and each is built."""
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -258,38 +276,16 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     # build_schedule pads the request up to the next multiple of maxflow.
     if not n - maxflow < requested_n <= n:
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
+    parts = []
     for sink, seqs in partitions:
         try:
-            _check_path_sets(seqs)
+            part = PathPartition(seqs)
         except ValueError as exc:
             raise ValueError(f"sink {sink}: {exc}") from None
-        if len(seqs) != maxflow or len(seqs[0]) != phases:
+        if len(part) != maxflow or len(part[0]) != phases:
             raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-
-
-@dataclass(frozen=True)
-class PathPartition:
-    """Coded-packet index sets S_i, one per path, valid by construction (``_check_path_sets``)."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        _check_path_sets(self.sets)
-
-    @property
-    def maxflow(self) -> int:
-        return len(self.sets)
-
-    @property
-    def n(self) -> int:
-        return len(self.sets) * len(self.sets[0])
-
-    @classmethod
-    def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> PathPartition:
-        """Checked as sequences first, before a frozenset merges a repeat, or True with 1."""
-        seqs = list(seqs)
-        _check_path_sets(seqs)
-        return cls(tuple([frozenset(seq) for seq in seqs]))
+        parts.append(part)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -298,11 +294,11 @@ class Schedule:
 
     ``n`` is the delivered packet count; when the requested count is not a
     multiple of the max flow it is padded up, and ``requested_n`` keeps the
-    original value. Valid and fitting its network by construction: the
-    headers and sequences pass ``_check_partitions``, the sinks are the
-    network's, each sink's paths are non-empty and run from the source to
-    that sink along the network's edges, and paths through one edge carry
-    one sequence, so a sink's paths are edge-disjoint.
+    original value. Valid and fitting its network by construction: the headers
+    and rows pass ``_check_partitions``, and each row is kept as its ``PathPartition``;
+    the sinks are the network's, each sink's paths are non-empty and run from the
+    source to that sink along the network's edges, and paths through one edge
+    carry one sequence, so a sink's paths are edge-disjoint.
     """
 
     network: Network
@@ -312,13 +308,14 @@ class Schedule:
     maxflow: int
     sinks: tuple[str, ...]
     paths: tuple[tuple[tuple[int, ...], ...], ...]
-    assignment: tuple[tuple[tuple[int, ...], ...], ...]
+    assignment: tuple[PathPartition, ...]
 
     def __post_init__(self):
         if not len(self.paths) == len(self.assignment) == len(self.sinks):
             raise ValueError("per-sink path/assignment shape mismatch")
         header = (self.n, self.requested_n, self.phases, self.maxflow)
-        _check_partitions(*header, zip(self.sinks, self.assignment))
+        parts = _check_partitions(*header, zip(self.sinks, self.assignment))
+        object.__setattr__(self, "assignment", tuple(parts))
         net = self.network
         if sorted(self.sinks) != sorted(net.sinks):
             raise ValueError("schedule sinks do not match network sinks")
@@ -468,6 +465,9 @@ def build_schedule(net: Network, n: int) -> Schedule:
         seqs[c] = seq
         tops.append(max(tops[k], seq[-1]))
         k += 1
+    # The labels are ints, so equal rows are one partition, proven once.
+    rows = [tuple([seqs[c] for c in classes]) for classes in sink_classes]
+    parts = {row: PathPartition(row) for row in dict.fromkeys(rows)}
     return Schedule(
         network=net,
         n=padded,
@@ -476,7 +476,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
         maxflow=f,
         sinks=net.sinks,
         paths=tuple([tuple(paths) for paths in sink_paths]),
-        assignment=tuple([tuple([seqs[c] for c in classes]) for classes in sink_classes]),
+        assignment=tuple([parts[row] for row in rows]),
     )
 
 
@@ -581,16 +581,15 @@ def parse_schedule(net: Network, text: str) -> Schedule:
         raise ParseError(str(exc)) from None
 
 
-def parse_schedule_partitions(text: str) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Per-sink packet sequences from a schedule file, no network needed; they
+def parse_schedule_partitions(text: str) -> dict[str, PathPartition]:
+    """Per-sink path partitions from a schedule file, no network needed; they
     and the headers must pass ``_check_partitions``."""
     header, sections = _parse_schedule_lines(text)
-    parts = {sink: tuple(packets for _, packets in rows) for sink, rows in sections.items()}
+    seqs = [(sink, [packets for _, packets in rows]) for sink, rows in sections.items()]
     try:
-        _check_partitions(partitions=parts.items(), **header)
+        return dict(zip(sections, _check_partitions(partitions=seqs, **header)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return parts
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from xorcode import LatinRectangle, network, parse_network
+from xorcode import LatinRectangle, PathPartition, network, parse_network
 
 # 4x4 square whose 3-row upper rectangle drives the small worked example.
 EXAMPLE_SQUARE = LatinRectangle(((2, 4, 1, 3), (1, 3, 2, 4), (3, 2, 4, 1), (4, 1, 3, 2)))
@@ -190,3 +190,20 @@ def corrupt_decode(monkeypatch):
         return dataclasses.replace(block, packets=(first, *block.packets[1:]))
 
     monkeypatch.setattr(network, "decode", flipped)
+
+
+@pytest.fixture
+def partition_proofs(monkeypatch):
+    """A list that gets the argument of each run of the path-partition rule:
+    every ``PathPartition`` built from anything but a ``PathPartition``."""
+    proofs = []
+    new = PathPartition.__new__
+
+    def counted(cls, seqs):
+        if not isinstance(seqs, cls):
+            proofs.append(seqs)
+        return new(cls, seqs)
+
+    monkeypatch.setattr(PathPartition, "__new__", counted)
+    monkeypatch.setattr(PathPartition, "from_sequences", classmethod(counted))
+    return proofs

@@ -93,7 +93,7 @@ def subset_min_eavesdrop(scheme: CodingScheme, part: PathPartition) -> Eavesdrop
         for combo in combinations(range(f), size):
             captured: set[int] = set()
             for i in combo:
-                captured |= part.sets[i]
+                captured.update(part[i])
             exposed = span_exposed(scheme.encode_matrix.row_bits, captured)
             if exposed:
                 return EavesdropReport(

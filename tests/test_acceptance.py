@@ -91,7 +91,7 @@ def test_criterion_3_security_bound():
 
     for a in range(3):
         for b in range(a + 1, 3):
-            captured = set(part.sets[a]) | set(part.sets[b])
+            captured = set(part[a]) | set(part[b])
             assert span_exposed(scheme.encode_matrix.row_bits, captured) == ()
     ok(3, "routing partition needs all 3 paths tapped; any 2 expose zero sources")
 
@@ -175,7 +175,7 @@ def test_criterion_7_condition_equivalence():
         condition = check_condition(rect, part)
         report = min_eavesdrop_paths(scheme, part)
         assert condition == (report.min_paths_to_decode == f), (
-            f"rect={rect.cells} partition={part.sets} "
+            f"rect={rect.cells} partition={part} "
             f"condition={condition} min={report.min_paths_to_decode} f={f}"
         )
         holds += 1 if condition else 0

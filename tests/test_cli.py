@@ -13,6 +13,7 @@ from conftest import (
     FIG3_TEXT,
     L5X12,
     SHORT_HEADER_SCHEDULE,
+    TABLE1_SCHEDULE,
     TWO_PATH_SCHEDULE,
 )
 from xorcode import (
@@ -62,6 +63,14 @@ def test_gen_even_k_is_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "-n", "4", "-k", "2", "-o", str(tmp_path))
     assert code == 1
     assert "even" in err
+
+
+def test_gen_full_square_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "design"
+    code, stdout, err = run(capsys, "gen", "-n", "9", "-k", "9", "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: row count 9 fills the square")
+    assert not out.exists()
 
 
 def test_gen_trivial_order(tmp_path, capsys):
@@ -438,6 +447,19 @@ def test_audit_from_schedule_file(tmp_path, capsys):
         "--sink", "nosuch",
     )
     assert (code, stdout) == (2, "") and "sink 'nosuch' not found in schedule" in err
+
+
+def test_audit_schedule_proves_each_sink_once(tmp_path, capsys, partition_proofs):
+    # The reader proves each sink's partition, and the audit uses it as it is.
+    sched_file = tmp_path / "schedule.txt"
+    sched_file.write_text(TABLE1_SCHEDULE)
+    rect_file = tmp_path / "rect.txt"
+    rect_file.write_text(EXAMPLE_RECT.to_text())
+    code, stdout, _ = run(
+        capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file), "--sink", "t2"
+    )
+    assert code == 0 and stdout.startswith("condition=")
+    assert len(partition_proofs) == 6  # the schedule's six sinks
 
 
 def test_audit_all_on_one_path_leaks(tmp_path, capsys):

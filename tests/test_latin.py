@@ -410,7 +410,7 @@ def test_find_nonsingular_returns_the_rectangle_and_its_incidence():
         for k in range(1, n + 1, 2):
             seed = rng.getrandbits(63)
             if k == n > 1:  # a full square's incidence is all ones
-                with pytest.raises(DesignSearchError):
+                with pytest.raises(ValueError, match="fills the square"):
                     find_nonsingular_rectangle(n, k, seed, max_retries=2)
                 continue
             rect, m = find_nonsingular_rectangle(n, k, seed)
@@ -442,16 +442,25 @@ def test_find_nonsingular_rejects_no_retries():
             find_nonsingular_rectangle(8, max_retries=max_retries)
 
 
-def test_find_nonsingular_search_failure():
-    # full square of order > 1: incidence is all-ones, always singular
+def test_find_nonsingular_search_failure(monkeypatch):
+    # Every sample is singular, so the search tests all it may.
+    monkeypatch.setattr("xorcode.latin.determinant", lambda m: 0)
     with pytest.raises(DesignSearchError) as exc:
-        find_nonsingular_rectangle(3, k=3, max_retries=5)
+        find_nonsingular_rectangle(3, k=1, max_retries=5)
     assert exc.value.attempts == 5
     # By default the search tests max(64, 4n) samples.
     for n, attempts in ((5, 64), (21, 84)):
         with pytest.raises(DesignSearchError) as exc:
-            find_nonsingular_rectangle(n, k=n)
+            find_nonsingular_rectangle(n)
         assert exc.value.attempts == attempts
+
+
+def test_find_nonsingular_rejects_a_full_square_without_walking(monkeypatch):
+    # A full square's incidence is all ones; no sample is drawn to learn that.
+    monkeypatch.setattr("xorcode.latin._jm_walk", None)
+    for n in (3, 9, 201):
+        with pytest.raises(ValueError, match=f"row count {n} fills the square"):
+            find_nonsingular_rectangle(n, k=n)
 
 
 def test_rectangle_text_roundtrip():

@@ -1,9 +1,13 @@
 import collections
+import copy
 import dataclasses
 import hashlib
+import itertools
+import pickle
 import random
 import re
 import tracemalloc
+from typing import Iterator
 from unittest import mock
 
 import networkx as nx
@@ -27,6 +31,7 @@ from xorcode import (
     CodingScheme,
     Network,
     ParseError,
+    PathPartition,
     Schedule,
     ScheduleError,
     SourceBlock,
@@ -566,6 +571,50 @@ def test_schedule_text_roundtrip(fig3):
         assert parts["t1"] == sched.assignment[sched.sinks.index("t1")]
 
 
+def test_schedule_readers_return_partitions(fig2, partition_proofs):
+    # Each sink's sequences are proven once, into the PathPartition both readers
+    # hand back; it equals the plain tuples the file lists.
+    table1 = {
+        "t1": ((4, 2), (1, 3)), "t2": ((4, 2), (3, 1)), "t3": ((4, 2), (3, 1)),
+        "t4": ((1, 3), (2, 4)), "t5": ((1, 3), (2, 4)), "t6": ((3, 1), (2, 4)),
+    }
+    parts = parse_schedule_partitions(TABLE1_SCHEDULE)
+    assert parts == table1 and len(partition_proofs) == 6
+    assert all(type(part) is PathPartition for part in parts.values())
+    sched = parse_schedule(fig2, TABLE1_SCHEDULE)
+    assert sched.assignment == tuple(table1.values()) and len(partition_proofs) == 12
+    assert all(type(row) is PathPartition for row in sched.assignment)
+    # A schedule built from another's rows takes them as they are.
+    assert dataclasses.replace(sched).assignment[0] is sched.assignment[0]
+    assert len(partition_proofs) == 12
+
+
+def test_sinks_with_equal_rows_share_one_partition(partition_proofs):
+    # build_schedule labels with ints, so equal rows are one partition: it is
+    # proven once and every sink that carries it holds the same object.
+    rng = random.Random(20)  # the networks of test_build_schedule_layered_golden
+    for i in range(20):
+        f = 2 + i % 5
+        p = rng.randint(2, 4)
+        net = parse_network(layered_network(rng, f))
+        del partition_proofs[:]
+        sched = build_schedule(net, rng.randint((p - 1) * f + 1, p * f))
+        first: dict[PathPartition, PathPartition] = {}
+        for row in sched.assignment:
+            assert type(row) is PathPartition
+            assert first.setdefault(row, row) is row
+        assert len(partition_proofs) == len(first) < len(sched.sinks)
+
+
+def test_schedule_survives_pickle_and_deepcopy(fig3):
+    sched = build_schedule(fig3, 12)
+    copies = [pickle.loads(pickle.dumps(sched, protocol)) for protocol in (0, 5)]
+    for twin in copies + [copy.deepcopy(sched)]:
+        assert twin == sched
+        assert all(type(row) is PathPartition for row in twin.assignment)
+        assert twin.assignment[0] is twin.assignment[1]
+
+
 def test_simulate_fig2_with_direct_scheme(fig2):
     sched = build_schedule(fig2, 4)
     scheme = make_scheme(split_upper(EXAMPLE_SQUARE, 3), MODE_DIRECT)
@@ -680,6 +729,66 @@ def test_build_schedule_backtracking_golden(n, digest):
     net = parse_network(SEVEN_RELAYS)
     text = format_schedule(build_schedule(net, n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The perfect matchings of points, lowest point paired first, in lexicographic order."""
+    if not points:
+        yield ()
+        return
+    a, rest = points[0], points[1:]
+    for i, b in enumerate(rest):
+        for m in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield ((a, b),) + m
+
+
+# One relay r<a><b> per 2-subset of 1..6, fed once from s, and one sink per
+# perfect matching of 1..6 reading the relays of its three pairs.
+KNESER_MATCHINGS = list(perfect_matchings((1, 2, 3, 4, 5, 6)))
+KNESER_RELAYS = (
+    "source s\n"
+    + "".join(f"sink t{a}{b}_{c}{d}_{e}{f}\n" for (a, b), (c, d), (e, f) in KNESER_MATCHINGS)
+    + "".join(f"edge s r{a}{b}\n" for a, b in itertools.combinations(range(1, 7), 2))
+    + "".join(
+        f"edge r{x}{y} t{a}{b}_{c}{d}_{e}{f}\n"
+        for (a, b), (c, d), (e, f) in KNESER_MATCHINGS
+        for x, y in ((a, b), (c, d), (e, f))
+    )
+)
+
+
+def test_build_schedule_labels_a_class_graph_with_no_f_colouring():
+    # Each relay is a class, and two conflict when a sink reads both, that is
+    # when their pairs are disjoint: the conflict graph is the Kneser graph
+    # KG(6,2). A schedule from an f-colouring (colour i taking packets
+    # (i-1)p+1..ip) would need a proper 3-colouring, and there is none.
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    conflicts = {frozenset(two) for m in KNESER_MATCHINGS for two in itertools.combinations(m, 2)}
+    assert len(KNESER_MATCHINGS) == 15 and len(conflicts) == 45
+    colour: list[int] = []
+
+    def colours():  # exhaustive depth-first search over proper 3-colourings
+        if len(colour) == len(pairs):
+            return True
+        i = len(colour)
+        for c in range(3):
+            if all(colour[j] != c or {pairs[i], pairs[j]} not in conflicts for j in range(i)):
+                colour.append(c)
+                if colours():
+                    return True
+                colour.pop()
+        return False
+
+    assert not colours()
+    # The p-subset search labels each relay with its own pair.
+    net = parse_network(KNESER_RELAYS)
+    sched = build_schedule(net, 6)
+    assert (sched.maxflow, sched.phases) == (3, 2)
+    assert sched.assignment[0] == ((1, 2), (3, 4), (5, 6))
+    for m, seqs in zip(KNESER_MATCHINGS, sched.assignment):
+        assert seqs == m
+    digest = hashlib.sha256(format_schedule(sched).encode()).hexdigest()
+    assert digest == "27760a8e9661444f6191973691ef4a1db802e13ba1fc83e938d7b307cf14fd2c"
 
 
 def layered_network(rng: random.Random, f: int) -> str:

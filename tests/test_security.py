@@ -75,6 +75,18 @@ def test_partition_rejects_non_int_packets():
             PathPartition.from_sequences([(bad, 2), (3, 4)])
 
 
+def test_partition_is_its_path_tuples_and_is_built_once(partition_proofs):
+    # A PathPartition equals the plain tuple of tuples it holds, and one
+    # passed to the constructor comes back as is, without a second proof.
+    part = PathPartition.from_sequences([[1, 2], (3, 4)])
+    assert partition_proofs == [[[1, 2], (3, 4)]]
+    assert part == ((1, 2), (3, 4)) and hash(part) == hash(((1, 2), (3, 4)))
+    assert type(part) is PathPartition and all(type(seq) is tuple for seq in part)
+    assert PathPartition.from_sequences(part) is part
+    assert PathPartition(part) is part
+    assert len(partition_proofs) == 1
+
+
 @st.composite
 def split_permutations(draw):
     """f sequences of p packets over a shuffled 1..f*p, often with one packet
@@ -205,7 +217,7 @@ def test_two_tapped_paths_expose_nothing():
     rows = scheme.encode_matrix.row_bits
     for a in range(3):
         for b in range(a + 1, 3):
-            captured = set(FIG3_PARTITION.sets[a]) | set(FIG3_PARTITION.sets[b])
+            captured = set(FIG3_PARTITION[a]) | set(FIG3_PARTITION[b])
             assert span_exposed(rows, captured) == ()
 
 
@@ -265,7 +277,7 @@ def test_monotone_in_tapped_paths():
     rows = scheme.encode_matrix.row_bits
     rng = random.Random(7)
     part = random_partition(rng, 12, 3)
-    sets = [set(s) for s in part.sets]
+    sets = [set(s) for s in part]
     single = set(span_exposed(rows, sets[0]))
     double = set(span_exposed(rows, sets[0] | sets[1]))
     triple = set(span_exposed(rows, sets[0] | sets[1] | sets[2]))
