@@ -268,7 +268,8 @@ class PathPartition(tuple):
 
 def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions):
     """The list of each (sink, sequences) pair's ``PathPartition``, of maxflow paths
-    of phases packets; raise ValueError unless the headers agree and each is built."""
+    of phases packets; raise ValueError unless the headers agree and each is built.
+    Sequences that are one object, as the readers make equal rows, are proven once."""
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -277,14 +278,18 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     if not n - maxflow < requested_n <= n:
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
     parts = []
+    # id(seqs) -> (seqs, its part); holding seqs keeps its id from being reused.
+    proven: dict[int, tuple[object, PathPartition]] = {}
     for sink, seqs in partitions:
-        try:
-            part = PathPartition(seqs)
-        except ValueError as exc:
-            raise ValueError(f"sink {sink}: {exc}") from None
-        if len(part) != maxflow or len(part[0]) != phases:
-            raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-        parts.append(part)
+        if id(seqs) not in proven:
+            try:
+                part = PathPartition(seqs)
+            except ValueError as exc:
+                raise ValueError(f"sink {sink}: {exc}") from None
+            if len(part) != maxflow or len(part[0]) != phases:
+                raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
+            proven[id(seqs)] = seqs, part
+        parts.append(proven[id(seqs)][1])
     return parts
 
 
@@ -375,60 +380,69 @@ def _canonical_subsets(
         i = picked.pop() + 1
 
 
-def build_schedule(net: Network, n: int) -> Schedule:
-    """Search for a forwarding-only schedule delivering n packets to every sink.
+def _colour_labels(
+    sink_classes: Sequence[Sequence[int]], f: int, p: int
+) -> dict[int, tuple[int, ...]] | None:
+    """Each class's block of a proper f-colouring of the conflict graph, or None.
 
-    A path carries one packet per phase along its whole length, so paths of
-    different sinks that share an edge carry the same sequence. Union-find
-    groups the (sink, path) pairs into such classes; a sink with two paths in
-    one class is rejected at once. Classes are then given ascending p-packet
-    sequences in order of first appearance (sinks in input order, paths in
-    order), disjoint from every assigned class that shares a sink with them,
-    by depth-first search in lexicographic order. The packets in use are
-    always 1..top, and unused packets are interchangeable, so only the
-    lowest of them, top+1, top+2, ..., are tried. The result is the
-    lexicographically first valid labelling of the sinks' (path, phase) slots.
-    Raises if sinks disagree on max flow or no consistent assignment exists.
+    Two classes conflict when one sink holds both; each sink holds f distinct
+    classes. Depth-first search colours the classes in order of first
+    appearance, each with the lowest colour that no sink holding it has. The
+    colours in use are always 0..top-1, and unused colours are
+    interchangeable, so only the lowest of them, top, is tried. Each sink's
+    colours so far are one bitmask. Colour x labels a class with packets
+    x*p+1..x*p+p.
     """
-    if n < 1:
-        raise ValueError("packet count must be >= 1")
-    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
-    flows = [len(paths) for paths in sink_paths]
-    f = flows[0]
-    if any(x != f for x in flows):
-        detail = ", ".join(f"{t}={x}" for t, x in zip(net.sinks, flows))
-        raise TopologyError(f"sinks have unequal max-flow: {detail}")
-    if f == 0:
-        raise TopologyError("sinks are unreachable from the source")
-    p = -(-n // f)
+    sinks_of: dict[int, list[int]] = {}  # the sinks holding each class, classes by first appearance
+    for si, classes in enumerate(sink_classes):
+        for c in classes:
+            sinks_of.setdefault(c, []).append(si)
+    order = list(sinks_of.values())
+    masks = [0] * len(sink_classes)
+    colours: list[int] = []
+    tops = [0]  # colours in use before each class on the branch
+    start = 0  # lowest colour the class may take: above the one a pop undid
+    while len(colours) < len(order):
+        k = len(colours)
+        taken = 0
+        for si in order[k]:
+            taken |= masks[si]
+        free = ((2 << min(tops[k], f - 1)) - 1) >> start << start & ~taken
+        if free:
+            x = (free & -free).bit_length() - 1
+            for si in order[k]:
+                masks[si] |= 1 << x
+            colours.append(x)
+            tops.append(max(tops[k], x + 1))
+            start = 0
+        elif colours:
+            x = colours.pop()
+            tops.pop()
+            for si in order[k - 1]:
+                masks[si] ^= 1 << x
+            start = x + 1
+        else:
+            return None
+    blocks = [tuple(range(x * p + 1, x * p + p + 1)) for x in range(f)]
+    return {c: blocks[x] for c, x in zip(sinks_of, colours)}
+
+
+def _subset_labels(
+    sink_classes: Sequence[Sequence[int]], f: int, p: int
+) -> dict[int, tuple[int, ...]]:
+    """Each class's ascending p-packet sequence, by the exact p-subset search.
+
+    Classes are given sequences in order of first appearance, disjoint from
+    every assigned class that shares a sink with them, by depth-first search
+    in lexicographic order. The packets in use are always 1..top, and unused
+    packets are interchangeable, so only the lowest of them, top+1, top+2,
+    ..., are tried. The result is the lexicographically first valid
+    labelling. Raises ScheduleError if none exists.
+    """
     padded = p * f
-
-    # Union-find over (sink, path) pairs, numbered si * f + j, joined by shared edges.
-    parent = list(range(len(net.sinks) * f))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    owner: dict[int, int] = {}
-    for si, paths in enumerate(sink_paths):
-        for j, path in enumerate(paths):
-            for e in path:
-                if e in owner:
-                    parent[find(si * f + j)] = find(owner[e])
-                else:
-                    owner[e] = si * f + j
-    sink_classes = [[find(si * f + j) for j in range(f)] for si in range(len(net.sinks))]
     order: list[int] = []  # classes by first appearance
     neighbours: dict[int, set[int]] = {}  # classes that share a sink, so must not share a packet
-    for sink, classes in zip(net.sinks, sink_classes):
-        if len(set(classes)) < f:
-            raise ScheduleError(
-                f"no forwarding-only schedule: two paths of sink {sink} are joined "
-                "by shared edges and would carry the same packets"
-            )
+    for classes in sink_classes:
         for c in classes:
             if c not in neighbours:
                 order.append(c)
@@ -465,12 +479,75 @@ def build_schedule(net: Network, n: int) -> Schedule:
         seqs[c] = seq
         tops.append(max(tops[k], seq[-1]))
         k += 1
+    return seqs
+
+
+def build_schedule(net: Network, n: int) -> Schedule:
+    """Search for a forwarding-only schedule delivering n packets to every sink.
+
+    A path carries one packet per phase along its whole length, so paths of
+    different sinks that share an edge carry the same sequence. Union-find
+    groups the (sink, path) pairs into such classes; a sink with two paths in
+    one class is rejected at once. Classes are then labelled in order of
+    first appearance (sinks in input order, paths in order): first by a
+    proper f-colouring of the classes that share a sink, colour x taking
+    packets x*p+1..x*p+p (``_colour_labels``). Only if none exists does the
+    exact search over ascending p-packet sequences run (``_subset_labels``),
+    since at p >= 2 a schedule may exist without an f-colouring.
+
+    If the colouring never backtracks, or fails, the result is the
+    lexicographically first valid labelling of the sinks' (path, phase)
+    slots: while every class so far holds a block, the p smallest packets
+    free at the next class are the lowest free block, the exact search's
+    first candidate. A colouring that backtracks gives the lexicographically
+    first labelling by blocks; that it is the first of all is not proven.
+    Raises if sinks disagree on max flow or no consistent assignment exists.
+    """
+    if n < 1:
+        raise ValueError("packet count must be >= 1")
+    sink_paths = [edge_disjoint_paths(net, t) for t in net.sinks]
+    flows = [len(paths) for paths in sink_paths]
+    f = flows[0]
+    if any(x != f for x in flows):
+        detail = ", ".join(f"{t}={x}" for t, x in zip(net.sinks, flows))
+        raise TopologyError(f"sinks have unequal max-flow: {detail}")
+    if f == 0:
+        raise TopologyError("sinks are unreachable from the source")
+    p = -(-n // f)
+
+    # Union-find over (sink, path) pairs, numbered si * f + j, joined by shared edges.
+    parent = list(range(len(net.sinks) * f))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: dict[int, int] = {}
+    for si, paths in enumerate(sink_paths):
+        for j, path in enumerate(paths):
+            for e in path:
+                if e in owner:
+                    parent[find(si * f + j)] = find(owner[e])
+                else:
+                    owner[e] = si * f + j
+    sink_classes = [[find(si * f + j) for j in range(f)] for si in range(len(net.sinks))]
+    for sink, classes in zip(net.sinks, sink_classes):
+        if len(set(classes)) < f:
+            raise ScheduleError(
+                f"no forwarding-only schedule: two paths of sink {sink} are joined "
+                "by shared edges and would carry the same packets"
+            )
+    seqs = _colour_labels(sink_classes, f, p)
+    if seqs is None:
+        seqs = _subset_labels(sink_classes, f, p)
     # The labels are ints, so equal rows are one partition, proven once.
     rows = [tuple([seqs[c] for c in classes]) for classes in sink_classes]
     parts = {row: PathPartition(row) for row in dict.fromkeys(rows)}
     return Schedule(
         network=net,
-        n=padded,
+        n=p * f,
         requested_n=n,
         phases=p,
         maxflow=f,
@@ -567,6 +644,15 @@ def _parse_schedule_lines(text: str) -> tuple[
     return header, sections
 
 
+def _packet_rows(sections: dict[str, list]) -> list[tuple[tuple[int, ...], ...]]:
+    """Each sink section's packet sequences. The packets are ints parsed from
+    decimal, so equal rows are exactly equal: they are made one object, which
+    ``_check_partitions`` proves once."""
+    first: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
+    rows = [tuple(packets for _, packets in lines) for lines in sections.values()]
+    return [first.setdefault(row, row) for row in rows]
+
+
 def parse_schedule(net: Network, text: str) -> Schedule:
     """A schedule that is valid and fits ``net``; anything else is a ParseError."""
     header, sections = _parse_schedule_lines(text)
@@ -574,7 +660,7 @@ def parse_schedule(net: Network, text: str) -> Schedule:
     for rows in sections.values():
         taken: set[int] = set()
         paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
-    seqs = tuple(tuple(packets for _, packets in rows) for rows in sections.values())
+    seqs = tuple(_packet_rows(sections))
     try:
         return Schedule(net, sinks=tuple(sections), paths=tuple(paths), assignment=seqs, **header)
     except ValueError as exc:
@@ -585,7 +671,7 @@ def parse_schedule_partitions(text: str) -> dict[str, PathPartition]:
     """Per-sink path partitions from a schedule file, no network needed; they
     and the headers must pass ``_check_partitions``."""
     header, sections = _parse_schedule_lines(text)
-    seqs = [(sink, [packets for _, packets in rows]) for sink, rows in sections.items()]
+    seqs = zip(sections, _packet_rows(sections))
     try:
         return dict(zip(sections, _check_partitions(partitions=seqs, **header)))
     except ValueError as exc:

@@ -572,21 +572,41 @@ def test_schedule_text_roundtrip(fig3):
 
 
 def test_schedule_readers_return_partitions(fig2, partition_proofs):
-    # Each sink's sequences are proven once, into the PathPartition both readers
-    # hand back; it equals the plain tuples the file lists.
+    # Each distinct row is proven once, into the PathPartition both readers
+    # hand back to every sink that lists it; it equals the plain tuples the file
+    # lists. Table 1 has six sinks and four distinct rows.
     table1 = {
         "t1": ((4, 2), (1, 3)), "t2": ((4, 2), (3, 1)), "t3": ((4, 2), (3, 1)),
         "t4": ((1, 3), (2, 4)), "t5": ((1, 3), (2, 4)), "t6": ((3, 1), (2, 4)),
     }
     parts = parse_schedule_partitions(TABLE1_SCHEDULE)
-    assert parts == table1 and len(partition_proofs) == 6
+    assert parts == table1 and len(partition_proofs) == 4
     assert all(type(part) is PathPartition for part in parts.values())
+    assert parts["t2"] is parts["t3"] and parts["t4"] is parts["t5"]
     sched = parse_schedule(fig2, TABLE1_SCHEDULE)
-    assert sched.assignment == tuple(table1.values()) and len(partition_proofs) == 12
+    assert sched.assignment == tuple(table1.values()) and len(partition_proofs) == 8
     assert all(type(row) is PathPartition for row in sched.assignment)
+    assert sched.assignment[1] is sched.assignment[2]
     # A schedule built from another's rows takes them as they are.
     assert dataclasses.replace(sched).assignment[0] is sched.assignment[0]
-    assert len(partition_proofs) == 12
+    assert len(partition_proofs) == 8
+
+
+def test_a_repeated_row_of_floats_is_still_proven(fig1, partition_proofs):
+    # 1.0 compares and hashes equal to 1, so only rows that are one object
+    # share a proof: an equal row holding a float is proven, and fails.
+    sched = build_schedule(fig1, 4)
+    row = tuple(map(tuple, sched.assignment[0]))
+    floats = tuple(tuple(float(x) if x == 1 else x for x in seq) for seq in row)
+    assert floats == row and hash(floats) == hash(row)
+    del partition_proofs[:]
+    with pytest.raises(ValueError, match="^sink t2: packet indexes must be ints$"):
+        dataclasses.replace(sched, assignment=(row, floats))
+    assert partition_proofs == [row, floats]
+    # The same object twice is proven once.
+    del partition_proofs[:]
+    dataclasses.replace(sched, assignment=(row, row))
+    assert partition_proofs == [row]
 
 
 def test_sinks_with_equal_rows_share_one_partition(partition_proofs):
@@ -729,6 +749,118 @@ def test_build_schedule_backtracking_golden(n, digest):
     net = parse_network(SEVEN_RELAYS)
     text = format_schedule(build_schedule(net, n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("n", "digest"),
+    [
+        (24, "cd7d9769531aca87a6f19debb3096c3d953dcd9dfc76dcf5a1f206acace38e56"),
+        (64, "6d225e7d657f3d8cbe86ae5aafa0c165e645313d5a6b5201c68dbc619746cea5"),
+        (1024, "0421732d16d12bd5623a2f81dbfe59885df61d7b5e70ddb1634f4aa8f1a6e5c3"),
+    ],
+)
+def test_seven_relays_colour_without_the_subset_search(n, digest):
+    # The colouring backtracks until e takes c's colour; its cost does not grow
+    # with n, and the p-subset search, exponential here, is never entered.
+    net = parse_network(SEVEN_RELAYS)
+    with mock.patch.object(network, "_canonical_subsets", wraps=_canonical_subsets) as search:
+        sched = build_schedule(net, n)
+    assert search.call_count == 0
+    p = n // 4
+    blocks = [tuple(range(x * p + 1, x * p + p + 1)) for x in range(4)]
+    assert sched.phases == p and all(set(row) == set(blocks) for row in sched.assignment)
+    # t0 reads a b c d and t1 e f g d, in that path order.
+    assert sched.assignment[1][0] == sched.assignment[0][2] == blocks[2]
+    assert hashlib.sha256(format_schedule(sched).encode()).hexdigest() == digest
+
+
+def gadget(vertices: int, edges: list[tuple[int, int]]) -> Network:
+    """A relay per vertex and per edge uv, and a sink per edge reading u, v and uv:
+    at n = 3 it schedules exactly when the graph is 3-colourable."""
+    relays = [f"v{u}" for u in range(vertices)] + [f"w{u}_{v}" for u, v in edges]
+    sinks = [f"t{u}_{v}" for u, v in edges]
+    reads = [(r, t) for (u, v), t in zip(edges, sinks) for r in (f"v{u}", f"v{v}", f"w{u}_{v}")]
+    links = [("s", r) for r in relays] + reads
+    return Network(tuple(["s"] + relays + sinks), tuple(links), "s", tuple(sinks))
+
+
+def test_colouring_gadget_schedules_exactly_the_3_colourable_graphs():
+    outcomes = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        vertices = rng.randint(2, 8)
+        density = rng.uniform(0.3, 0.8)
+        pairs = itertools.combinations(range(vertices), 2)
+        edges = [e for e in pairs if rng.random() < density] or [(0, 1)]
+        colourable = any(
+            all(colours[u] != colours[v] for u, v in edges)
+            for colours in itertools.product(range(3), repeat=vertices)
+        )
+        schedules = outcome(build_schedule, gadget(vertices, edges), 3) is not ScheduleError
+        assert schedules == colourable, (vertices, edges)
+        outcomes[colourable] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def first_fit(sink_classes: list[list[int]], f: int) -> bool:
+    """Whether colouring classes by first appearance, each with its lowest colour
+    free at all its sinks, succeeds without backtracking."""
+    colour: dict[int, int] = {}
+    for classes in sink_classes:
+        for c in classes:
+            if c not in colour:
+                taken = {colour[d] for row in sink_classes if c in row for d in row if d in colour}
+                colour[c] = min(set(range(f)) - taken, default=None)
+                if colour[c] is None:
+                    return False
+    return True
+
+
+def test_colour_labels_match_the_subset_search_on_class_instances():
+    # Sinks choose f of m abstract classes; wherever an f-colouring exists, its
+    # labels are the p-subset search's, and at p = 1 the two fail together.
+    outcomes = collections.Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        f, p = rng.randint(2, 4), rng.randint(1, 3)
+        m = rng.randint(f + 1, 8)
+        sink_classes = [rng.sample(range(m), f) for _ in range(rng.randint(2, 7))]
+        coloured = network._colour_labels(sink_classes, f, p)
+        try:
+            exact = network._subset_labels(sink_classes, f, p)
+        except ScheduleError:
+            exact = None
+        assert coloured == exact or (coloured is None and p > 1), (seed, sink_classes, p)
+        if coloured is None:
+            outcomes["uncoloured"] += 1
+        else:
+            outcomes["first fit" if first_fit(sink_classes, f) else "backtracked"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_build_schedule_matches_the_subset_search_alone():
+    # Random relay networks: colouring first gives the schedule, or the error,
+    # that the p-subset search gives with the colouring switched off.
+    outcomes = collections.Counter()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        relays = [f"r{i}" for i in range(rng.randint(3, 9))]
+        f, p = rng.randint(2, min(4, len(relays) - 1)), rng.randint(1, 3)
+        sinks = [f"t{j}" for j in range(rng.randint(2, 8))]
+        # Each relay is a class; a sink's paths run through its relays in feed order.
+        sink_classes = [sorted(rng.sample(range(len(relays)), f)) for _ in sinks]
+        edges = [("s", r) for r in relays]
+        edges += [(relays[c], t) for t, classes in zip(sinks, sink_classes) for c in classes]
+        net = Network(tuple(["s"] + relays + sinks), tuple(edges), "s", tuple(sinks))
+        n = rng.randint((p - 1) * f + 1, p * f)
+        got = outcome(build_schedule, net, n)
+        with mock.patch.object(network, "_colour_labels", return_value=None):
+            assert got == outcome(build_schedule, net, n), (seed, net, n)
+        if got is ScheduleError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["first fit" if first_fit(sink_classes, f) else "backtracked"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
