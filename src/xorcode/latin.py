@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DesignSearchError, ParseError
-from .gf2 import BitMatrix, determinant
+from .gf2 import BitMatrix, design_cycle, determinant
 
 
 @dataclass(frozen=True)
 class LatinRectangle:
     """k x n array of ints, valid by construction: every row is a permutation
-    of 1..n (n the length of row 0) and no column repeats a symbol, so k <= n."""
+    of 1..n (n the length of row 0) and no column repeats a symbol, so k <= n.
+
+    The constructor checks the columns through their symbol bitsets and keeps
+    them as the block incidence (``block_incidence``), a plain attribute that
+    equality, hashing and ``repr`` ignore."""
 
     cells: tuple[tuple[int, ...], ...]
 
@@ -33,9 +37,16 @@ class LatinRectangle:
                 raise ValueError(f"not a Latin rectangle: row {i} is not a permutation of 1..{n}")
             if set(map(type, row)) != {int}:
                 raise ValueError(f"not a Latin rectangle: row {i} holds a non-int entry")
-        for j, col in enumerate(zip(*self.cells), 1):
-            if len(set(col)) != len(col):
+        # Bit v-1 of column j's bitset marks symbol v; k set bits mean k distinct symbols.
+        bit = [0] + [1 << v for v in range(n)]
+        columns = [0] * n
+        for row in self.cells:
+            columns = [acc | bit[v] for acc, v in zip(columns, row)]
+        k = len(self.cells)
+        for j, acc in enumerate(columns, 1):
+            if acc.bit_count() != k:
                 raise ValueError(f"not a Latin rectangle: column {j} repeats a symbol")
+        object.__setattr__(self, "_incidence", BitMatrix(n, n, tuple(columns)))
 
     @property
     def k(self) -> int:
@@ -85,15 +96,10 @@ def split_upper(square: LatinRectangle, k: int) -> LatinRectangle:
 
 
 def block_incidence(rect: LatinRectangle) -> BitMatrix:
-    """n x n matrix whose row j marks the symbols of column j of the rectangle."""
-    n = rect.n
-    bits = []
-    for j in range(n):
-        acc = 0
-        for row in rect.cells:
-            acc |= 1 << (row[j] - 1)
-        bits.append(acc)
-    return BitMatrix(n, n, tuple(bits))
+    """n x n matrix whose row j marks the symbols of column j of the rectangle.
+
+    The constructor built it while checking the columns; this returns it."""
+    return rect._incidence
 
 
 def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectangle:
@@ -294,6 +300,12 @@ def find_nonsingular_rectangle(
     of all columns is zero, so the matrix is singular over GF(2). So is
     k = n > 1: every column of a full square holds every symbol, so the
     incidence is all ones, of rank 1.
+
+    At the default k a sample is tested without building its incidence. At
+    even n (k = n-1) every sample passes. At odd n (k = n-2) a sample passes
+    exactly when the map from each column's symbol in square row n-2 to its
+    symbol in row n-1 is one n-cycle, an O(n) test (``gf2.design_cycle``).
+    Any other k tests the ``determinant`` of the sample's incidence.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -322,12 +334,24 @@ def find_nonsingular_rectangle(
     walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves)
     kn = k * n
     for _ in range(max_retries):
-        # Row c of the incidence marks the (distinct) symbols of column c's
-        # first k cells; only the sample that passes becomes a rectangle.
         sym_at = next(walk)
-        m = BitMatrix(n, n, tuple([sum([1 << v for v in sym_at[c:kn:n]]) for c in range(n)]))
-        if determinant(m):
-            return _rows(sym_at, n, k), m
+        if k == n - 1:
+            # n is even (k is odd) and B = J xor P, which is always
+            # nonsingular: (J xor P)(J xor P^T) = I (gf2._design_inverse).
+            passes = True
+        elif k == n - 2:
+            # n is odd. Column c misses its symbols in the last two rows, and
+            # B is nonsingular iff those pairs form one cycle (gf2._design_inverse).
+            passes = design_cycle(list(zip(sym_at[kn:kn + n], sym_at[kn + n:]))) is not None
+        else:
+            # Row c of the incidence marks the (distinct) symbols of column
+            # c's first k cells; only the sample that passes becomes a rectangle.
+            passes = determinant(
+                BitMatrix(n, n, tuple([sum([1 << v for v in sym_at[c:kn:n]]) for c in range(n)]))
+            )
+        if passes:
+            rect = _rows(sym_at, n, k)
+            return rect, block_incidence(rect)
     raise DesignSearchError(
         f"no nonsingular {k}x{n} rectangle found in {max_retries} attempts",
         attempts=max_retries,

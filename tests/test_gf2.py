@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,16 @@ from xorcode import (
     Basis,
     BitMatrix,
     SingularMatrixError,
+    auto_rows,
     block_incidence,
     determinant,
+    gf2,
     invert,
+    jm_generate,
     rank,
     split_upper,
 )
+from xorcode.latin import _jm_walk, _rows
 
 
 def identity(n):
@@ -123,6 +128,80 @@ def test_invert_det_consistency(m):
     else:
         with pytest.raises(SingularMatrixError):
             invert(m)
+
+
+def default_designs():
+    """B at the default row count: every sample of seeded walks at n = 2..33,
+    singular or not, then the cyclic square's top rows for n = 2..129."""
+    for n in range(2, 34):
+        for seed in range(3):
+            walk = _jm_walk(n, seed, n * n)
+            for _ in range(4):
+                yield block_incidence(_rows(next(walk), n, auto_rows(n)))
+    for n in range(2, 130):
+        yield block_incidence(split_upper(jm_generate(n, moves=0), auto_rows(n)))
+
+
+def test_closed_form_inverse_equals_elimination():
+    """``invert``'s closed form against ``Basis`` elimination on default designs.
+
+    Row j of M = J xor B marks the symbols column j misses: at even n one
+    (M = P, and (J xor P)(J xor P^T) = nJ xor I = I), at odd n two. Write x_s
+    for row s of B^-1 and T for the sum of all x_s. A column j missing a and b
+    gives T xor x_a xor x_b = e_j. Summed around a cycle of l columns, every
+    x_s of the cycle appears twice, so l T = the sum of e_j over the cycle.
+    That is impossible for even l, and two odd cycles would give T two values.
+    So B is nonsingular iff M is one cycle. Then T = 1, and in cycle order
+    x_(s_i) = x_(s_(i-1)) xor 1 xor e_(j_i).
+    """
+    designs = list(default_designs())
+    with mock.patch.object(gf2, "_design_inverse", return_value=None):
+        eliminated = []
+        for b in designs:
+            try:
+                eliminated.append(invert(b))
+            except SingularMatrixError:
+                eliminated.append(None)
+    assert 0 < eliminated.count(None) < len(designs) // 2
+    for b, want in zip(designs, eliminated):
+        closed = gf2._design_inverse(b.row_bits)
+        if want is None:
+            assert closed is None
+            with pytest.raises(SingularMatrixError):
+                invert(b)
+        else:
+            assert BitMatrix(b.rows, b.rows, tuple(closed)) == invert(b) == want
+
+
+def missing_complement(n, missing):
+    """J xor M, where row j of M marks the 0-based symbols in missing[j]."""
+    full = (1 << n) - 1
+    return BitMatrix(n, n, tuple([full ^ sum(1 << s for s in miss) for miss in missing]))
+
+
+def test_singular_design_shapes_raise_as_elimination_does():
+    cases = [
+        # two ones per row and column, in two or more cycles
+        missing_complement(2 + 3, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 2)]),
+        missing_complement(3 + 4, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        missing_complement(3 + 3 + 3, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                       (6, 7), (7, 8), (8, 6)]),
+        # J xor P at odd n
+        missing_complement(1, [(0,)]),
+        missing_complement(3, [(1,), (2,), (0,)]),
+        missing_complement(5, [(4,), (0,), (3,), (1,), (2,)]),
+        # two ones per row and column at even n, in one cycle or more
+        missing_complement(2, [(0, 1), (0, 1)]),
+        missing_complement(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        missing_complement(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    ]
+    for m in cases:
+        n = m.rows
+        assert determinant(m) == 0
+        with pytest.raises(SingularMatrixError, match=rf"^{n}x{n} matrix is singular over GF\(2\)$"):
+            invert(m)
+    with pytest.raises(ValueError, match="^inverse requires a square matrix$"):
+        invert(BitMatrix(3, 4, (0b1110, 0b1101, 0b1011)))
 
 
 def test_rank_examples():

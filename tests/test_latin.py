@@ -18,6 +18,7 @@ from oracles import (
     transpose,
 )
 from xorcode import (
+    MODES,
     BitMatrix,
     DesignSearchError,
     LatinRectangle,
@@ -27,8 +28,11 @@ from xorcode import (
     find_nonsingular_rectangle,
     invert,
     jm_generate,
+    make_scheme,
     split_upper,
 )
+from xorcode.gf2 import design_cycle
+from xorcode.latin import _jm_walk, _rows
 
 
 def test_validate_examples():
@@ -346,6 +350,65 @@ def test_cyclic_square_top_rows_are_nonsingular():
         assert determinant(block_incidence(rect)) == 1, n
 
 
+def column_incidence(rect):
+    """Row j marks the symbols of column j, built from the cells alone."""
+    return BitMatrix(rect.n, rect.n, tuple(
+        [sum(1 << (row[j] - 1) for row in rect.cells) for j in range(rect.n)]
+    ))
+
+
+def test_default_k_cycle_test_equals_the_determinant_on_every_walk_sample():
+    # Every sample of seeded walks, passing or not. At odd n and k = n-2 the
+    # search's verdict is design_cycle on the pairs each column misses, the
+    # symbols of square rows n-2 and n-1; at even n and k = n-1 it takes
+    # every sample, so each must have determinant 1.
+    verdicts = Counter()
+    for n in range(2, 34):
+        k = auto_rows(n)
+        for seed in range(4):
+            walk = _jm_walk(n, seed, n * n)
+            for _ in range(6):
+                sym_at = next(walk)
+                rect = _rows(sym_at, n, k)
+                m = column_incidence(rect)
+                assert block_incidence(rect) == m
+                det = determinant(m)
+                if n % 2 == 0:
+                    assert det == 1, (n, seed)
+                    continue
+                rows = sym_at[k * n:]
+                cycle = design_cycle(list(zip(rows[:n], rows[n:])))
+                assert (cycle is not None) == bool(det), (n, seed)
+                verdicts[det] += 1
+    assert verdicts[0] >= 50 and verdicts[1] >= 50
+
+
+class Eliminated(Exception):
+    pass
+
+
+def test_default_k_search_and_schemes_eliminate_nothing(monkeypatch):
+    # At the default k the search tests samples by their structure and the
+    # scheme inverts B in closed form, so no elimination runs at all.
+    def eliminate(*args):
+        raise Eliminated
+
+    for name in ("xorcode.gf2.Basis", "xorcode.gf2.determinant", "xorcode.latin.determinant"):
+        monkeypatch.setattr(name, eliminate)
+    for n in range(2, 41):
+        rect, m = find_nonsingular_rectangle(n, seed=n)
+        assert (rect.k, m) == (auto_rows(n), column_incidence(rect))
+        for mode in MODES:
+            scheme = make_scheme(rect, mode)
+            assert scheme.matrix == m
+            assert mat_mul(scheme.encode_matrix, scheme.decode_matrix) == BitMatrix(
+                n, n, tuple([1 << i for i in range(n)])
+            )
+    # Any other row count still tests each sample's determinant.
+    with pytest.raises(Eliminated):
+        find_nonsingular_rectangle(12, k=5)
+
+
 def test_auto_rows():
     assert auto_rows(1) == 1
     assert auto_rows(4) == 3
@@ -443,7 +506,10 @@ def test_find_nonsingular_rejects_no_retries():
 
 
 def test_find_nonsingular_search_failure(monkeypatch):
-    # Every sample is singular, so the search tests all it may.
+    # Every sample is singular, so the search tests all it may. These shapes
+    # take the cycle test of the default row count (n=3 with k=1 is one too),
+    # and any other shape the determinant.
+    monkeypatch.setattr("xorcode.latin.design_cycle", lambda pairs: None)
     monkeypatch.setattr("xorcode.latin.determinant", lambda m: 0)
     with pytest.raises(DesignSearchError) as exc:
         find_nonsingular_rectangle(3, k=1, max_retries=5)
