@@ -8,18 +8,19 @@ A snapshot runs ``perfbench/run.py --workload W --seconds S --trace 0`` R
 times per workload, each in its own interpreter, one after another, and
 reads each run's last output line, the harness's JSON result. It writes
 ``bench/BENCH_<short HEAD>.json`` with the commit, whether tracked files
-differ from it, the Python version, ``os.cpu_count()``, R and S, and per
-workload: ops attempted and failed in each run, whether every run was
-correct, and for each end-to-end metric its unit, per-run values, median
-and quartiles. The workloads default to those of ``BENCHMARK.json``, and S
-to its ``run_seconds``.
+differ from it, the line count of ``src/xorcode/*.py``, the Python
+version, ``os.cpu_count()``, R and S, and per workload: ops attempted and
+failed in each run, whether every run was correct, and for each end-to-end
+metric its unit, per-run values, median and quartiles. The workloads
+default to those of ``BENCHMARK.json``, and S to its ``run_seconds``.
 
 ``--compare A B`` prints, per workload and end-to-end metric, B's median
 over A's, the metric's bound from ``BENCHMARK.json`` and whether the ratio
 is worse than it, and flags the metric when the two sides' quartile ranges
-overlap, so that their runs do not tell the two commits apart. Runs made
-one side after the other share no machine state; for a claim, alternate
-the sides run by run instead.
+overlap, so that their runs do not tell the two commits apart. It also
+prints both library line counts ("?" for a file written without one). Runs
+made one side after the other share no machine state; for a claim,
+alternate the sides run by run instead.
 
 Stdlib only; run it from a git checkout.
 """
@@ -64,11 +65,17 @@ def run_once(workload: str, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def library_lines() -> int:
+    """Lines in ``src/xorcode/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "xorcode").glob("*.py"))
+
+
 def snapshot(workloads: list[str], runs: int, seconds: float) -> dict:
     head = _git("rev-parse", "HEAD")
     result = {
         "head": head,
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "library_lines": library_lines(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "runs": runs,
@@ -100,6 +107,7 @@ def compare(path_a: Path, path_b: Path, bench: dict) -> list[str]:
     lines = [
         f"A {a['head'][:7]} ({a['runs']} x {a['seconds']:g} s), "
         f"B {b['head'][:7]} ({b['runs']} x {b['seconds']:g} s)",
+        f"library lines {a.get('library_lines', '?')} -> {b.get('library_lines', '?')}",
         f"{'workload':<10} {'metric':<12} {'A median':>10} {'B median':>10} "
         f"{'B/A':>7} {'bound':>6}  verdict  quartiles",
     ]

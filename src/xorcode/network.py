@@ -352,134 +352,56 @@ class Schedule:
         return self.n - self.requested_n
 
 
-def _canonical_subsets(
-    plain: Sequence[int], top: int, free: int, p: int
-) -> Iterator[tuple[int, ...]]:
-    """Ascending p-subsets of plain + top+1..top+free, in lexicographic order.
-
-    plain holds ascending packets up to top. The unused packets
-    top+1..top+free are interchangeable and exceed every plain packet, so a
-    candidate is some plain picks completed by top+1, top+2, .... An
-    extension of the picks sorts before the candidate it extends, so the
-    candidates come from a post-order walk over the picks. A pick is made
-    only if the candidate can still be completed.
-    """
-    need = p - free  # fewest plain picks a candidate can have
-    unused = list(range(top + 1, top + 1 + p))
-    picked: list[int] = []  # indexes into plain
-    i = 0
-    while True:
-        if i < len(plain) and len(picked) < p and len(picked) + len(plain) - i >= need:
-            picked.append(i)
-            i += 1
-            continue
-        if len(picked) >= need:
-            yield tuple([plain[t] for t in picked] + unused[: p - len(picked)])
-        if not picked:
-            return
-        i = picked.pop() + 1
-
-
 def _colour_labels(
-    sink_classes: Sequence[Sequence[int]], f: int, p: int
+    sink_classes: Sequence[Sequence[int]], colours: int, slots: int
 ) -> dict[int, tuple[int, ...]] | None:
-    """Each class's block of a proper f-colouring of the conflict graph, or None.
+    """Each class's ascending slot colours in a slots-fold colouring of the
+    conflict graph with the given number of colours, or None if there is none.
 
     Two classes conflict when one sink holds both; each sink holds f distinct
-    classes. Depth-first search colours the classes in order of first
-    appearance, each with the lowest colour that no sink holding it has. The
-    colours in use are always 0..top-1, and unused colours are
-    interchangeable, so only the lowest of them, top, is tried. Each sink's
-    colours so far are one bitmask. Colour x labels a class with packets
-    x*p+1..x*p+p.
+    classes. Depth-first search fills the (class, slot) pairs, classes in order
+    of first appearance and a class's slots with ascending colours, each pair
+    with the lowest colour that no sink holding the class has. The colours in
+    use are always 0..top-1, and unused colours are interchangeable, so only
+    the lowest of them, top, is tried. A colour is picked only if at least as
+    many free colours lie above it as the class has slots left. Each sink's
+    colours so far are one bitmask.
     """
     sinks_of: dict[int, list[int]] = {}  # the sinks holding each class, classes by first appearance
     for si, classes in enumerate(sink_classes):
         for c in classes:
             sinks_of.setdefault(c, []).append(si)
     order = list(sinks_of.values())
+    pairs = len(order) * slots  # pair k is slot k % slots of class k // slots
+    full = (1 << colours) - 1
     masks = [0] * len(sink_classes)
-    colours: list[int] = []
-    tops = [0]  # colours in use before each class on the branch
-    start = 0  # lowest colour the class may take: above the one a pop undid
-    while len(colours) < len(order):
-        k = len(colours)
+    picks: list[int] = []
+    tops = [0]  # colours in use before each pair on the branch
+    start = 0  # lowest colour the pair may take: above its class's last slot or a popped pick
+    while len(picks) < pairs:
+        k = len(picks)
+        i, slot = divmod(k, slots)
         taken = 0
-        for si in order[k]:
+        for si in order[i]:
             taken |= masks[si]
-        free = ((2 << min(tops[k], f - 1)) - 1) >> start << start & ~taken
-        if free:
-            x = (free & -free).bit_length() - 1
-            for si in order[k]:
+        free = ((2 << min(tops[k], colours - 1)) - 1) >> start << start & ~taken
+        x = (free & -free).bit_length() - 1
+        left = slots - 1 - slot  # the class's slots after this pair
+        if free and (not left or ((full & ~taken) >> (x + 1)).bit_count() >= left):
+            for si in order[i]:
                 masks[si] |= 1 << x
-            colours.append(x)
+            picks.append(x)
             tops.append(max(tops[k], x + 1))
-            start = 0
-        elif colours:
-            x = colours.pop()
+            start = x + 1 if left else 0
+        elif picks:
+            x = picks.pop()
             tops.pop()
-            for si in order[k - 1]:
+            for si in order[(k - 1) // slots]:
                 masks[si] ^= 1 << x
             start = x + 1
         else:
             return None
-    blocks = [tuple(range(x * p + 1, x * p + p + 1)) for x in range(f)]
-    return {c: blocks[x] for c, x in zip(sinks_of, colours)}
-
-
-def _subset_labels(
-    sink_classes: Sequence[Sequence[int]], f: int, p: int
-) -> dict[int, tuple[int, ...]]:
-    """Each class's ascending p-packet sequence, by the exact p-subset search.
-
-    Classes are given sequences in order of first appearance, disjoint from
-    every assigned class that shares a sink with them, by depth-first search
-    in lexicographic order. The packets in use are always 1..top, and unused
-    packets are interchangeable, so only the lowest of them, top+1, top+2,
-    ..., are tried. The result is the lexicographically first valid
-    labelling. Raises ScheduleError if none exists.
-    """
-    padded = p * f
-    order: list[int] = []  # classes by first appearance
-    neighbours: dict[int, set[int]] = {}  # classes that share a sink, so must not share a packet
-    for classes in sink_classes:
-        for c in classes:
-            if c not in neighbours:
-                order.append(c)
-                neighbours[c] = set()
-            neighbours[c].update(classes)  # c too, but c is never in seqs when read
-
-    # Depth-first search with one lazy candidate generator per class on the branch.
-    # The assigned classes hold exactly packets 1..tops[k]: if they hold 1..m
-    # before a push, no neighbour holds a packet above m, so the new class takes
-    # the lowest of those, m+1..m+j; a pop restores the state before its push.
-    seqs: dict[int, tuple[int, ...]] = {}
-    tops = [0]
-    pending: list[Iterator[tuple[int, ...]]] = []
-    k = 0
-    while k < len(order):
-        c = order[k]
-        if k == len(pending):
-            taken = {x for nb in neighbours[c] if nb in seqs for x in seqs[nb]}
-            plain = [x for x in range(1, tops[k] + 1) if x not in taken]
-            pending.append(_canonical_subsets(plain, tops[k], padded - tops[k], p))
-        else:
-            del seqs[c]
-            tops.pop()
-        seq = next(pending[k], None)
-        if seq is None:
-            pending.pop()
-            k -= 1
-            if k < 0:
-                raise ScheduleError(
-                    f"no forwarding-only schedule for {padded} packets on {f} paths: "
-                    "shared edges impose conflicting packet sets"
-                )
-            continue
-        seqs[c] = seq
-        tops.append(max(tops[k], seq[-1]))
-        k += 1
-    return seqs
+    return dict(zip(sinks_of, zip(*[iter(picks)] * slots)))  # picks in groups of slots
 
 
 def build_schedule(net: Network, n: int) -> Schedule:
@@ -488,20 +410,35 @@ def build_schedule(net: Network, n: int) -> Schedule:
     A path carries one packet per phase along its whole length, so paths of
     different sinks that share an edge carry the same sequence. Union-find
     groups the (sink, path) pairs into such classes; a sink with two paths in
-    one class is rejected at once. Classes are then labelled in order of
-    first appearance (sinks in input order, paths in order): first by a
-    proper f-colouring of the classes that share a sink, colour x taking
-    packets x*p+1..x*p+p (``_colour_labels``). Only if none exists does the
-    exact search over ascending p-packet sequences run (``_subset_labels``),
-    since at p >= 2 a schedule may exist without an f-colouring.
+    one class is rejected at once. Classes are labelled in order of first
+    appearance (sinks in input order, paths in order), so that classes sharing
+    a sink are disjoint: a p-fold colouring of their conflict graph with f*p
+    colours. One search, ``_colour_labels``, runs in two passes, and colour x
+    of a pass with w packets per colour gives packets x*w+1..x*w+w:
 
-    If the colouring never backtracks, or fails, the result is the
-    lexicographically first valid labelling of the sinks' (path, phase)
-    slots: while every class so far holds a block, the p smallest packets
-    free at the next class are the lowest free block, the exact search's
-    first candidate. A colouring that backtracks gives the lexicographically
-    first labelling by blocks; that it is the first of all is not proven.
-    Raises if sinks disagree on max flow or no consistent assignment exists.
+    - the block pass, an f-colouring with one slot per class (w = p);
+    - the exact pass, f*p colours with p slots per class (w = 1), run only
+      when the block pass fails, p >= 2 and f >= 3. At p = 1 the two passes
+      are one problem. At f = 2 a sink's two classes hold complementary
+      halves of 1..2p, so along the conflict graph the labels alternate
+      between a set and its complement, and a p-fold colouring exists exactly
+      when a 2-colouring does.
+
+    The exact pass gives the lexicographically first valid labelling. Its
+    search returns the lexicographically first colour vector over the
+    ordered (class, slot) pairs that meets two rules: ascending slots within
+    a class, and a new colour only as top. The lexicographically first valid
+    vector meets both, since swapping two out-of-order slots of one class, or
+    renaming a new colour to top, would give a smaller valid vector. So it is
+    the first valid vector of all, and read class by class it is a list of
+    ascending p-sets, the labelling, in the same order.
+
+    If the block pass never backtracks, its labelling is that one too: while
+    every class so far holds a block, the lowest free block is the p smallest
+    packets free at the next class. A block pass that backtracks gives the
+    lexicographically first labelling by blocks; that it is the first of all
+    is not proven. Raises if sinks disagree on max flow or no consistent
+    assignment exists.
     """
     if n < 1:
         raise ValueError("packet count must be >= 1")
@@ -539,9 +476,19 @@ def build_schedule(net: Network, n: int) -> Schedule:
                 f"no forwarding-only schedule: two paths of sink {sink} are joined "
                 "by shared edges and would carry the same packets"
             )
-    seqs = _colour_labels(sink_classes, f, p)
-    if seqs is None:
-        seqs = _subset_labels(sink_classes, f, p)
+    slots = 1
+    colouring = _colour_labels(sink_classes, f, slots)
+    if colouring is None and p > 1 and f > 2:
+        slots = p
+        colouring = _colour_labels(sink_classes, f * p, slots)
+    if colouring is None:
+        raise ScheduleError(
+            f"no forwarding-only schedule for {p * f} packets on {f} paths: "
+            "shared edges impose conflicting packet sets"
+        )
+    w = p // slots
+    runs = [range(x * w + 1, x * w + w + 1) for x in range(f * slots)]  # each colour's packets
+    seqs = {c: tuple([y for x in xs for y in runs[x]]) for c, xs in colouring.items()}
     # The labels are ints, so equal rows are one partition, proven once.
     rows = [tuple([seqs[c] for c in classes]) for classes in sink_classes]
     parts = {row: PathPartition(row) for row in dict.fromkeys(rows)}

@@ -349,6 +349,35 @@ def lowest_unused_subsets(
     ]
 
 
+def reference_subset_labels(
+    sink_classes: Sequence[Sequence[int]], f: int, p: int
+) -> dict[int, tuple[int, ...]] | None:
+    """The lexicographically first labelling of the classes, in order of first
+    appearance, by ascending p-subsets of 1..f*p, with classes that share a sink
+    disjoint; None if there is none.
+
+    Depth-first search over each class's ``lowest_unused_subsets``: the packets
+    in use are always 1..top, and unused packets are interchangeable."""
+    order = list(dict.fromkeys(c for classes in sink_classes for c in classes))
+    seqs: dict[int, tuple[int, ...]] = {}
+
+    def place(k: int, top: int) -> bool:
+        if k == len(order):
+            return True
+        c = order[k]
+        held = [seqs[d] for classes in sink_classes if c in classes for d in classes if d in seqs]
+        taken = {x for seq in held for x in seq}
+        plain = [x for x in range(1, top + 1) if x not in taken]
+        for seq in lowest_unused_subsets(plain, top, f * p - top, p):
+            seqs[c] = seq
+            if place(k + 1, max(top, seq[-1])):
+                return True
+        seqs.pop(c, None)
+        return False
+
+    return seqs if place(0, 0) else None
+
+
 def whole_graph_edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Unit-capacity max flow by BFS augmenting paths over every node and edge, then decomposed.
 

@@ -19,7 +19,7 @@ from conftest import EXAMPLE_SQUARE, FIG1_TEXT, FIG2_TEXT, FIG3_TEXT, TABLE1_SCH
 from oracles import (
     exhaustive_schedule,
     header_phases_to_decode,
-    lowest_unused_subsets,
+    reference_subset_labels,
     schedule_problems,
     whole_graph_edge_disjoint_paths,
 )
@@ -53,7 +53,6 @@ from xorcode import (
     validate_schedule,
 )
 from xorcode import network
-from xorcode.network import _canonical_subsets
 
 CHAIN = "source s\nsink t\nedge s a\nedge a t\n"
 
@@ -760,12 +759,12 @@ def test_build_schedule_backtracking_golden(n, digest):
     ],
 )
 def test_seven_relays_colour_without_the_subset_search(n, digest):
-    # The colouring backtracks until e takes c's colour; its cost does not grow
-    # with n, and the p-subset search, exponential here, is never entered.
+    # The block pass backtracks until e takes c's colour; its cost does not grow
+    # with n, and the exact pass, whose colours grow with n, is never entered.
     net = parse_network(SEVEN_RELAYS)
-    with mock.patch.object(network, "_canonical_subsets", wraps=_canonical_subsets) as search:
+    with mock.patch.object(network, "_colour_labels", wraps=network._colour_labels) as search:
         sched = build_schedule(net, n)
-    assert search.call_count == 0
+    assert [call.args[2] for call in search.call_args_list] == [1]  # one call, one slot a class
     p = n // 4
     blocks = [tuple(range(x * p + 1, x * p + p + 1)) for x in range(4)]
     assert sched.phases == p and all(set(row) == set(blocks) for row in sched.assignment)
@@ -816,20 +815,27 @@ def first_fit(sink_classes: list[list[int]], f: int) -> bool:
     return True
 
 
+def packet_labels(colouring: dict[int, tuple[int, ...]] | None, w: int):
+    """build_schedule's packet rule: colour x gives packets x*w+1..x*w+w."""
+    if colouring is None:
+        return None
+    return {c: tuple(y for x in xs for y in range(x * w + 1, x * w + w + 1))
+            for c, xs in colouring.items()}
+
+
 def test_colour_labels_match_the_subset_search_on_class_instances():
-    # Sinks choose f of m abstract classes; wherever an f-colouring exists, its
-    # labels are the p-subset search's, and at p = 1 the two fail together.
+    # Sinks choose f of m abstract classes. The exact pass gives the reference
+    # p-subset search's labelling or fails with it; wherever an f-colouring
+    # exists, its blocks are that labelling too, and at p = 1 the two fail together.
     outcomes = collections.Counter()
     for seed in range(3000):
         rng = random.Random(seed)
         f, p = rng.randint(2, 4), rng.randint(1, 3)
         m = rng.randint(f + 1, 8)
         sink_classes = [rng.sample(range(m), f) for _ in range(rng.randint(2, 7))]
-        coloured = network._colour_labels(sink_classes, f, p)
-        try:
-            exact = network._subset_labels(sink_classes, f, p)
-        except ScheduleError:
-            exact = None
+        exact = reference_subset_labels(sink_classes, f, p)
+        assert packet_labels(network._colour_labels(sink_classes, f * p, p), 1) == exact, seed
+        coloured = packet_labels(network._colour_labels(sink_classes, f, 1), p)
         assert coloured == exact or (coloured is None and p > 1), (seed, sink_classes, p)
         if coloured is None:
             outcomes["uncoloured"] += 1
@@ -839,8 +845,15 @@ def test_colour_labels_match_the_subset_search_on_class_instances():
 
 
 def test_build_schedule_matches_the_subset_search_alone():
-    # Random relay networks: colouring first gives the schedule, or the error,
-    # that the p-subset search gives with the colouring switched off.
+    # Random relay networks: the block pass first gives the schedule, or the
+    # error, that the exact pass gives with the block pass switched off, and
+    # both give the reference p-subset search's labelling of the relays. At
+    # p = 1 or f = 2 no exact pass runs, so the reference alone is compared.
+    search = network._colour_labels
+
+    def exact_only(sink_classes, colours, slots):
+        return None if slots == 1 else search(sink_classes, colours, slots)
+
     outcomes = collections.Counter()
     for seed in range(1500):
         rng = random.Random(seed)
@@ -854,8 +867,12 @@ def test_build_schedule_matches_the_subset_search_alone():
         net = Network(tuple(["s"] + relays + sinks), tuple(edges), "s", tuple(sinks))
         n = rng.randint((p - 1) * f + 1, p * f)
         got = outcome(build_schedule, net, n)
-        with mock.patch.object(network, "_colour_labels", return_value=None):
-            assert got == outcome(build_schedule, net, n), (seed, net, n)
+        if p > 1 and f > 2:
+            with mock.patch.object(network, "_colour_labels", exact_only):
+                assert got == outcome(build_schedule, net, n), (seed, net, n)
+        labels = reference_subset_labels(sink_classes, f, p)
+        rows = labels and tuple(tuple(labels[c] for c in cs) for cs in sink_classes)
+        assert (None if got is ScheduleError else got.assignment) == rows, (seed, net, n)
         if got is ScheduleError:
             outcomes["rejected"] += 1
         else:
@@ -912,7 +929,7 @@ def test_build_schedule_labels_a_class_graph_with_no_f_colouring():
         return False
 
     assert not colours()
-    # The p-subset search labels each relay with its own pair.
+    # The exact pass labels each relay with its own pair.
     net = parse_network(KNESER_RELAYS)
     sched = build_schedule(net, 6)
     assert (sched.maxflow, sched.phases) == (3, 2)
@@ -921,6 +938,53 @@ def test_build_schedule_labels_a_class_graph_with_no_f_colouring():
         assert seqs == m
     digest = hashlib.sha256(format_schedule(sched).encode()).hexdigest()
     assert digest == "27760a8e9661444f6191973691ef4a1db802e13ba1fc83e938d7b307cf14fd2c"
+
+
+def test_exact_pass_matches_the_subset_search_on_kneser_instances():
+    # Each sink holds 3 disjoint pairs of 6 or 7 points, each pair a class, so
+    # the conflict graph is part of a Kneser graph: often it has no 3-colouring
+    # but has a p-fold colouring with 3p colours, which only the exact pass
+    # finds. Where the block pass fails, the exact pass gives the reference's
+    # labelling or fails with it. At p = 3 sinks are capped at 7: with more,
+    # both searches can take seconds to prove an instance infeasible.
+    outcomes = collections.Counter()
+    for seed in range(1200):
+        rng = random.Random(seed)
+        points, p = rng.choice((6, 7)), rng.randint(2, 3)
+        pairs = list(itertools.combinations(range(points), 2))
+        sink_classes = []
+        for _ in range(rng.randint(6, 18) if p == 2 else rng.randint(4, 7)):
+            chosen = rng.sample(range(points), 6)
+            sink_classes.append([pairs.index(tuple(sorted(chosen[i:i + 2]))) for i in (0, 2, 4)])
+        if network._colour_labels(sink_classes, 3, 1) is not None:
+            outcomes["block"] += 1
+            continue
+        exact = packet_labels(network._colour_labels(sink_classes, 3 * p, p), 1)
+        assert exact == reference_subset_labels(sink_classes, 3, p), seed
+        outcomes["exact only" if exact else "infeasible"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_two_paths_schedule_exactly_when_two_colours_do():
+    # At f = 2 a sink's classes hold complementary halves of 1..2p, so a
+    # p-fold colouring exists exactly when a 2-colouring does.
+    outcomes = collections.Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        p, m = rng.randint(2, 5), rng.randint(3, 8)
+        sink_classes = [rng.sample(range(m), 2) for _ in range(rng.randint(2, 8))]
+        coloured = network._colour_labels(sink_classes, 2, 1) is not None
+        assert coloured == (reference_subset_labels(sink_classes, 2, p) is not None), seed
+        outcomes[coloured] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_odd_ring_rejects_at_large_n_without_the_exact_pass():
+    net = parse_network(relay_ring(9))
+    with mock.patch.object(network, "_colour_labels", wraps=network._colour_labels) as search:
+        with pytest.raises(ScheduleError, match="conflicting packet sets"):
+            build_schedule(net, 4000)
+    assert [call.args[2] for call in search.call_args_list] == [1]
 
 
 def layered_network(rng: random.Random, f: int) -> str:
@@ -1082,15 +1146,6 @@ def test_constructor_and_fit_match_whole_schedule_oracle():
         assert fits == (schedule_problems(net, fields) == []), (seed, fields)
         outcomes[fits] += 1
     assert min(outcomes.values()) >= 300, outcomes
-
-
-@settings(max_examples=500)
-@given(st.lists(st.booleans(), max_size=9), st.integers(0, 6), st.integers(0, 7))
-def test_canonical_subsets_match_oracle(keep, free, p):
-    # plain is any subset of 1..top; its packets are the held ones no neighbour took.
-    top = len(keep)
-    plain = [x for x, kept in zip(range(1, top + 1), keep) if kept]
-    assert list(_canonical_subsets(plain, top, free, p)) == lowest_unused_subsets(plain, top, free, p)
 
 
 @st.composite
