@@ -486,9 +486,12 @@ def build_schedule(net: Network, n: int) -> Schedule:
             f"no forwarding-only schedule for {p * f} packets on {f} paths: "
             "shared edges impose conflicting packet sets"
         )
-    w = p // slots
-    runs = [range(x * w + 1, x * w + w + 1) for x in range(f * slots)]  # each colour's packets
-    seqs = {c: tuple([y for x in xs for y in runs[x]]) for c, xs in colouring.items()}
+    w = p // slots  # colour x gives packets x*w+1..x*w+w
+    # One tuple per distinct label: Schedule's per-edge check compares equal
+    # sequences by identity first.
+    labels = {xs: tuple([y for x in xs for y in range(x * w + 1, x * w + w + 1)])
+              for xs in set(colouring.values())}
+    seqs = {c: labels[xs] for c, xs in colouring.items()}
     # The labels are ints, so equal rows are one partition, proven once.
     rows = [tuple([seqs[c] for c in classes]) for classes in sink_classes]
     parts = {row: PathPartition(row) for row in dict.fromkeys(rows)}
