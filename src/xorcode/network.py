@@ -365,7 +365,7 @@ def _colour_labels(
     use are always 0..top-1, and unused colours are interchangeable, so only
     the lowest of them, top, is tried. A colour is picked only if at least as
     many free colours lie above it as the class has slots left. Each sink's
-    colours so far are one bitmask.
+    colours so far, and the colours a pair may try, are bitmasks.
     """
     sinks_of: dict[int, list[int]] = {}  # the sinks holding each class, classes by first appearance
     for si, classes in enumerate(sink_classes):
@@ -376,7 +376,7 @@ def _colour_labels(
     full = (1 << colours) - 1
     masks = [0] * len(sink_classes)
     picks: list[int] = []
-    tops = [0]  # colours in use before each pair on the branch
+    tries = [1]  # colours 0..top before each pair on the branch, top capped at the last colour
     start = 0  # lowest colour the pair may take: above its class's last slot or a popped pick
     while len(picks) < pairs:
         k = len(picks)
@@ -384,18 +384,19 @@ def _colour_labels(
         taken = 0
         for si in order[i]:
             taken |= masks[si]
-        free = ((2 << min(tops[k], colours - 1)) - 1) >> start << start & ~taken
+        free = tries[k] >> start << start & ~taken
         x = (free & -free).bit_length() - 1
         left = slots - 1 - slot  # the class's slots after this pair
         if free and (not left or ((full & ~taken) >> (x + 1)).bit_count() >= left):
+            bit = 1 << x
             for si in order[i]:
-                masks[si] |= 1 << x
+                masks[si] |= bit
             picks.append(x)
-            tops.append(max(tops[k], x + 1))
+            tries.append(tries[k] | bit << 1 & full)
             start = x + 1 if left else 0
         elif picks:
             x = picks.pop()
-            tops.pop()
+            tries.pop()
             for si in order[(k - 1) // slots]:
                 masks[si] ^= 1 << x
             start = x + 1
