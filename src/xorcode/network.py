@@ -487,9 +487,8 @@ def build_schedule(net: Network, n: int) -> Schedule:
             f"no forwarding-only schedule for {p * f} packets on {f} paths: "
             "shared edges impose conflicting packet sets"
         )
-    w = p // slots  # colour x gives packets x*w+1..x*w+w
-    # One tuple per distinct label: Schedule's per-edge check compares equal
-    # sequences by identity first.
+    w = p // slots
+    # One tuple per label, so Schedule's per-edge check meets equal sequences by identity.
     labels = {xs: tuple([y for x in xs for y in range(x * w + 1, x * w + w + 1)])
               for xs in set(colouring.values())}
     seqs = {c: labels[xs] for c, xs in colouring.items()}
