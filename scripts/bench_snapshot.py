@@ -12,15 +12,19 @@ differ from it, the line count of ``src/xorcode/*.py``, the Python
 version, ``os.cpu_count()``, R and S, and per workload: ops attempted and
 failed in each run, whether every run was correct, and for each end-to-end
 metric its unit, per-run values, median and quartiles. The workloads
-default to those of ``BENCHMARK.json``, and S to its ``run_seconds``.
+default to those of ``BENCHMARK.json``, and S to its ``run_seconds``. After
+writing the file it exits 1, naming the workloads, if any run reported a
+wrong output (``correct: false``) or attempted no op.
 
 ``--compare A B`` prints, per workload and end-to-end metric, B's median
-over A's, the metric's bound from ``BENCHMARK.json`` and whether the ratio
-is worse than it, and flags the metric when the two sides' quartile ranges
-overlap, so that their runs do not tell the two commits apart. It also
-prints both library line counts ("?" for a file written without one). Runs
-made one side after the other share no machine state; for a claim,
-alternate the sides run by run instead.
+over A's, the metric's bound from ``BENCHMARK.json`` and a verdict:
+``WORSE`` when the ratio is worse than the bound; otherwise ``unresolved``
+when either side's quartile spread, (q3 - q1) / median, is wider than the
+bound, unless every B run beats every A run; otherwise ``ok``. It also
+flags the metric when the two sides' quartile ranges overlap, so that their
+runs do not tell the two commits apart, and prints both library line counts
+("?" for a file written without one). Runs made one side after the other
+share no machine state; for a claim, alternate the sides run by run instead.
 
 Stdlib only; run it from a git checkout.
 """
@@ -109,7 +113,7 @@ def compare(path_a: Path, path_b: Path, bench: dict) -> list[str]:
         f"B {b['head'][:7]} ({b['runs']} x {b['seconds']:g} s)",
         f"library lines {a.get('library_lines', '?')} -> {b.get('library_lines', '?')}",
         f"{'workload':<10} {'metric':<12} {'A median':>10} {'B median':>10} "
-        f"{'B/A':>7} {'bound':>6}  verdict  quartiles",
+        f"{'B/A':>7} {'bound':>6}  {'verdict':<10}  quartiles",
     ]
     for workload in sorted(set(a["workloads"]) & set(b["workloads"])):
         wa, wb = a["workloads"][workload], b["workloads"][workload]
@@ -124,11 +128,20 @@ def compare(path_a: Path, path_b: Path, bench: dict) -> list[str]:
                 continue
             ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = mb["median"] / ma["median"]
-            worse = ratio < 1 - spec["bound"] if spec["better"] == "higher" else ratio > 1 + spec["bound"]
+            higher = spec["better"] == "higher"
+            spread = max((m["q3"] - m["q1"]) / m["median"] for m in (ma, mb))
+            va, vb = ma["values"], mb["values"]
+            b_beats_all = min(vb) > max(va) if higher else max(vb) < min(va)
+            if ratio < 1 - spec["bound"] if higher else ratio > 1 + spec["bound"]:
+                verdict = "WORSE"
+            elif spread > spec["bound"] and not b_beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
             overlap = ma["q1"] <= mb["q3"] and mb["q1"] <= ma["q3"]
             lines.append(
                 f"{workload:<10} {name:<12} {ma['median']:>10.4g} {mb['median']:>10.4g} "
-                f"{ratio:>7.3f} {spec['bound']:>6g}  {'WORSE' if worse else 'ok':<7}  "
+                f"{ratio:>7.3f} {spec['bound']:>6g}  {verdict:<10}  "
                 f"{'overlap' if overlap else 'apart'}"
             )
     return lines
@@ -156,6 +169,10 @@ def main(argv=None) -> int:
     path = OUT_DIR / f"BENCH_{result['head'][:7]}.json"
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
+    failing = [w for w, r in result["workloads"].items() if not r["correct"] or 0 in r["attempted"]]
+    if failing:
+        print(f"wrong output or no op attempted: {', '.join(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 

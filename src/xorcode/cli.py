@@ -73,11 +73,9 @@ def cmd_encode(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     width = len(str(scheme.n))
-    names = []
     for p in packets:
         name = outdir / f"packet_{p.index:0{width}d}.bin"
         name.write_bytes(codec.serialize_packet(p))
-        names.append(str(name))
     manifest = outdir / "manifest.txt"
     manifest.write_text(
         codec.format_manifest(rect, scheme.mode, block.original_len), encoding="utf-8"
@@ -86,7 +84,7 @@ def cmd_encode(args) -> int:
         f"n={scheme.n} k={rect.k} mode={scheme.mode} "
         f"packet_len={block.packet_len} original_len={block.original_len}"
     )
-    print(f"wrote {len(names)} packets and {manifest}")
+    print(f"wrote {len(packets)} packets and {manifest}")
     return 0
 
 

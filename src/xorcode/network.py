@@ -168,7 +168,7 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
     The flow is found on the sink's ancestor subgraph alone. Its edges are
-    grouped once by tail, in ascending id, for the balance test, the search
+    grouped once by tail, in ascending id, for the balance rule, the search
     and the decomposition. When every ancestor other than the source and
     the sink has as many in-edges as out-edges among them, those edges are
     themselves a flow, and its value, the source's out-degree among them,
@@ -177,8 +177,8 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     nonnegative flow, cannot exist in a DAG. So no search is needed and a
     call costs O(ancestor edges) beside the one sort. Otherwise BFS
     augmenting paths find the flow, at about O(f * ancestor edges) for max
-    flow f, and only its edges are regrouped. Each path leaves a node by
-    its lowest flow edge not yet taken.
+    flow f, and the grouping is filtered down to its edges. Each path
+    leaves a node by its lowest flow edge not yet taken.
     """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
@@ -204,20 +204,14 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     outs: dict[str, list[int]] = {}  # every ancestor but the sink has out-edges
     for eid in sorted(sub):
         outs.setdefault(edges[eid][0], []).append(eid)
-    # The last test is the balance rule, on every ancestor but the sink. The
-    # first two follow from it, and catch most unbalanced sinks at once: the
-    # source's out-degree is the flow into the sink, and the source has no
-    # in-edge, since walking in-edges back from one ends at an ancestor with none.
+    # The balance rule, on every ancestor but the source and the sink. It
+    # implies that the source has no in-edge (walking in-edges back from one
+    # ends at an ancestor with none, which is unbalanced), and so, by flow
+    # conservation, that the source's out-degree is the sink's in-degree.
     source = net.source
-    if (
-        in_[source]
-        or len(outs[source]) != len(in_[sink])
-        or any(len(in_[u]) != len(out) for u, out in outs.items() if u != source)
-    ):
+    if any(len(in_[u]) != len(out) for u, out in outs.items() if u != source):
         used = _augmenting_flow(net, sink, outs)
-        outs = {}  # regrouped: each node's flow edges
-        for eid in sorted(used):
-            outs.setdefault(edges[eid][0], []).append(eid)
+        outs = {u: [eid for eid in out if eid in used] for u, out in outs.items()}
     untaken = {u: iter(out) for u, out in outs.items()}
     paths = []
     for eid in untaken[source]:
@@ -269,7 +263,7 @@ class PathPartition(tuple):
 def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions):
     """The list of each (sink, sequences) pair's ``PathPartition``, of maxflow paths
     of phases packets; raise ValueError unless the headers agree and each is built.
-    Sequences that are one object, as the readers make equal rows, are proven once."""
+    A ``PathPartition`` comes back as is, so a row shared by sinks is proven once."""
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -278,18 +272,14 @@ def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, parti
     if not n - maxflow < requested_n <= n:
         raise ValueError(f"requested_n={requested_n} is not in {n - maxflow + 1}..{n}")
     parts = []
-    # id(seqs) -> (seqs, its part); holding seqs keeps its id from being reused.
-    proven: dict[int, tuple[object, PathPartition]] = {}
     for sink, seqs in partitions:
-        if id(seqs) not in proven:
-            try:
-                part = PathPartition(seqs)
-            except ValueError as exc:
-                raise ValueError(f"sink {sink}: {exc}") from None
-            if len(part) != maxflow or len(part[0]) != phases:
-                raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
-            proven[id(seqs)] = seqs, part
-        parts.append(proven[id(seqs)][1])
+        try:
+            part = PathPartition(seqs)
+        except ValueError as exc:
+            raise ValueError(f"sink {sink}: {exc}") from None
+        if len(part) != maxflow or len(part[0]) != phases:
+            raise ValueError(f"sink {sink}: needs {maxflow} paths of {phases} packets each")
+        parts.append(part)
     return parts
 
 
@@ -594,25 +584,18 @@ def _parse_schedule_lines(text: str) -> tuple[
     return header, sections
 
 
-def _packet_rows(sections: dict[str, list]) -> list[tuple[tuple[int, ...], ...]]:
-    """Each sink section's packet sequences. The packets are ints parsed from
-    decimal, so equal rows are exactly equal: they are made one object, which
-    ``_check_partitions`` proves once."""
-    first: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
-    rows = [tuple(packets for _, packets in lines) for lines in sections.values()]
-    return [first.setdefault(row, row) for row in rows]
-
-
 def parse_schedule(net: Network, text: str) -> Schedule:
     """A schedule that is valid and fits ``net``; anything else is a ParseError."""
     header, sections = _parse_schedule_lines(text)
-    paths = []
+    paths, seqs = [], []
     for rows in sections.values():
         taken: set[int] = set()
         paths.append(tuple(_resolve_path(net, names, taken) for names, _ in rows))
-    seqs = tuple(_packet_rows(sections))
+        seqs.append(tuple(packets for _, packets in rows))
     try:
-        return Schedule(net, sinks=tuple(sections), paths=tuple(paths), assignment=seqs, **header)
+        return Schedule(
+            net, sinks=tuple(sections), paths=tuple(paths), assignment=tuple(seqs), **header
+        )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -621,7 +604,7 @@ def parse_schedule_partitions(text: str) -> dict[str, PathPartition]:
     """Per-sink path partitions from a schedule file, no network needed; they
     and the headers must pass ``_check_partitions``."""
     header, sections = _parse_schedule_lines(text)
-    seqs = zip(sections, _packet_rows(sections))
+    seqs = [(sink, tuple(packets for _, packets in rows)) for sink, rows in sections.items()]
     try:
         return dict(zip(sections, _check_partitions(partitions=seqs, **header)))
     except ValueError as exc:

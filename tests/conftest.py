@@ -195,7 +195,9 @@ def corrupt_decode(monkeypatch):
 @pytest.fixture
 def partition_proofs(monkeypatch):
     """A list that gets the argument of each run of the path-partition rule:
-    every ``PathPartition`` built from anything but a ``PathPartition``."""
+    every ``PathPartition`` built from anything but a ``PathPartition``. The
+    schedule readers prove each sink's row; ``build_schedule`` proves each
+    distinct row once, and the ``Schedule`` it builds takes them as they are."""
     proofs = []
     new = PathPartition.__new__
 

@@ -450,7 +450,7 @@ def test_audit_from_schedule_file(tmp_path, capsys):
 
 
 def test_audit_schedule_proves_each_sink_once(tmp_path, capsys, partition_proofs):
-    # The reader proves each distinct row once, and the audit uses it as it is.
+    # The reader proves each sink's row once, and the audit uses it as it is.
     sched_file = tmp_path / "schedule.txt"
     sched_file.write_text(TABLE1_SCHEDULE)
     rect_file = tmp_path / "rect.txt"
@@ -459,7 +459,7 @@ def test_audit_schedule_proves_each_sink_once(tmp_path, capsys, partition_proofs
         capsys, "audit", "-r", str(rect_file), "--schedule", str(sched_file), "--sink", "t2"
     )
     assert code == 0 and stdout.startswith("condition=")
-    assert len(partition_proofs) == 4  # the six sinks' four distinct rows
+    assert len(partition_proofs) == 6  # one per sink
 
 
 def test_audit_all_on_one_path_leaks(tmp_path, capsys):
