@@ -24,7 +24,6 @@ Schedule text format:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +33,10 @@ from .errors import ParseError, ScheduleError, TopologyError
 
 @dataclass(frozen=True)
 class Network:
-    """Directed acyclic multigraph with one source and named sinks."""
+    """Directed acyclic multigraph with one source and named sinks. The constructor
+    files each edge into ``adjacency``, the ids of the edges leaving and entering each
+    node in edge order, as it checks the edge's endpoints, and keeps it as a plain
+    attribute that equality, hashing and ``repr`` ignore."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -42,55 +44,50 @@ class Network:
     sinks: tuple[str, ...]
 
     def __post_init__(self):
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+        nodes, edges = self.nodes, self.edges
+        if {*map(type, nodes)} - {str}:  # the joined test below raises TypeError on one
+            v = next(v for v in nodes if type(v) is not str)
+            raise ValueError(f"node name {v!r} is not a str")
+        out_: dict[str, list[int]] = {v: [] for v in nodes}
+        if len(out_) != len(nodes):
             raise ValueError("duplicate node names")
-        for v in self.nodes:  # the text formats split on whitespace and cut '#' comments
-            if v.split() != [v] or "#" in v:
-                raise ValueError(f"node name {v!r} is empty or holds whitespace or '#'")
-        if self.source not in known:
+        joined = " ".join(nodes)  # the text formats split on whitespace and cut '#' comments
+        if joined.split() != list(nodes) or "#" in joined:
+            for v in nodes:  # name the first bad one
+                if v.split() != [v] or "#" in v:
+                    raise ValueError(f"node name {v!r} is empty or holds whitespace or '#'")
+        if self.source not in out_:
             raise ValueError(f"unknown source {self.source!r}")
+        if type(self.sinks) is not tuple:
+            raise ValueError(f"sinks must be a tuple, not {type(self.sinks).__name__}")
         if not self.sinks:
             raise ValueError("at least one sink is required")
         if len(set(self.sinks)) != len(self.sinks):
             raise ValueError("duplicate sink names")
         for t in self.sinks:
-            if t not in known:
+            if t not in out_:
                 raise ValueError(f"unknown sink {t!r}")
         if self.source in self.sinks:
             raise ValueError("source cannot also be a sink")
-        for u, v in self.edges:
-            if u not in known or v not in known:
+        in_: dict[str, list[int]] = {v: [] for v in nodes}
+        for i, (u, v) in enumerate(edges):
+            if u not in out_ or v not in out_:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
             if u == v:
                 raise TopologyError(f"self-loop on {u!r}")
-        self._check_acyclic()
-
-    @cached_property
-    def adjacency(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-        """Ids of the edges leaving and entering each node, in edge order."""
-        out_: dict[str, list[int]] = {v: [] for v in self.nodes}
-        in_: dict[str, list[int]] = {v: [] for v in self.nodes}
-        for i, (u, v) in enumerate(self.edges):
             out_[u].append(i)
             in_[v].append(i)
-        return out_, in_
-
-    def _check_acyclic(self):
-        out_, in_ = self.adjacency
-        indeg = {v: len(in_[v]) for v in self.nodes}
-        ready = [v for v in self.nodes if indeg[v] == 0]
-        seen = 0
-        while ready:
-            u = ready.pop()
-            seen += 1
+        indeg = {v: len(ins) for v, ins in in_.items()}
+        ready = [v for v, d in indeg.items() if not d]
+        for u in ready:  # Kahn's count; the loop reads what it appends
             for eid in out_[u]:
-                ev = self.edges[eid][1]
-                indeg[ev] -= 1
-                if indeg[ev] == 0:
-                    ready.append(ev)
-        if seen != len(self.nodes):
+                v = edges[eid][1]
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
+        if len(ready) != len(nodes):
             raise TopologyError("network contains a cycle")
+        object.__setattr__(self, "adjacency", (out_, in_))
 
 
 def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -201,17 +198,24 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
                 stack.append(u)
     if net.source not in reaches:
         return []
+    sub.sort()
     outs: dict[str, list[int]] = {}  # every ancestor but the sink has out-edges
-    for eid in sorted(sub):
-        outs.setdefault(edges[eid][0], []).append(eid)
+    for eid in sub:
+        u = edges[eid][0]
+        if u in outs:
+            outs[u].append(eid)
+        else:
+            outs[u] = [eid]
     # The balance rule, on every ancestor but the source and the sink. It
     # implies that the source has no in-edge (walking in-edges back from one
     # ends at an ancestor with none, which is unbalanced), and so, by flow
     # conservation, that the source's out-degree is the sink's in-degree.
     source = net.source
-    if any(len(in_[u]) != len(out) for u, out in outs.items() if u != source):
-        used = _augmenting_flow(net, sink, outs)
-        outs = {u: [eid for eid in out if eid in used] for u, out in outs.items()}
+    for u, out in outs.items():
+        if len(in_[u]) != len(out) and u != source:
+            used = _augmenting_flow(net, sink, outs)
+            outs = {v: [eid for eid in vout if eid in used] for v, vout in outs.items()}
+            break
     untaken = {u: iter(out) for u, out in outs.items()}
     paths = []
     for eid in untaken[source]:
@@ -452,14 +456,15 @@ def build_schedule(net: Network, n: int) -> Schedule:
             x = parent[x]
         return x
 
-    owner: dict[int, int] = {}
-    for si, paths in enumerate(sink_paths):
-        for j, path in enumerate(paths):
+    owner: dict[int, int] = {}  # edge -> the first pair whose path holds it
+    x = 0
+    for paths in sink_paths:
+        for path in paths:
             for e in path:
-                if e in owner:
-                    parent[find(si * f + j)] = find(owner[e])
-                else:
-                    owner[e] = si * f + j
+                first = owner.setdefault(e, x)
+                if first != x:
+                    parent[find(x)] = find(first)
+            x += 1
     sink_classes = [[find(si * f + j) for j in range(f)] for si in range(len(net.sinks))]
     for sink, classes in zip(net.sinks, sink_classes):
         if len(set(classes)) < f:
@@ -481,10 +486,10 @@ def build_schedule(net: Network, n: int) -> Schedule:
     # One tuple per label, so Schedule's per-edge check meets equal sequences by identity.
     labels = {xs: tuple([y for x in xs for y in range(x * w + 1, x * w + w + 1)])
               for xs in set(colouring.values())}
-    seqs = {c: labels[xs] for c, xs in colouring.items()}
-    # The labels are ints, so equal rows are one partition, proven once.
-    rows = [tuple([seqs[c] for c in classes]) for classes in sink_classes]
-    parts = {row: PathPartition(row) for row in dict.fromkeys(rows)}
+    # Equal colours give equal rows, and the labels are ints, so each sink's
+    # colours key its row's one partition, proven once.
+    keys = [tuple([colouring[c] for c in classes]) for classes in sink_classes]
+    parts = {key: PathPartition(tuple([labels[xs] for xs in key])) for key in dict.fromkeys(keys)}
     return Schedule(
         network=net,
         n=p * f,
@@ -493,7 +498,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
         maxflow=f,
         sinks=net.sinks,
         paths=tuple([tuple(paths) for paths in sink_paths]),
-        assignment=tuple([parts[row] for row in rows]),
+        assignment=tuple([parts[key] for key in keys]),
     )
 
 

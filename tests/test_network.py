@@ -135,9 +135,34 @@ def test_network_invariants():
         ((("s", "t"), (), "s", ("u",)), "unknown sink 'u'"),
         ((("s", "t"), (("s", "x"),), "s", ("t",)), r"edge \('s', 'x'\) references unknown node"),
         ((("s", "t"), (), "s", ()), "at least one sink is required"),
+        (((1, "t"), ((1, "t"),), 1, ("t",)), "node name 1 is not a str"),
+        (((b"s", b"t"), ((b"s", b"t"),), b"s", (b"t",)), "node name b's' is not a str"),
+        # A str of sink names would be read as one sink per character.
+        ((("s", "t", "u"), (("s", "t"), ("s", "u")), "s", "tu"), "sinks must be a tuple, not str"),
     ):
         with pytest.raises(ValueError, match=message):
             Network(*args)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    # A name that is not a str comes first: nothing else can be checked on it.
+    ((("s", 1, "s"), (), "s", ("t",)), ValueError, "node name 1 is not a str"),
+    ((("s", "a b", "t", "s"), (), "s", ("t",)), ValueError, "duplicate node names"),
+    ((("s", "x#", "a b", "t"), (), "q", ("t",)), ValueError, "node name 'x#' is empty"),
+    ((("s", "a b", "t"), (), "q", ("t",)), ValueError, "node name 'a b' is empty"),
+    ((("s", "t"), (("s", "x"),), "q", ("t",)), ValueError, "unknown source 'q'"),
+    ((("s", "t"), (("s", "x"),), "s", ("u",)), ValueError, "unknown sink 'u'"),
+    ((("s", "t"), (("t", "t"), ("s", "x")), "s", ("t",)), TopologyError, "self-loop on 't'"),
+    ((("s", "t"), (("s", "x"), ("t", "t")), "s", ("t",)), ValueError, r"edge \('s', 'x'\)"),
+    ((("s", "t"), (("x", "x"),), "s", ("t",)), ValueError, r"edge \('x', 'x'\)"),
+    ((("s", "t"), (("s", "t"), ("t", "s"), ("t", "t")), "s", ("t",)), TopologyError, "self-loop"),
+    ((("s", "t"), (("s", "t"), ("t", "s"), ("s", "x")), "s", ("t",)), ValueError, "unknown node"),
+])
+def test_network_reports_the_first_of_two_faults(args, error, message):
+    # Names, then source and sinks, then edges in order (an unknown endpoint
+    # before a self-loop), then cycles: the order the constructor checks in.
+    with pytest.raises(error, match=message):
+        Network(*args)
 
 
 @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\u2028b", "#x", "x#"])
@@ -232,6 +257,26 @@ def test_edge_disjoint_paths_match_whole_graph_reference(net):
     # The max flow on each sink's ancestors gives the whole-network flow's paths.
     for t in net.sinks:
         assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(dag_multigraphs())
+def test_adjacency_is_filed_from_the_edges_and_is_not_a_field(net):
+    out_: dict[str, list[int]] = {v: [] for v in net.nodes}
+    in_: dict[str, list[int]] = {v: [] for v in net.nodes}
+    for i, (u, v) in enumerate(net.edges):
+        out_[u].append(i)
+        in_[v].append(i)
+    assert net.adjacency == (out_, in_)
+    assert list(net.adjacency[0]) == list(net.adjacency[1]) == list(net.nodes)
+    # A twin holding another adjacency is the same network to ==, hash and repr.
+    twin = Network(net.nodes, net.edges, net.source, net.sinks)
+    object.__setattr__(twin, "adjacency", ({}, {}))
+    assert twin == net and hash(twin) == hash(net) and repr(twin) == repr(net)
+    assert "adjacency" not in repr(net)
+    assert [f.name for f in dataclasses.fields(net)] == ["nodes", "edges", "source", "sinks"]
+    back = pickle.loads(pickle.dumps(net))
+    assert back == net and back.adjacency == (out_, in_)
 
 
 @st.composite
@@ -659,6 +704,14 @@ def test_sinks_with_equal_rows_share_one_partition(partition_proofs):
             assert type(row) is PathPartition
             assert first.setdefault(row, row) is row
         assert len(partition_proofs) == len(first) < len(sched.sinks)
+    # The exact pass keys rows by colour tuples of p colours each: KNESER_RELAYS
+    # plus a sink u on the first sink's relays has 16 sinks and 15 distinct rows.
+    twin = KNESER_RELAYS + "sink u\n" + "".join(f"edge r{x}{y} u\n" for x, y in KNESER_MATCHINGS[0])
+    del partition_proofs[:]
+    sched = build_schedule(parse_network(twin), 6)
+    assert (sched.maxflow, sched.phases, len(sched.sinks)) == (3, 2, 16)
+    assert sched.assignment[-1] is sched.assignment[0] == ((1, 2), (3, 4), (5, 6))
+    assert len(partition_proofs) == len(set(sched.assignment)) == 15
 
 
 def test_schedule_survives_pickle_and_deepcopy(fig3):
