@@ -33,6 +33,8 @@ MODE_BALANCED_DECODE = "balanced_decode"
 MODES = (MODE_DIRECT, MODE_BALANCED_DECODE)
 # The wire's u16 fields bound a packet index and a source index, and so n.
 _U16_MAX = 0xFFFF
+# Payloads shorter than this many bytes decode in one elimination pass (see Decoder).
+_ONE_PASS_BELOW = 4096
 
 
 @dataclass(frozen=True)
@@ -209,14 +211,27 @@ def _xor_sources(sources: list[int], bits: int, acc: int) -> int:
 
 
 class Decoder:
-    """Decode packets one at a time: eliminate headers, apply payloads at full rank.
+    """Decode packets one at a time, by one of two routes picked by payload length.
 
-    The packet kept at position i enters the header ``Basis`` with payload
-    ``1 << i``, as in ``gf2.invert``, so a reduced row records the kept
-    packets it combines. Each payload is converted to an int once, on
-    arrival. A dependent packet must carry the XOR of the kept payloads its
-    mask names, or some packet was corrupted. At full rank ``_xor_rows``,
-    encode's kernel, builds every source from its solved mask.
+    The first packet kept fixes the payload length every packet must have,
+    and with it the route:
+
+    - Shorter than ``_ONE_PASS_BELOW`` bytes, one pass: each payload int rides
+      the header ``Basis`` as its ``pay``, a dependent packet must reduce to a
+      zero payload, and at full rank the solved payloads are the sources.
+    - Otherwise, masks then XORs: the packet kept at position i enters the
+      header ``Basis`` with payload ``1 << i``, as in ``gf2.invert``, so a
+      reduced row records the kept packets it combines. A dependent packet
+      must carry the XOR of the kept payloads its mask names. At full rank
+      ``_xor_rows``, encode's kernel, builds every source from its solved
+      mask with the complement rule.
+
+    One pass XORs a payload at every elimination step. The masks route XORs
+    short masks there and payloads only in ``_xor_rows``: fewer long XORs,
+    but a second Python loop, which costs more than it saves on short
+    payloads. The constant is where the measured times cross; CHANGES.md
+    gives the table. Each payload is converted to an int once, on arrival;
+    both routes raise the same errors and decode the same bytes.
     """
 
     __slots__ = ("n", "redundant", "_basis", "_values", "_length")
@@ -227,7 +242,7 @@ class Decoder:
         self.n = n
         self.redundant = 0
         self._basis = Basis()
-        self._values: list[int] = []
+        self._values: list[int] | None = None  # kept payloads, on the masks route only
         self._length = 0
 
     @property
@@ -247,21 +262,30 @@ class Decoder:
         packet's, and ``PacketIntegrityError`` if the packet is dependent on
         earlier ones but its payload disagrees with theirs.
         """
-        values = self._values
-        if values and len(packet.payload) != self._length:
+        payload, basis = packet.payload, self._basis
+        if basis.rows and len(payload) != self._length:
             raise ValueError("received packets have unequal payload lengths")
         if packet.vector >> self.n:
             k = packet.vector.bit_length()
             raise ValueError(f"packet {packet.index} references source {k} > n={self.n}")
-        bit = 1 << len(values)
-        vec, mask = self._basis.add(packet.vector, bit)
-        value = int.from_bytes(packet.payload, "little")
+        value = int.from_bytes(payload, "little")
+        if not basis.rows:  # a first packet in range is kept: its length picks the route
+            self._length = len(payload)
+            self._values = None if len(payload) < _ONE_PASS_BELOW else []
+        values = self._values
+        if values is None:
+            vec, bad = basis.add(packet.vector, value)
+        else:
+            bit = 1 << len(values)
+            vec, mask = basis.add(packet.vector, bit)
+            if vec:
+                values.append(value)
+            else:
+                bad = _xor_sources(values, mask ^ bit, value)
         if vec:
-            self._length = len(packet.payload)
-            values.append(value)
             return True
         self.redundant += 1
-        if _xor_sources(values, mask ^ bit, value):
+        if bad:
             raise PacketIntegrityError(
                 f"packet {packet.index} is linearly dependent on earlier packets "
                 "but its payload disagrees"
@@ -274,8 +298,11 @@ class Decoder:
         if len(self._basis) < n:
             raise PartialDecodeError(self.recoverable, n)
         solved = self._basis.solve()
-        plen = self._length
-        sources = tuple(_xor_rows(self._values, [solved[l] for l in range(n)], plen))
+        plen, values = self._length, self._values
+        if values is None:
+            sources = tuple([solved[l].to_bytes(plen, "little") for l in range(n)])
+        else:
+            sources = tuple(_xor_rows(values, [solved[l] for l in range(n)], plen))
         if original_len is None:
             original_len = plen * n
         return SourceBlock(sources, plen, original_len)

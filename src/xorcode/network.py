@@ -36,7 +36,8 @@ class Network:
     """Directed acyclic multigraph with one source and named sinks. The constructor
     files each edge into ``adjacency``, the ids of the edges leaving and entering each
     node in edge order, as it checks the edge's endpoints, and keeps it as a plain
-    attribute that equality, hashing and ``repr`` ignore."""
+    attribute that equality, hashing and ``repr`` ignore. Every field is a tuple,
+    and every edge a tuple of two node names, so a ``Network`` can be hashed."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -45,6 +46,8 @@ class Network:
 
     def __post_init__(self):
         nodes, edges = self.nodes, self.edges
+        if type(nodes) is not tuple:  # a list would construct, then fail to hash
+            raise ValueError(f"nodes must be a tuple, not {type(nodes).__name__}")
         if {*map(type, nodes)} - {str}:  # the joined test below raises TypeError on one
             v = next(v for v in nodes if type(v) is not str)
             raise ValueError(f"node name {v!r} is not a str")
@@ -69,12 +72,17 @@ class Network:
                 raise ValueError(f"unknown sink {t!r}")
         if self.source in self.sinks:
             raise ValueError("source cannot also be a sink")
+        if type(edges) is not tuple:
+            raise ValueError(f"edges must be a tuple, not {type(edges).__name__}")
         in_: dict[str, list[int]] = {v: [] for v in nodes}
-        for i, (u, v) in enumerate(edges):
-            if u not in out_ or v not in out_:
+        for i, e in enumerate(edges):
+            if type(e) is not tuple or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a tuple of two names")
+            u, v = e
+            if u not in out_ or v not in out_ or u == v:  # an unknown endpoint is named first
+                if u in out_ and v in out_:
+                    raise TopologyError(f"self-loop on {u!r}")
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if u == v:
-                raise TopologyError(f"self-loop on {u!r}")
             out_[u].append(i)
             in_[v].append(i)
         indeg = {v: len(ins) for v, ins in in_.items()}
@@ -94,8 +102,9 @@ def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, line, tokens) of each non-blank line, '#' comments cut.
 
     The line is not stripped; only error messages quote it, as ``line.strip()``."""
+    comments = "#" in text  # most texts hold none, and then no line is cut
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+        line = raw.split("#", 1)[0] if comments else raw
         toks = line.split()
         if toks:
             yield lineno, line, toks
@@ -110,17 +119,19 @@ def parse_network(text: str) -> Network:
     source: str | None = None
     sinks: list[str] = []
     for lineno, line, toks in _directives(text):
+        if len(toks) == 3 and toks[0] == "edge":  # most lines, so tested first
+            edges.append((toks[1], toks[2]))
+            nodes[toks[1]] = nodes[toks[2]] = None
+            continue
         if _NETWORK_TOKENS.get(toks[0]) != len(toks):
             raise ParseError(f"line {lineno}: bad directive {line.strip()!r}")
-        if toks[0] == "edge":
-            edges.append((toks[1], toks[2]))
-        elif toks[0] == "source":
+        if toks[0] == "source":
             if source is not None:
                 raise ParseError(f"line {lineno}: second source directive")
             source = toks[1]
         elif toks[0] == "sink":
             sinks.append(toks[1])
-        nodes[toks[1]] = nodes[toks[-1]] = None  # toks[-1] is toks[1] except in an edge
+        nodes[toks[1]] = None
     if source is None:
         raise ParseError("missing source directive")
     try:

@@ -56,7 +56,7 @@ def _paths_needed(rows: Sequence[int], part: PathPartition) -> list[tuple[int, .
     """Per row, the 1-based paths whose packet sets meet the row's support."""
     if part.n != len(rows):
         raise ValueError(f"partition covers 1..{part.n}, design has {len(rows)} packets")
-    masks = [sum(1 << (i - 1) for i in seq) for seq in part]
+    masks = [sum([1 << (i - 1) for i in seq]) for seq in part]
     return [tuple([j + 1 for j, mask in enumerate(masks) if mask & row]) for row in rows]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,8 +41,12 @@ from xorcode import (
     split_payload,
     split_upper,
 )
+from xorcode import codec
 
 EXAMPLE_RECT = split_upper(EXAMPLE_SQUARE, 3)
+# Decoder's two routes. The payloads below are 1-9 bytes long, so the module's
+# threshold sends them through one pass and a threshold of 0 through masks then XORs.
+ROUTES = (codec._ONE_PASS_BELOW, 0)
 
 
 def xor(*parts):
@@ -339,14 +344,16 @@ def test_decode_integrity_error():
     block = SourceBlock.from_packets([b"ab", b"cd", b"ef", b"gh"])
     packets = encode(s, block)
     bad = CodedPacket(packets[0].index, packets[0].vector, b"!!")
-    with pytest.raises(PacketIntegrityError):
-        decode(packets + [bad], 4)
     # Packets are checked in order, so a conflict ahead of a short payload wins.
     short = CodedPacket(packets[1].index, packets[1].vector, b"a")
-    with pytest.raises(PacketIntegrityError, match=f"packet {bad.index} is linearly dependent"):
-        decode([packets[0], bad, short, *packets[1:]], 4)
-    # a true duplicate is redundant, not inconsistent
-    assert decode(packets + [packets[0]], 4).packets == block.packets
+    for below in ROUTES:
+        with mock.patch.object(codec, "_ONE_PASS_BELOW", below):
+            with pytest.raises(PacketIntegrityError):
+                decode(packets + [bad], 4)
+            with pytest.raises(PacketIntegrityError, match=f"packet {bad.index} is linearly dependent"):
+                decode([packets[0], bad, short, *packets[1:]], 4)
+            # a true duplicate is redundant, not inconsistent
+            assert decode(packets + [packets[0]], 4).packets == block.packets
 
 
 @st.composite
@@ -389,9 +396,39 @@ def decode_outcome(decoder, packets, n):
 @settings(deadline=None, max_examples=400)
 @given(received_packets())
 def test_decode_matches_payload_elimination_oracle(received):
-    # Same block bytes, or the same error type, recoverable set and message.
+    # Same block bytes, or the same error type, recoverable set and message, on each route.
     packets, n = received
-    assert decode_outcome(decode, packets, n) == decode_outcome(payload_elimination_decode, packets, n)
+    want = decode_outcome(payload_elimination_decode, packets, n)
+    for below in ROUTES:
+        with mock.patch.object(codec, "_ONE_PASS_BELOW", below):
+            assert decode_outcome(decode, packets, n) == want
+
+
+def test_decode_routes_meet_at_the_threshold():
+    # One byte short of the threshold decodes in one pass, at it by masks then
+    # XORs: both give the sources back and raise the oracle's errors.
+    n = 12
+    rect, _ = find_nonsingular_rectangle(n, seed=n, moves=4 * n * n)
+    rng = random.Random(n)
+    order = rng.sample(range(n), n)
+    for mode in MODES:
+        errors = []
+        for plen in (codec._ONE_PASS_BELOW - 1, codec._ONE_PASS_BELOW):
+            block = SourceBlock.from_packets([rng.randbytes(plen) for _ in range(n)])
+            coded = encode(make_scheme(rect, mode), block)
+            coded = [coded[i] for i in order]
+            first = coded[0]
+            dec = Decoder(n)
+            dec.add(first)
+            assert (dec._values is None) == (plen < codec._ONE_PASS_BELOW)
+            assert decode(coded + [first], n).packets == block.packets
+            bad = CodedPacket(first.index, first.vector, bytes([first.payload[0] ^ 1]) + first.payload[1:])
+            cases = (coded[: n - 1], coded[:6] + [bad] + coded[6:])
+            got = [decode_outcome(decode, packets, n) for packets in cases]
+            assert got == [decode_outcome(payload_elimination_decode, packets, n) for packets in cases]
+            errors.append(got)
+        assert errors[0] == errors[1]
+        assert [type_ for type_, _, _ in errors[0]] == [PartialDecodeError, PacketIntegrityError]
 
 
 def test_decoder_counts_rank_and_redundant_packets():
@@ -400,22 +437,24 @@ def test_decoder_counts_rank_and_redundant_packets():
     p1, p2, p3, p4 = encode(s, block)
     # headers (1,2,3) xor (2,3,4) = (1,4), carrying the XOR of their payloads
     combo = CodedPacket(5, 0b1001, xor(p1.payload, p2.payload))
-    dec = Decoder(4)
-    steps = [dec.add(p) for p in (p1, p2, p1, combo)]
-    assert steps == [True, True, False, False]
-    assert (dec.rank, dec.redundant) == (2, 2)
-    assert dec.recoverable == frozenset()
-    with pytest.raises(PacketIntegrityError, match="packet 5 is linearly dependent"):
-        dec.add(CodedPacket(5, 0b1001, xor(p1.payload, p3.payload)))
-    with pytest.raises(PacketIntegrityError, match="packet 2 is linearly dependent"):
-        dec.add(CodedPacket(2, p2.vector, b"!!"))
-    assert (dec.rank, dec.redundant) == (2, 4)
-    with pytest.raises(PartialDecodeError):
-        dec.block()
-    assert [dec.add(p) for p in (p3, p4, p4)] == [True, True, False]
-    assert (dec.rank, dec.redundant) == (4, 5)
-    assert dec.recoverable == frozenset({1, 2, 3, 4})
-    assert dec.block(7) == SourceBlock(block.packets, 2, 7)
+    for below in ROUTES:
+        with mock.patch.object(codec, "_ONE_PASS_BELOW", below):
+            dec = Decoder(4)
+            steps = [dec.add(p) for p in (p1, p2, p1, combo)]
+            assert steps == [True, True, False, False]
+            assert (dec.rank, dec.redundant) == (2, 2)
+            assert dec.recoverable == frozenset()
+            with pytest.raises(PacketIntegrityError, match="packet 5 is linearly dependent"):
+                dec.add(CodedPacket(5, 0b1001, xor(p1.payload, p3.payload)))
+            with pytest.raises(PacketIntegrityError, match="packet 2 is linearly dependent"):
+                dec.add(CodedPacket(2, p2.vector, b"!!"))
+            assert (dec.rank, dec.redundant) == (2, 4)
+            with pytest.raises(PartialDecodeError):
+                dec.block()
+            assert [dec.add(p) for p in (p3, p4, p4)] == [True, True, False]
+            assert (dec.rank, dec.redundant) == (4, 5)
+            assert dec.recoverable == frozenset({1, 2, 3, 4})
+            assert dec.block(7) == SourceBlock(block.packets, 2, 7)
 
 
 def recoverable_after(packets, n):

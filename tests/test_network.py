@@ -139,6 +139,12 @@ def test_network_invariants():
         (((b"s", b"t"), ((b"s", b"t"),), b"s", (b"t",)), "node name b's' is not a str"),
         # A str of sink names would be read as one sink per character.
         ((("s", "t", "u"), (("s", "t"), ("s", "u")), "s", "tu"), "sinks must be a tuple, not str"),
+        # Lists would construct a network that cannot be hashed.
+        ((["s", "t"], [["s", "t"]], "s", ("t",)), "nodes must be a tuple, not list"),
+        ((("s", "t"), [("s", "t")], "s", ("t",)), "edges must be a tuple, not list"),
+        ((("s", "t"), (["s", "t"],), "s", ("t",)), r"edge \['s', 't'\] is not a tuple of two names"),
+        ((("s", "t", "u"), (("s", "t", "u"),), "s", ("t",)), r"edge \('s', 't', 'u'\) is not a tuple"),
+        ((("s", "t"), ("st",), "s", ("t",)), "edge 'st' is not a tuple of two names"),
     ):
         with pytest.raises(ValueError, match=message):
             Network(*args)
@@ -157,10 +163,17 @@ def test_network_invariants():
     ((("s", "t"), (("x", "x"),), "s", ("t",)), ValueError, r"edge \('x', 'x'\)"),
     ((("s", "t"), (("s", "t"), ("t", "s"), ("t", "t")), "s", ("t",)), TopologyError, "self-loop"),
     ((("s", "t"), (("s", "t"), ("t", "s"), ("s", "x")), "s", ("t",)), ValueError, "unknown node"),
+    # The containers' types come with the names and edges they hold.
+    ((["s", 1], (), "s", ("t",)), ValueError, "nodes must be a tuple, not list"),
+    ((("s", "t"), [("s", "t")], "q", ("t",)), ValueError, "unknown source 'q'"),
+    ((("s", "t"), (("s", "t", "u"), ("s", "x")), "s", ("t",)), ValueError, "not a tuple of two names"),
+    ((("s", "t"), (("s", "x"), ("s", "t", "u")), "s", ("t",)), ValueError, "unknown node"),
+    ((("s", "t"), (("t", "t"), ["s", "t"]), "s", ("t",)), TopologyError, "self-loop on 't'"),
 ])
 def test_network_reports_the_first_of_two_faults(args, error, message):
-    # Names, then source and sinks, then edges in order (an unknown endpoint
-    # before a self-loop), then cycles: the order the constructor checks in.
+    # Nodes and their names, then source and sinks, then edges in order (the
+    # shape, then an unknown endpoint before a self-loop), then cycles: the
+    # order the constructor checks in.
     with pytest.raises(error, match=message):
         Network(*args)
 
@@ -257,6 +270,30 @@ def test_edge_disjoint_paths_match_whole_graph_reference(net):
     # The max flow on each sink's ancestors gives the whole-network flow's paths.
     for t in net.sinks:
         assert edge_disjoint_paths(net, t) == whole_graph_edge_disjoint_paths(net, t)
+
+
+def network_text(net: Network) -> str:
+    """The network in its text format: every node first, in order, so parsing keeps it."""
+    lines = [f"node {v}" for v in net.nodes] + [f"edge {u} {v}" for u, v in net.edges]
+    return "\n".join(lines + [f"source {net.source}"] + [f"sink {t}" for t in net.sinks]) + "\n"
+
+
+# One line of comment text: no character that str.splitlines breaks on.
+COMMENTS = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=8)
+BLANKS = st.sampled_from(["", " ", "\t", " \t  "])
+
+
+@settings(deadline=None, max_examples=200)
+@given(dag_multigraphs(), st.data())
+def test_network_text_parses_the_same_with_comments_and_blank_lines(net, data):
+    text = network_text(net)
+    assert parse_network(text) == net
+    lines = []
+    for line in text.splitlines():
+        for _ in range(data.draw(st.integers(0, 2))):  # comment-only and blank lines
+            lines.append(data.draw(BLANKS) + data.draw(st.just("") | COMMENTS.map("#".__add__)))
+        lines.append(line + data.draw(BLANKS) + "#" + data.draw(COMMENTS))
+    assert parse_network("\n".join(lines) + "\n") == net
 
 
 @settings(deadline=None, max_examples=200)
