@@ -153,21 +153,20 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     n3 = n * n * n
     # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
     # row_at[c*n+s]: row of s in column c, stored as r*n. A row is only ever
-    # used as r*n, so rn and r2n stand for r and r2. Start from the cyclic
-    # square.
-    sym_at = [0] * (n * n)
-    col_at = [0] * (n * n)
-    row_at = [0] * (n * n)
+    # used as r*n, so rn and r2n stand for r and r2, and likewise cn and c2n
+    # for c and c2 where a column indexes row_at. Start from the cyclic
+    # square: row r of sym_at is 0..n-1 rotated left by r, (r + c) % n; row r
+    # of col_at and column c of row_at rotate it right, (s - r) % n, the
+    # latter on the n-scaled copy.
+    sym_at = []
+    col_at = []
+    row_at = []
+    ring = [*range(n)] * 2
+    ring_n = [*range(0, n * n, n)] * 2
     for r in range(n):
-        rn = r * n
-        for c in range(n):
-            s = (r + c) % n
-            sym_at[rn + c] = s
-            col_at[rn + s] = c
-    for c in range(n):
-        cn = c * n
-        for s in range(n):
-            row_at[cn + s] = (s - c) % n * n
+        sym_at += ring[r:r + n]
+        col_at += ring[n - r:2 * n - r]
+        row_at += ring_n[n - r:2 * n - r]
     # One accepted move per pass of the for loop. It starts from a proper
     # pivot, a random empty (cell, symbol) triple, and steps until the far
     # corner (r2, c2, s2) closes. A corner that does not close becomes the
@@ -214,12 +213,12 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
             rn = rc - c
             cn = c * n
             c2 = col_at[rn + s]
+            c2n = c2 * n
             r2n = row_at[cn + s]
             sym_at[rc] = s
             col_at[rn + s] = c
             row_at[cn + s] = rn
             while True:
-                c2n = c2 * n
                 far = sym_at[r2n + c2]
                 if far == s2:
                     sym_at[rn + c2] = s2
@@ -232,25 +231,33 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                     row_at[c2n + s] = r2n
                     row_at[c2n + s2] = rn
                     break
+                # The coins are compared, not masked: CPython's specialising
+                # interpreter (3.11 on) quickens int comparisons and int
+                # subtraction but leaves & a generic BINARY_OP through 3.13,
+                # so a mask costs a full dispatch per coin. On 3.10, which
+                # specialises neither, the two cost the same.
                 coins = getrandbits(3)
-                if coins & 4:
+                if coins >= 4:
                     col_at[r2n + s] = c2
                     row_at[c2n + s] = r2n
                     sym_at[r2n + c2] = s
                     s, s2 = s2, far
+                    coins -= 4
                 else:
                     s, s2 = s2, s
                 # s is the old s2 from here on.
-                if coins & 2:
+                if coins >= 2:
                     t = col_at[r2n + s]
                     sym_at[r2n + c] = s
                     row_at[cn + s] = r2n
                     col_at[r2n + s] = c
                     c, c2 = c2, t
+                    cn, c2n = c2n, t * n
+                    coins -= 2
                 else:
                     c, c2 = c2, c
-                cn = c2n
-                if coins & 1:
+                    cn, c2n = c2n, cn
+                if coins:
                     t = row_at[cn + s]
                     sym_at[rn + c] = s
                     col_at[rn + s] = c

@@ -59,32 +59,48 @@ class Network:
             for v in nodes:  # name the first bad one
                 if v.split() != [v] or "#" in v:
                     raise ValueError(f"node name {v!r} is empty or holds whitespace or '#'")
-        if self.source not in out_:
+        # Node names are strs, so an unhashable source, sink or endpoint is no
+        # node's name; its dict or set lookup raises TypeError, read as unknown.
+        try:
+            known = self.source in out_
+        except TypeError:
+            known = False
+        if not known:
             raise ValueError(f"unknown source {self.source!r}")
         if type(self.sinks) is not tuple:
             raise ValueError(f"sinks must be a tuple, not {type(self.sinks).__name__}")
         if not self.sinks:
             raise ValueError("at least one sink is required")
-        if len(set(self.sinks)) != len(self.sinks):
+        try:
+            repeats = len(set(self.sinks)) != len(self.sinks)
+        except TypeError:  # compare by equality instead
+            repeats = any(t in self.sinks[:i] for i, t in enumerate(self.sinks))
+        if repeats:
             raise ValueError("duplicate sink names")
-        for t in self.sinks:
-            if t not in out_:
-                raise ValueError(f"unknown sink {t!r}")
+        try:
+            for t in self.sinks:
+                if t not in out_:
+                    raise ValueError(f"unknown sink {t!r}")
+        except TypeError:  # t, the first sink not found, is unhashable
+            raise ValueError(f"unknown sink {t!r}") from None
         if self.source in self.sinks:
             raise ValueError("source cannot also be a sink")
         if type(edges) is not tuple:
             raise ValueError(f"edges must be a tuple, not {type(edges).__name__}")
         in_: dict[str, list[int]] = {v: [] for v in nodes}
-        for i, e in enumerate(edges):
-            if type(e) is not tuple or len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a tuple of two names")
-            u, v = e
-            if u not in out_ or v not in out_ or u == v:  # an unknown endpoint is named first
-                if u in out_ and v in out_:
-                    raise TopologyError(f"self-loop on {u!r}")
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            out_[u].append(i)
-            in_[v].append(i)
+        try:
+            for i, e in enumerate(edges):
+                if type(e) is not tuple or len(e) != 2:
+                    raise ValueError(f"edge {e!r} is not a tuple of two names")
+                u, v = e
+                if u not in out_ or v not in out_ or u == v:  # an unknown endpoint is named first
+                    if u in out_ and v in out_:
+                        raise TopologyError(f"self-loop on {u!r}")
+                    raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+                out_[u].append(i)
+                in_[v].append(i)
+        except TypeError:  # edge i, the first with a fault, has an unhashable endpoint
+            raise ValueError(f"edge ({u!r}, {v!r}) references unknown node") from None
         indeg = {v: len(ins) for v, ins in in_.items()}
         ready = [v for v, d in indeg.items() if not d]
         for u in ready:  # Kahn's count; the loop reads what it appends

@@ -269,6 +269,12 @@ def test_jm_generate_matches_reference_walk_at_larger_orders():
         for moves in (None, 1, 2 * n):
             seed = rng.getrandbits(63)
             assert jm_generate(n, seed, moves) == reference_jm_generate(n, seed, moves)
+    # Short walks at odd and even orders up to 101 keep most of the start
+    # square, so they also check how it is built.
+    for n in (25, 26, 37, 38, 64, 65, 100, 101):
+        for moves in (1, 2 * n):
+            seed = rng.getrandbits(63)
+            assert jm_generate(n, seed, moves) == reference_jm_generate(n, seed, moves)
 
 
 class CountingRandom(random.Random):

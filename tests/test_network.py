@@ -145,6 +145,10 @@ def test_network_invariants():
         ((("s", "t"), (["s", "t"],), "s", ("t",)), r"edge \['s', 't'\] is not a tuple of two names"),
         ((("s", "t", "u"), (("s", "t", "u"),), "s", ("t",)), r"edge \('s', 't', 'u'\) is not a tuple"),
         ((("s", "t"), ("st",), "s", ("t",)), "edge 'st' is not a tuple of two names"),
+        # An unhashable endpoint, sink or source is no node's name.
+        ((("s", "t"), ((["s"], "t"),), "s", ("t",)), r"edge \(\['s'\], 't'\) references unknown node"),
+        ((("s", "t"), (("s", "t"),), "s", (["t"],)), r"unknown sink \['t'\]"),
+        ((("s", "t"), (("s", "t"),), ["s"], ("t",)), r"unknown source \['s'\]"),
     ):
         with pytest.raises(ValueError, match=message):
             Network(*args)
@@ -169,6 +173,16 @@ def test_network_invariants():
     ((("s", "t"), (("s", "t", "u"), ("s", "x")), "s", ("t",)), ValueError, "not a tuple of two names"),
     ((("s", "t"), (("s", "x"), ("s", "t", "u")), "s", ("t",)), ValueError, "unknown node"),
     ((("s", "t"), (("t", "t"), ["s", "t"]), "s", ("t",)), TopologyError, "self-loop on 't'"),
+    # Unhashable names keep the order: duplicate sinks before unknown ones,
+    # the first faulty edge before later ones.
+    ((("s", "t"), (), ["s"], (["t"],)), ValueError, r"unknown source \['s'\]"),
+    ((("s", "t"), (), "s", ("t", ["u"], "t")), ValueError, "duplicate sink names"),
+    ((("s", "t"), (), "s", (["u"], ["u"])), ValueError, "duplicate sink names"),
+    ((("s", "t"), (), "s", ("t", "x", ["u"])), ValueError, "unknown sink 'x'"),
+    ((("s", "t"), (), "s", ("t", ["u"], "x")), ValueError, r"unknown sink \['u'\]"),
+    ((("s", "t"), (("t", "t"), ("s", {})), "s", ("t",)), TopologyError, "self-loop on 't'"),
+    ((("s", "t"), (("s", {}), ("t", "t")), "s", ("t",)), ValueError, r"edge \('s', \{\}\)"),
+    ((("s", "t"), (("s", "x"), ({}, "t")), "s", ("t",)), ValueError, r"edge \('s', 'x'\)"),
 ])
 def test_network_reports_the_first_of_two_faults(args, error, message):
     # Nodes and their names, then source and sinks, then edges in order (the
