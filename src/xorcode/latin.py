@@ -102,6 +102,13 @@ def block_incidence(rect: LatinRectangle) -> BitMatrix:
     return rect._incidence
 
 
+def _require_int(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is an int, the rule the cells of a
+    ``LatinRectangle`` follow: a bool or a float that equals an int is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectangle:
     """Sample a random Latin square of order n by an incidence-cube walk.
 
@@ -124,49 +131,51 @@ def jm_generate(n: int, seed: int = 0, moves: int | None = None) -> LatinRectang
     its two squares, so a fixed move count would fix the square.
     Output is deterministic for fixed (n, seed, moves).
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("order must be at least 1")
     if moves is None:
         moves = n * n
+    _require_int("moves", moves)
     if moves < 0:
         raise ValueError(f"moves must be at least 0, got {moves}")
-    return _rows(next(_jm_walk(n, seed, moves)), n, n)
+    return _rows(next(_jm_walk(n, seed, moves)), n)
 
 
-def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
+def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[list[int]]]:
     """``jm_generate``'s walk, resumable: after every ``moves`` accepted moves
-    on one random stream, yield the square as its live, row-major list of
+    on one random stream, yield the square as its live list of rows of
     0-based symbols, valid until the walk resumes.
 
     Every raw step makes one draw. A pivot try is one ``random()``: x =
     int(random() * n^3) gives r = x // n^2 and (c, s) = divmod(x % n^2, n).
     An improper step is one ``getrandbits(3)``: bit 2 is the symbol coin,
     bit 1 the column coin and bit 0 the row coin, each heads when set.
-    Orders 1 and 2 draw one ``random()`` per sample instead."""
+    Orders 1 and 2 draw one ``random()`` per sample instead.
+
+    The arrays are lists of rows, and the step keeps the rows it works on in
+    locals, so a cell is one subscript below n. A flat list indexed r*n + c
+    costs an int add per access, and past n = 16 such an index is an int
+    above 256, which CPython allocates afresh. Against that flat layout, a
+    sample (``scripts/walk_timing.py``, README's Walk length) took 28-54 %
+    less time at n = 50 to 200 on 3.11.7, and 24-44 % less at n = 50 on
+    3.10, 3.12 and 3.13; at n = 16 the two read within 11 %."""
     gen = random.Random(seed)
     rnd = gen.random
     if n <= 2:  # one draw per sample; the order-2 walk is periodic
-        squares = ([0, 1, 1, 0], [1, 0, 0, 1]) if n == 2 else ([0],)
+        squares = ([[0, 1], [1, 0]], [[1, 0], [0, 1]]) if n == 2 else ([[0]],)
         while True:
             yield squares[int(rnd() * n)]
     getrandbits = gen.getrandbits
     n3 = n * n * n
-    # sym_at[r*n+c]: symbol in the cell; col_at[r*n+s]: column of s in row r;
-    # row_at[c*n+s]: row of s in column c, stored as r*n. A row is only ever
-    # used as r*n, so rn and r2n stand for r and r2, and likewise cn and c2n
-    # for c and c2 where a column indexes row_at. Start from the cyclic
-    # square: row r of sym_at is 0..n-1 rotated left by r, (r + c) % n; row r
-    # of col_at and column c of row_at rotate it right, (s - r) % n, the
-    # latter on the n-scaled copy.
-    sym_at = []
-    col_at = []
-    row_at = []
+    # sym_at[r][c]: symbol in the cell; col_at[r][s]: column of s in row r;
+    # row_at[c][s]: row of s in column c. Start from the cyclic square: row
+    # r of sym_at is 0..n-1 rotated left by r, (r + c) % n; row r of col_at
+    # and row c of row_at rotate it right, (s - r) % n.
     ring = [*range(n)] * 2
-    ring_n = [*range(0, n * n, n)] * 2
-    for r in range(n):
-        sym_at += ring[r:r + n]
-        col_at += ring[n - r:2 * n - r]
-        row_at += ring_n[n - r:2 * n - r]
+    sym_at = [ring[r:r + n] for r in range(n)]
+    col_at = [ring[n - r:2 * n - r] for r in range(n)]
+    row_at = [ring[n - c:2 * n - c] for c in range(n)]
     # One accepted move per pass of the for loop. It starts from a proper
     # pivot, a random empty (cell, symbol) triple, and steps until the far
     # corner (r2, c2, s2) closes. A corner that does not close becomes the
@@ -178,58 +187,66 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
     # independent bits, and x = int(random() * n^3) is uniform on 0..n^3-1
     # up to the 2^-53 grain that int(random() * n) has too (n^3 < 2^53 for
     # every n up to the u16 limit), so its base-n digits r, c, s are
-    # independent and uniform. divmod(x, n) is (r*n + c, s).
+    # independent and uniform.
+    #
+    # The step holds rows r and r2 of sym_at and col_at as sym_r, sym_r2,
+    # col_r and col_r2, and rows c and c2 of row_at as row_c and row_c2. When
+    # a coin swaps a pair of coordinates it swaps their rows with them; when
+    # it brings in a new r2 or c2 (t) it fetches that one row.
     #
     # A step flips nine cells, but an improper step writes only those the
     # walk keeps. A closing step writes all nine. Otherwise each coin pairs
     # with three cells, which it writes on heads and skips on tails:
-    #   symbol coin: col[r2,s]=c2, row[c2,s]=r2 and sym[r2,c2]=s;
-    #   column coin: sym[r2,c]=s2, row[c,s2]=r2 and col[r2,s2]=c;
-    #   row coin:    sym[r,c2]=s2, col[r,s2]=c2 and row[c2,s2]=r.
+    #   symbol coin: col[r2][s]=c2, row[c2][s]=r2 and sym[r2][c2]=s;
+    #   column coin: sym[r2][c]=s2, row[c][s2]=r2 and col[r2][s2]=c;
+    #   row coin:    sym[r][c2]=s2, col[r][s2]=c2 and row[c2][s2]=r.
     # The skip is exact. The last cell of each line is the next pivot's fill,
     # and on tails it already holds it: far for the symbol line, and for the
     # column and row lines the entry that heads reads into t, so tails reads
     # no line at all. The other two are flips the next step makes itself:
-    #   symbol tail: the next s2 is s, so the next row coin writes col[r2,s]
-    #     and the next column coin row[c2,s];
-    #   column tail: the next c2 is c, so the next row coin writes sym[r2,c]
-    #     and the next symbol coin row[c,s2];
-    #   row tail: the next r2 is r, so the next column coin writes sym[r,c2]
-    #     and the next symbol coin col[r,s2].
+    #   symbol tail: the next s2 is s, so the next row coin writes col[r2][s]
+    #     and the next column coin row[c2][s];
+    #   column tail: the next c2 is c, so the next row coin writes sym[r2][c]
+    #     and the next symbol coin row[c][s2];
+    #   row tail: the next r2 is r, so the next column coin writes sym[r][c2]
+    #     and the next symbol coin col[r][s2].
     # A tail there hands the cell on to the step after by the same rule, and
     # the closing step writes all it is handed, so each move ends with the
     # arrays of the nine-write step. On the way no read meets a cell still
-    # owed: a step reads only sym[r2,c2], and on heads col[r2,s2] and
-    # row[c2,s2], and as r2 != r, c2 != c and s2 != s, none of them is one of
-    # its six flips.
+    # owed: a step reads only sym[r2][c2], and on heads col[r2][s2] and
+    # row[c2][s2], and as r2 != r, c2 != c and s2 != s, none of them is one
+    # of its six flips.
     while True:
         for _ in range(moves):
             while True:
                 rc, s = divmod(int(rnd() * n3), n)
-                s2 = sym_at[rc]
+                r, c = divmod(rc, n)
+                sym_r = sym_at[r]
+                s2 = sym_r[c]
                 if s2 != s:
                     break
-            c = rc % n
-            rn = rc - c
-            cn = c * n
-            c2 = col_at[rn + s]
-            c2n = c2 * n
-            r2n = row_at[cn + s]
-            sym_at[rc] = s
-            col_at[rn + s] = c
-            row_at[cn + s] = rn
+            col_r = col_at[r]
+            row_c = row_at[c]
+            c2 = col_r[s]
+            r2 = row_c[s]
+            sym_r[c] = s
+            col_r[s] = c
+            row_c[s] = r
+            sym_r2 = sym_at[r2]
+            col_r2 = col_at[r2]
+            row_c2 = row_at[c2]
             while True:
-                far = sym_at[r2n + c2]
+                far = sym_r2[c2]
                 if far == s2:
-                    sym_at[rn + c2] = s2
-                    sym_at[r2n + c] = s2
-                    sym_at[r2n + c2] = s
-                    col_at[rn + s2] = c2
-                    col_at[r2n + s] = c2
-                    col_at[r2n + s2] = c
-                    row_at[cn + s2] = r2n
-                    row_at[c2n + s] = r2n
-                    row_at[c2n + s2] = rn
+                    sym_r[c2] = s2
+                    sym_r2[c] = s2
+                    sym_r2[c2] = s
+                    col_r[s2] = c2
+                    col_r2[s] = c2
+                    col_r2[s2] = c
+                    row_c[s2] = r2
+                    row_c2[s] = r2
+                    row_c2[s2] = r
                     break
                 # The coins are compared, not masked: CPython's specialising
                 # interpreter (3.11 on) quickens int comparisons and int
@@ -238,45 +255,49 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[int]]:
                 # specialises neither, the two cost the same.
                 coins = getrandbits(3)
                 if coins >= 4:
-                    col_at[r2n + s] = c2
-                    row_at[c2n + s] = r2n
-                    sym_at[r2n + c2] = s
+                    col_r2[s] = c2
+                    row_c2[s] = r2
+                    sym_r2[c2] = s
                     s, s2 = s2, far
                     coins -= 4
                 else:
                     s, s2 = s2, s
                 # s is the old s2 from here on.
                 if coins >= 2:
-                    t = col_at[r2n + s]
-                    sym_at[r2n + c] = s
-                    row_at[cn + s] = r2n
-                    col_at[r2n + s] = c
+                    t = col_r2[s]
+                    sym_r2[c] = s
+                    row_c[s] = r2
+                    col_r2[s] = c
                     c, c2 = c2, t
-                    cn, c2n = c2n, t * n
+                    row_c, row_c2 = row_c2, row_at[t]
                     coins -= 2
                 else:
                     c, c2 = c2, c
-                    cn, c2n = c2n, cn
+                    row_c, row_c2 = row_c2, row_c
+                # c is the old c2 from here on.
                 if coins:
-                    t = row_at[cn + s]
-                    sym_at[rn + c] = s
-                    col_at[rn + s] = c
-                    row_at[cn + s] = rn
-                    rn, r2n = r2n, t
+                    t = row_c[s]
+                    sym_r[c] = s
+                    col_r[s] = c
+                    row_c[s] = r
+                    r, r2 = r2, t
+                    sym_r, sym_r2 = sym_r2, sym_at[t]
+                    col_r, col_r2 = col_r2, col_at[t]
                 else:
-                    rn, r2n = r2n, rn
+                    r, r2 = r2, r
+                    sym_r, sym_r2 = sym_r2, sym_r
+                    col_r, col_r2 = col_r2, col_r
         yield sym_at
 
 
-def _rows(sym_at: list[int], n: int, k: int) -> LatinRectangle:
+def _rows(square: list[list[int]], k: int) -> LatinRectangle:
     """The first k rows of a walk's square as a rectangle."""
-    return LatinRectangle(
-        tuple([tuple([v + 1 for v in sym_at[rn:rn + n]]) for rn in range(0, k * n, n)])
-    )
+    return LatinRectangle(tuple([tuple([v + 1 for v in row]) for row in square[:k]]))
 
 
 def auto_rows(n: int) -> int:
     """Default odd row count for a nonsingular design: n-1 for even n, n-2 for odd."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError("order must be at least 1")
     if n == 1:
@@ -314,10 +335,12 @@ def find_nonsingular_rectangle(
     symbol in row n-1 is one n-cycle, an O(n) test (``gf2.design_cycle``).
     Any other k tests the ``determinant`` of the sample's incidence.
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("order must be at least 1")
     if k is None:
         k = auto_rows(n)
+    _require_int("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"row count must be in 1..{n}, got {k}")
     if k % 2 == 0:
@@ -332,16 +355,17 @@ def find_nonsingular_rectangle(
         )
     if moves is None:
         moves = n * n
+    _require_int("moves", moves)
     if moves < 1:
         raise ValueError(f"moves must be at least 1, got {moves}")
     if max_retries is None:
         max_retries = max(64, 4 * n)
+    _require_int("max_retries", max_retries)
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     walk = _jm_walk(n, random.Random(seed).getrandbits(63), moves)
-    kn = k * n
     for _ in range(max_retries):
-        sym_at = next(walk)
+        square = next(walk)
         if k == n - 1:
             # n is even (k is odd) and B = J xor P, which is always
             # nonsingular: (J xor P)(J xor P^T) = I (gf2._design_inverse).
@@ -349,15 +373,15 @@ def find_nonsingular_rectangle(
         elif k == n - 2:
             # n is odd. Column c misses its symbols in the last two rows, and
             # B is nonsingular iff those pairs form one cycle (gf2._design_inverse).
-            passes = design_cycle(list(zip(sym_at[kn:kn + n], sym_at[kn + n:]))) is not None
+            passes = design_cycle(list(zip(square[k], square[k + 1]))) is not None
         else:
             # Row c of the incidence marks the (distinct) symbols of column
             # c's first k cells; only the sample that passes becomes a rectangle.
             passes = determinant(
-                BitMatrix(n, n, tuple([sum([1 << v for v in sym_at[c:kn:n]]) for c in range(n)]))
+                BitMatrix(n, n, tuple([sum([1 << v for v in column]) for column in zip(*square[:k])]))
             )
         if passes:
-            rect = _rows(sym_at, n, k)
+            rect = _rows(square, k)
             return rect, block_incidence(rect)
     raise DesignSearchError(
         f"no nonsingular {k}x{n} rectangle found in {max_retries} attempts",

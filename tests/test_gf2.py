@@ -137,7 +137,7 @@ def default_designs():
         for seed in range(3):
             walk = _jm_walk(n, seed, n * n)
             for _ in range(4):
-                yield block_incidence(_rows(next(walk), n, auto_rows(n)))
+                yield block_incidence(_rows(next(walk), auto_rows(n)))
     for n in range(2, 130):
         yield block_incidence(split_upper(jm_generate(n, moves=0), auto_rows(n)))
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -183,6 +184,28 @@ def test_jm_trivial_orders():
         jm_generate(4, moves=-1)  # used to return the start square
 
 
+@pytest.mark.parametrize("value", [True, False, 5.0, 2.5])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n", lambda v: jm_generate(v)),
+        ("moves", lambda v: jm_generate(5, moves=v)),
+        ("n", lambda v: auto_rows(v)),
+        ("n", lambda v: find_nonsingular_rectangle(v)),
+        ("k", lambda v: find_nonsingular_rectangle(9, k=v)),
+        ("moves", lambda v: find_nonsingular_rectangle(9, moves=v)),
+        ("max_retries", lambda v: find_nonsingular_rectangle(9, max_retries=v)),
+    ],
+)
+def test_walk_entry_points_reject_non_int_arguments(monkeypatch, name, call, value):
+    # A bool passed for an int (k=True searched for a 1 x 9 design,
+    # jm_generate(True) drew a 1 x 1 square) and a float raised a bare
+    # TypeError from range() or a slice. Both are checked before any walk.
+    monkeypatch.setattr("xorcode.latin._jm_walk", None)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+        call(value)
+
+
 def test_order_two_draws_both_squares_evenly():
     # Every accepted move of the order-2 walk swaps its two squares, so a walk
     # of fixed length returned the same square for every seed.
@@ -275,6 +298,14 @@ def test_jm_generate_matches_reference_walk_at_larger_orders():
         for moves in (1, 2 * n):
             seed = rng.getrandbits(63)
             assert jm_generate(n, seed, moves) == reference_jm_generate(n, seed, moves)
+    # The benchmark's designs sit at n = 16 and 20, where a flat index first
+    # passes 256, and a search resumes one walk: three samples in a row at
+    # n = 16, 17 and 20, sample j the reference walk after (j + 1) * n^2 moves.
+    for n in (16, 17, 20):
+        seed = rng.getrandbits(63)
+        walk = _jm_walk(n, seed, n * n)
+        for j in range(3):
+            assert _rows(next(walk), n) == reference_jm_generate(n, seed, (j + 1) * n * n)
 
 
 class CountingRandom(random.Random):
@@ -374,16 +405,16 @@ def test_default_k_cycle_test_equals_the_determinant_on_every_walk_sample():
         for seed in range(4):
             walk = _jm_walk(n, seed, n * n)
             for _ in range(6):
-                sym_at = next(walk)
-                rect = _rows(sym_at, n, k)
+                square = next(walk)
+                rect = _rows(square, k)
                 m = column_incidence(rect)
                 assert block_incidence(rect) == m
                 det = determinant(m)
                 if n % 2 == 0:
                     assert det == 1, (n, seed)
                     continue
-                rows = sym_at[k * n:]
-                cycle = design_cycle(list(zip(rows[:n], rows[n:])))
+                rows = square[k:]
+                cycle = design_cycle(list(zip(rows[0], rows[1])))
                 assert (cycle is not None) == bool(det), (n, seed)
                 verdicts[det] += 1
     assert verdicts[0] >= 50 and verdicts[1] >= 50
