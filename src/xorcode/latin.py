@@ -153,13 +153,13 @@ def _jm_walk(n: int, seed: int, moves: int) -> Iterator[list[list[int]]]:
     bit 1 the column coin and bit 0 the row coin, each heads when set.
     Orders 1 and 2 draw one ``random()`` per sample instead.
 
-    The arrays are lists of rows, and the step keeps the rows it works on in
-    locals, so a cell is one subscript below n. A flat list indexed r*n + c
-    costs an int add per access, and past n = 16 such an index is an int
-    above 256, which CPython allocates afresh. Against that flat layout, a
-    sample (``scripts/walk_timing.py``, README's Walk length) took 28-54 %
-    less time at n = 50 to 200 on 3.11.7, and 24-44 % less at n = 50 on
-    3.10, 3.12 and 3.13; at n = 16 the two read within 11 %."""
+    The arrays are lists of rows and the step keeps its rows in locals, so
+    a cell is one subscript below n and no index is added up; a flat list
+    indexed r*n + c pays an add per access, and past n = 16 its indexes pass
+    256, the last of CPython's cached small ints. Against it a sample
+    (``scripts/walk_timing.py``, README's Walk length) took 28-37 % less
+    time at n = 50 to 200 on 3.11.7 and 20-36 % less at n = 50 on 3.10,
+    3.12 and 3.13; at n = 16, from 3 % more (3.13, one day of two) to 31 % less."""
     gen = random.Random(seed)
     rnd = gen.random
     if n <= 2:  # one draw per sample; the order-2 walk is periodic
@@ -378,7 +378,7 @@ def find_nonsingular_rectangle(
             # Row c of the incidence marks the (distinct) symbols of column
             # c's first k cells; only the sample that passes becomes a rectangle.
             passes = determinant(
-                BitMatrix(n, n, tuple([sum([1 << v for v in column]) for column in zip(*square[:k])]))
+                BitMatrix(n, n, tuple([sum([1 << v for v in col]) for col in zip(*square[:k])]))
             )
         if passes:
             rect = _rows(square, k)
