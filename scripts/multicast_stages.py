@@ -10,7 +10,11 @@ the sessions, in microseconds:
 * ``op``: the whole benchmark op, checks included, for reference;
 * ``parse_network``: the network text to a ``Network``;
 * ``edge_disjoint_paths``: the max-flow paths of every sink;
-* ``build_schedule``: on the parsed network, the paths above included;
+* ``_classes``: the union-find over those paths' (sink, path) pairs;
+* ``labelling``: ``_labelling``, the colouring of those classes and each
+  sink's row;
+* ``build_schedule``: on the parsed network, the three stages above and
+  the ``Schedule`` constructor included;
 * ``Schedule``: the constructor alone, on the built schedule's fields;
 * ``simulate``: encode, one decode and the sink reports;
 * ``encode`` and ``decode``: the two codec calls ``simulate`` makes;
@@ -38,13 +42,17 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import xorcode as xc  # noqa: E402
+from xorcode import network  # noqa: E402
 from workloads import Multicast  # noqa: E402
+
 
 def session_calls(work: Multicast, index: int) -> dict:
     """Each stage of session ``index`` as a call with no arguments, in print order."""
     text, n, f, p, _, mode = work.sessions[index]
     net = xc.parse_network(text)
     sched = xc.build_schedule(net, n)
+    sink_paths = [xc.edge_disjoint_paths(net, t) for t in net.sinks]
+    sink_classes = network._classes(sink_paths)
     fields = {fld.name: getattr(sched, fld.name) for fld in dataclasses.fields(sched)}
     _, schemes = work.designs[p * f]
     scheme, block = schemes[mode], work.blocks[p * f]
@@ -55,11 +63,15 @@ def session_calls(work: Multicast, index: int) -> dict:
         sys.exit(f"session {index}: decode does not recover the block")
     if xc.Schedule(**fields) != sched:
         sys.exit(f"session {index}: the Schedule constructor does not rebuild the schedule")
+    if network._labelling(sink_classes, f, p) != sched.assignment:
+        sys.exit(f"session {index}: the labelling does not give the schedule's rows")
     position = work.plan.index(index)
     return {
         "op": lambda: work.op(position),
         "parse_network": lambda: xc.parse_network(text),
         "edge_disjoint_paths": lambda: [xc.edge_disjoint_paths(net, t) for t in net.sinks],
+        "_classes": lambda: network._classes(sink_paths),
+        "labelling": lambda: network._labelling(sink_classes, f, p),
         "build_schedule": lambda: xc.build_schedule(net, n),
         "Schedule": lambda: xc.Schedule(**fields),
         "simulate": lambda: xc.simulate(net, sched, scheme, block),

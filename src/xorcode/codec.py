@@ -26,7 +26,7 @@ from .errors import (
     WireFormatError,
 )
 from .gf2 import Basis, BitMatrix, invert
-from .latin import LatinRectangle, block_incidence
+from .latin import LatinRectangle, _require_int, block_incidence
 
 MODE_DIRECT = "direct"
 MODE_BALANCED_DECODE = "balanced_decode"
@@ -134,6 +134,7 @@ def split_payload(data: bytes, n: int) -> SourceBlock:
     data, and any empty ones after it) are padded, so no padded copy of the
     whole block is ever built.
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("packet count must be >= 1")
     if not data:

@@ -90,6 +90,7 @@ class LatinRectangle:
 
 def split_upper(square: LatinRectangle, k: int) -> LatinRectangle:
     """First k rows of a rectangle, itself a valid Latin rectangle."""
+    _require_int("k", k)
     if not 1 <= k <= square.k:
         raise ValueError(f"k must be in 1..{square.k}, got {k}")
     return LatinRectangle(square.cells[:k])

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .codec import CodingScheme, SourceBlock, decode, encode
 from .errors import ParseError, ScheduleError, TopologyError
+from .latin import _require_int
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def parse_network(text: str) -> Network:
 
 def _augmenting_flow(net: Network, sink: str, outs: dict[str, list[int]]) -> set[int]:
     """The edges of a max flow to sink found by BFS augmenting paths; outs holds
-    each ancestor's out-edges among the ancestor edges, in ascending id."""
+    each ancestor's out-edges among the ancestor edges, in descending id."""
     edges = net.edges
     in_ = net.adjacency[1]
     used: set[int] = set()  # the edges carrying flow
@@ -167,7 +168,7 @@ def _augmenting_flow(net: Network, sink: str, outs: dict[str, list[int]]) -> set
         prev: dict[str, tuple[int, str] | None] = {net.source: None}
         queue = [net.source]  # first in, first out: the loop reads what it appends
         for u in queue:
-            for eid in outs[u]:
+            for eid in reversed(outs[u]):  # ascending id
                 v = edges[eid][1]
                 if eid not in used and v not in prev:
                     prev[v] = (eid, u)
@@ -191,18 +192,20 @@ def _augmenting_flow(net: Network, sink: str, outs: dict[str, list[int]]) -> set
 def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     """Edge-id paths of a unit-capacity max flow, deterministic order ([] if unreachable).
 
-    The flow is found on the sink's ancestor subgraph alone. Its edges are
-    grouped once by tail, in ascending id, for the balance rule, the search
-    and the decomposition. When every ancestor other than the source and
-    the sink has as many in-edges as out-edges among them, those edges are
+    The flow is found on the sink's ancestor subgraph alone. A walk back
+    from the sink files each of its edges under its tail, and each group is
+    sorted once, in descending id, for the balance rule, the search and the
+    decomposition. When every ancestor other than the source and the sink
+    has as many in-edges as out-edges among them, those edges are
     themselves a flow, and its value, the source's out-degree among them,
     is the most any flow can carry. It is also the only max flow: another
     would be a subset of it, and the difference, a circulation of
     nonnegative flow, cannot exist in a DAG. So no search is needed and a
-    call costs O(ancestor edges) beside the one sort. Otherwise BFS
-    augmenting paths find the flow, at about O(f * ancestor edges) for max
-    flow f, and the grouping is filtered down to its edges. Each path
-    leaves a node by its lowest flow edge not yet taken.
+    call costs O(ancestor edges) beside the sorts. Otherwise BFS augmenting
+    paths find the flow, at about O(f * ancestor edges) for max flow f, and
+    the groups are filtered down to its edges. Each path leaves a node by
+    its lowest flow edge not yet taken, popped from the end of the node's
+    group, which the call built and alone reads.
     """
     if sink not in net.sinks:
         raise ValueError(f"{sink!r} is not a sink of this network")
@@ -210,46 +213,45 @@ def edge_disjoint_paths(net: Network, sink: str) -> list[tuple[int, ...]]:
     in_ = net.adjacency[1]
     # Only the sink's ancestors lie on augmenting paths: an edge into one
     # leaves one, and a residual edge reverses a flow edge, which joins two.
-    # So a BFS over the edges among them meets them in the whole network's
-    # order and gives them the same prev links, and so the same flow.
-    reaches = {sink}
+    # So a BFS over the edges among them, the in-edges of the ancestors,
+    # meets them in the whole network's order and gives them the same prev
+    # links, and so the same flow.
+    outs: dict[str, list[int]] = {}  # each ancestor but the sink: its out-edges among them
     stack = [sink]
-    sub: list[int] = []  # in-edges of the ancestors: the edges among them
     while stack:
-        ins = in_[stack.pop()]
-        sub += ins
-        for eid in ins:
+        for eid in in_[stack.pop()]:
             u = edges[eid][0]
-            if u not in reaches:
-                reaches.add(u)
+            out = outs.get(u)
+            if out is None:  # a new ancestor
+                outs[u] = [eid]
                 stack.append(u)
-    if net.source not in reaches:
+            else:
+                out.append(eid)
+    source = net.source
+    if source not in outs:
         return []
-    sub.sort()
-    outs: dict[str, list[int]] = {}  # every ancestor but the sink has out-edges
-    for eid in sub:
-        u = edges[eid][0]
-        if u in outs:
-            outs[u].append(eid)
-        else:
-            outs[u] = [eid]
     # The balance rule, on every ancestor but the source and the sink. It
     # implies that the source has no in-edge (walking in-edges back from one
     # ends at an ancestor with none, which is unbalanced), and so, by flow
     # conservation, that the source's out-degree is the sink's in-degree.
-    source = net.source
+    balanced = True
     for u, out in outs.items():
+        out.sort(reverse=True)
         if len(in_[u]) != len(out) and u != source:
-            used = _augmenting_flow(net, sink, outs)
-            outs = {v: [eid for eid in vout if eid in used] for v, vout in outs.items()}
-            break
-    untaken = {u: iter(out) for u, out in outs.items()}
+            balanced = False
+    if not balanced:
+        used = _augmenting_flow(net, sink, outs)
+        outs = {v: [eid for eid in vout if eid in used] for v, vout in outs.items()}
     paths = []
-    for eid in untaken[source]:
+    first = outs[source]
+    while first:
+        eid = first.pop()
         path = [eid]
-        while edges[eid][1] != sink:
-            eid = next(untaken[edges[eid][1]])
+        v = edges[eid][1]
+        while v != sink:
+            eid = outs[v].pop()
             path.append(eid)
+            v = edges[eid][1]
         paths.append(tuple(path))
     return paths
 
@@ -291,10 +293,17 @@ class PathPartition(tuple):
         return len(self) * len(self[0])
 
 
+_SCHEDULE_HEADERS = ("n", "requested_n", "phases", "maxflow")
+
+
 def _check_partitions(n: int, requested_n: int, phases: int, maxflow: int, partitions):
     """The list of each (sink, sequences) pair's ``PathPartition``, of maxflow paths
-    of phases packets; raise ValueError unless the headers agree and each is built.
-    A ``PathPartition`` comes back as is, so a row shared by sinks is proven once."""
+    of phases packets; raise ValueError unless the headers are ints that agree and
+    each is built. A ``PathPartition`` comes back as is, so a row shared by sinks is
+    proven once."""
+    if not type(n) is type(requested_n) is type(phases) is type(maxflow) is int:
+        for name, value in zip(_SCHEDULE_HEADERS, (n, requested_n, phases, maxflow)):
+            _require_int(name, value)  # 2.0 would be written "2.0", which no reader takes
     if maxflow < 1 or phases < 1:
         raise ValueError("non-positive maxflow or phase count")
     if n != phases * maxflow:
@@ -343,7 +352,11 @@ class Schedule:
         parts = _check_partitions(*header, zip(self.sinks, self.assignment))
         object.__setattr__(self, "assignment", tuple(parts))
         net = self.network
-        if sorted(self.sinks) != sorted(net.sinks):
+        try:
+            same = sorted(self.sinks) == sorted(net.sinks)
+        except TypeError:  # a sink that is no str, like the network's, sorted with one
+            same = False
+        if not same:
             raise ValueError("schedule sinks do not match network sinks")
         edges, size, source = net.edges, len(net.edges), net.source
         carried: dict[int, tuple[int, ...]] = {}  # edge -> first sequence on it
@@ -426,17 +439,82 @@ def _colour_labels(
     return dict(zip(sinks_of, zip(*[iter(picks)] * slots)))  # picks in groups of slots
 
 
+def _classes(sink_paths: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
+    """Each sink's class of each of its paths, every sink holding as many paths.
+    Union-find joins the (sink, path) pairs, numbered in order, whose paths
+    share an edge, and names a class by its lowest pair.
+
+    A union points the higher of two roots at the lower, so no pair's parent
+    lies above it, and after the unions one pass in pair order resolves every
+    pair's root. Each pair carries its own root as its edges join it to
+    others, so a shared edge costs one find, of its first holder's root, and
+    finds halve their paths.
+    """
+    parent: list[int] = []
+    owner: dict[int, int] = {}  # edge -> the first pair whose path holds it
+    for paths in sink_paths:
+        for path in paths:
+            x = root = len(parent)  # root: pair x's root
+            parent.append(x)
+            for e in path:
+                r = owner.setdefault(e, x)
+                if r != x:
+                    while parent[r] != r:
+                        parent[r] = parent[parent[r]]
+                        r = parent[r]
+                    if r < root:
+                        parent[root] = r
+                        root = r
+                    elif r > root:
+                        parent[r] = root
+    for x, up in enumerate(parent):
+        parent[x] = parent[up]  # up <= x is resolved already
+    f = len(sink_paths[0])
+    return [parent[x:x + f] for x in range(0, len(parent), f)]
+
+
+def _labelling(
+    sink_classes: Sequence[Sequence[int]], f: int, p: int
+) -> tuple[PathPartition, ...] | None:
+    """Each sink's row of f sequences of p packets, labelled by ``_colour_labels``'
+    block pass, or by its exact pass when that fails, p >= 2 and f >= 3; None if
+    the pass that ran last finds no labelling (``build_schedule`` says why)."""
+    slots = 1
+    colouring = _colour_labels(sink_classes, f, slots)
+    if colouring is None and p > 1 and f > 2:
+        slots = p
+        colouring = _colour_labels(sink_classes, f * p, slots)
+    if colouring is None:
+        return None
+    w = p // slots
+    # One tuple per label, so Schedule's per-edge check meets equal sequences by identity.
+    labels = {xs: tuple([y for x in xs for y in range(x * w + 1, x * w + w + 1)])
+              for xs in set(colouring.values())}
+    # Equal colours give equal rows, and the labels are ints, so each sink's
+    # colours key its row's one partition, proven once.
+    parts: dict[tuple[tuple[int, ...], ...], PathPartition] = {}
+    rows = []
+    for classes in sink_classes:
+        key = tuple([colouring[c] for c in classes])
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = PathPartition(tuple([labels[xs] for xs in key]))
+        rows.append(part)
+    return tuple(rows)
+
+
 def build_schedule(net: Network, n: int) -> Schedule:
     """Search for a forwarding-only schedule delivering n packets to every sink.
 
     A path carries one packet per phase along its whole length, so paths of
-    different sinks that share an edge carry the same sequence. Union-find
-    groups the (sink, path) pairs into such classes; a sink with two paths in
-    one class is rejected at once. Classes are labelled in order of first
-    appearance (sinks in input order, paths in order), so that classes sharing
-    a sink are disjoint: a p-fold colouring of their conflict graph with f*p
-    colours. One search, ``_colour_labels``, runs in two passes, and colour x
-    of a pass with w packets per colour gives packets x*w+1..x*w+w:
+    different sinks that share an edge carry the same sequence. ``_classes``
+    groups the (sink, path) pairs into such classes by union-find; a sink
+    with two paths in one class is rejected at once. ``_labelling`` labels
+    the classes in order of first appearance (sinks in input order, paths in
+    order), so that classes sharing a sink are disjoint: a p-fold colouring
+    of their conflict graph with f*p colours. One search, ``_colour_labels``,
+    runs in two passes, and colour x of a pass with w packets per colour
+    gives packets x*w+1..x*w+w:
 
     - the block pass, an f-colouring with one slot per class (w = p);
     - the exact pass, f*p colours with p slots per class (w = 1), run only
@@ -473,50 +551,19 @@ def build_schedule(net: Network, n: int) -> Schedule:
     if f == 0:
         raise TopologyError("sinks are unreachable from the source")
     p = -(-n // f)
-
-    # Union-find over (sink, path) pairs, numbered si * f + j, joined by shared edges.
-    parent = list(range(len(net.sinks) * f))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    owner: dict[int, int] = {}  # edge -> the first pair whose path holds it
-    x = 0
-    for paths in sink_paths:
-        for path in paths:
-            for e in path:
-                first = owner.setdefault(e, x)
-                if first != x:
-                    parent[find(x)] = find(first)
-            x += 1
-    sink_classes = [[find(si * f + j) for j in range(f)] for si in range(len(net.sinks))]
+    sink_classes = _classes(sink_paths)
     for sink, classes in zip(net.sinks, sink_classes):
         if len(set(classes)) < f:
             raise ScheduleError(
                 f"no forwarding-only schedule: two paths of sink {sink} are joined "
                 "by shared edges and would carry the same packets"
             )
-    slots = 1
-    colouring = _colour_labels(sink_classes, f, slots)
-    if colouring is None and p > 1 and f > 2:
-        slots = p
-        colouring = _colour_labels(sink_classes, f * p, slots)
-    if colouring is None:
+    assignment = _labelling(sink_classes, f, p)
+    if assignment is None:
         raise ScheduleError(
             f"no forwarding-only schedule for {p * f} packets on {f} paths: "
             "shared edges impose conflicting packet sets"
         )
-    w = p // slots
-    # One tuple per label, so Schedule's per-edge check meets equal sequences by identity.
-    labels = {xs: tuple([y for x in xs for y in range(x * w + 1, x * w + w + 1)])
-              for xs in set(colouring.values())}
-    # Equal colours give equal rows, and the labels are ints, so each sink's
-    # colours key its row's one partition, proven once.
-    keys = [tuple([colouring[c] for c in classes]) for classes in sink_classes]
-    parts = {key: PathPartition(tuple([labels[xs] for xs in key])) for key in dict.fromkeys(keys)}
     return Schedule(
         network=net,
         n=p * f,
@@ -525,7 +572,7 @@ def build_schedule(net: Network, n: int) -> Schedule:
         maxflow=f,
         sinks=net.sinks,
         paths=tuple([tuple(paths) for paths in sink_paths]),
-        assignment=tuple([parts[key] for key in keys]),
+        assignment=assignment,
     )
 
 
@@ -564,9 +611,6 @@ def _resolve_path(net: Network, names: list[str], taken: set[int]) -> tuple[int,
         taken.add(eid)
         path.append(eid)
     return tuple(path)
-
-
-_SCHEDULE_HEADERS = ("n", "requested_n", "phases", "maxflow")
 
 
 def _parse_schedule_lines(text: str) -> tuple[

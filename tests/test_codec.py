@@ -592,6 +592,14 @@ def test_split_payload_examples():
         split_payload(b"abc", 0)
 
 
+def test_split_payload_rejects_a_non_int_count():
+    # True would cut one packet, and 2.0 is no range bound.
+    for n in (True, False, 2.0, "2"):
+        with pytest.raises(ValueError) as exc:
+            split_payload(b"abcdef", n)
+        assert str(exc.value) == f"n must be an int, got {n!r}"
+
+
 def test_join_inverts_split():
     rng = random.Random(8)
     for _ in range(300):

@@ -107,6 +107,14 @@ def test_split_upper():
         split_upper(EXAMPLE_SQUARE, 5)
 
 
+def test_split_upper_rejects_a_non_int_k():
+    # True is 1 as a slice bound and 2.0 no slice bound at all.
+    for k in (True, False, 2.0, "2"):
+        with pytest.raises(ValueError) as exc:
+            split_upper(EXAMPLE_SQUARE, k)
+        assert str(exc.value) == f"k must be an int, got {k!r}"
+
+
 def test_block_incidence_reproduces_known_matrix():
     m = block_incidence(split_upper(EXAMPLE_SQUARE, 3))
     assert tuple(m.to_text().splitlines()[1:]) == EXAMPLE_M_ROWS

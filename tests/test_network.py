@@ -550,6 +550,81 @@ def test_schedule_edge_ids_are_ints():
         assert str(exc.value) == "sink t path 1: unknown edge id"
 
 
+def test_schedule_checks_an_edge_id_type_on_every_visit():
+    # Both sinks' paths hold edge 0, so t's visit files it; a probe of the
+    # filed edges reads False and 0.0 as 0, so u's visit must check the type.
+    net = parse_network("source s\nsink t\nsink u\nedge s a\nedge a t\nedge a u\n")
+    sched = build_schedule(net, 2)
+    assert sched.paths == (((0, 1),), ((0, 2),))
+    for first in (False, 0.0):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(sched, paths=(((0, 1),), ((first, 2),)))
+        assert str(exc.value) == "sink u path 1: unknown edge id"
+
+
+def test_schedule_headers_are_ints():
+    # A bool or float header equal to an int passes every comparison, but
+    # format_schedule would write "2.0", which parse_schedule rejects.
+    net = parse_network(CHAIN)
+    sched = build_schedule(net, 2)  # n 2, requested_n 2, phases 2, maxflow 1
+    assert parse_schedule(net, format_schedule(sched)) == sched
+    with pytest.raises(ValueError, match=r"^requested_n must be an int, got 2\.0$"):
+        dataclasses.replace(sched, maxflow=1.0, requested_n=2.0)
+    ones = build_schedule(net, 1)  # every header is 1, so True would pass as one
+    for name in ("n", "requested_n", "phases", "maxflow"):
+        for built, bad in ((sched, float(getattr(sched, name))), (ones, True), (sched, "2")):
+            with pytest.raises(ValueError) as exc:
+                dataclasses.replace(built, **{name: bad})
+            assert str(exc.value) == f"{name} must be an int, got {bad!r}"
+
+
+def test_schedule_sinks_that_are_not_strs_do_not_match():
+    # The network's sinks are strs; sorting one with an int or a list raised TypeError.
+    net = parse_network("source s\nsink t\nsink u\nedge s a\nedge a t\nedge a u\n")
+    sched = build_schedule(net, 2)
+    for sinks in ((1, "u"), (["t"], "u"), (1, 2)):
+        with pytest.raises(ValueError, match="^schedule sinks do not match network sinks$"):
+            dataclasses.replace(sched, sinks=sinks)
+
+
+def test_edge_disjoint_paths_leave_the_network_alone(fig1, fig3):
+    # The groups a call pops from are its own, on both the balanced branch
+    # and the search's, so the adjacency is unchanged and a call repeats.
+    for net in (fig1, fig3, parse_network(CANCELS_FLOW), parse_network(CANCELS_FLOW_AMID_OTHERS)):
+        adjacency = copy.deepcopy(net.adjacency)
+        for t in net.sinks:
+            paths = edge_disjoint_paths(net, t)
+            assert paths and edge_disjoint_paths(net, t) == paths
+        assert net.adjacency == adjacency
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda f: st.lists(
+            st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
+                     min_size=f, max_size=f),
+            min_size=1, max_size=6,
+        )
+    )
+)
+def test_classes_match_connected_components(sink_paths):
+    # The (sink, path) pairs, numbered in order, joined when two paths share
+    # an edge id: each pair's class is the lowest pair of its component.
+    pairs = [path for paths in sink_paths for path in paths]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(pairs)))
+    graph.add_edges_from(
+        (x, y) for x, y in itertools.combinations(range(len(pairs)), 2)
+        if set(pairs[x]) & set(pairs[y])
+    )
+    lowest = {x: min(part) for part in nx.connected_components(graph) for x in part}
+    f = len(sink_paths[0])
+    assert network._classes(sink_paths) == [
+        [lowest[si * f + j] for j in range(f)] for si in range(len(sink_paths))
+    ]
+
+
 def test_network_without_a_sink_is_a_parse_error():
     # The constructor's check is the only one, and the reader reports it.
     with pytest.raises(ParseError, match="^at least one sink is required$"):
